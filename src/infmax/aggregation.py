@@ -39,8 +39,8 @@ class AggregationSpec:
             raise ValueError("leading gamma coefficient must be 1")
         prev = None
         for g in self.gamma:
-            if g < 0:
-                raise ValueError("gamma coefficients must be non-negative")
+            if not g >= 0:  # negated so that NaN fails too
+                raise ValueError("gamma coefficients must be non-negative numbers")
             if prev is not None and g > prev:
                 raise ValueError("gamma coefficients must be non-increasing")
             prev = g

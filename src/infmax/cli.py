@@ -189,7 +189,8 @@ def parse_alpha(spec: str) -> Alpha:
                 if not line.strip():
                     continue
                 x_tok, v_tok = _tokens(line, 2, path, lineno)
-                points.append((float(x_tok), float(v_tok)))
+                x = _to_float(x_tok, path, lineno)
+                points.append((x, _to_float(v_tok, path, lineno)))
         return Alpha.table(points)
     raise ConfigError(f"cannot parse alpha spec {spec!r}")
 
@@ -307,7 +308,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="fixed", choices=["ic", "exponential", "fixed"])
     p.add_argument("--instances", type=int, default=1)
     p.add_argument("--rng-seed", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument(
+        "--epsilon", type=float, default=0.1,
+        help="lazy greedy's acceptance slack, and what sets SKIM's sample size "
+        "when --k is absent (default 0.1; run_skim's own default is 0.2, kept "
+        "apart so that CSVs written without --k do not change)",
+    )
     p.add_argument("--k", type=int)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--output", default="-")

@@ -18,28 +18,34 @@ branch is cut once the item's utility falls below the element's k-th
 best stored seed utility, which provably cannot hide any element where
 the item still has positive marginal utility.
 
+Each oracle is one loop over a row of the family table (_FAMILY_TABLE),
+so a new family is one table row plus one reference branch below.
+
 Reference (brute-force) utilities are computed through scipy.sparse.csgraph
 and a descending threshold sweep, deliberately independent code paths from
 the incremental searches so the two can cross-check each other.
 """
 
+import bisect
 import heapq
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .aggregation import DigestTable, StaleStreamError
+from .aggregation import DigestTable
 from .matrix import SparseUtilityMatrix
+from .oracles import ForwardStream, RevStream
 
 DISTANCE = "distance"
 REVERSE_RANK = "reverse_rank"
 REACHABILITY = "reachability"
 SURVIVAL = "survival"
-FAMILIES = (DISTANCE, REVERSE_RANK, REACHABILITY, SURVIVAL)
 
 
 class Alpha:
@@ -58,19 +64,18 @@ class Alpha:
         if kind == "table":
             if not points:
                 raise ValueError("table alpha needs breakpoints")
-            xs = [x for x, _ in points]
+            self._xs = xs = [x for x, _ in points]
             vs = [v for _, v in points]
-            if xs != sorted(xs) or len(set(xs)) != len(xs):
+            # negated comparisons so that NaN fails every check
+            if math.isnan(xs[0]) or any(not a < b for a, b in zip(xs, xs[1:])):
                 raise ValueError("table breakpoints must be strictly increasing")
-            if any(v < 0 for v in vs):
-                raise ValueError("table values must be non-negative")
-            if any(b > a for a, b in zip(vs, vs[1:])):
-                raise ValueError("table values must be non-increasing")
+            if not vs[-1] >= 0 or any(not a >= b for a, b in zip(vs, vs[1:])):
+                raise ValueError("table values must be non-negative and non-increasing")
         elif kind == "threshold":
-            if param is None or param < 0:
+            if param is None or not param >= 0:
                 raise ValueError("threshold alpha needs T >= 0")
         elif kind == "exp":
-            if param is None or param <= 0:
+            if param is None or not param > 0:
                 raise ValueError("exponential alpha needs sigma > 0")
         elif kind != "inverse":
             raise ValueError(f"unknown alpha kind {kind!r}")
@@ -100,13 +105,8 @@ class Alpha:
             return 1.0 / max(x, 1.0)
         if self.kind == "exp":
             return math.exp(-x / self.param)
-        pos = 0
-        for k, (bx, _) in enumerate(self.points):
-            if bx <= x:
-                pos = k
-            else:
-                break
-        return self.points[pos][1]
+        # last breakpoint at or below x; below the first one, the first value
+        return self.points[max(bisect.bisect_right(self._xs, x) - 1, 0)][1]
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,9 @@ class UtilityFamily:
     alpha: Alpha | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILIES:
+        if self.kind not in _FAMILY_TABLE:
             raise ValueError(f"unknown utility family {self.kind!r}")
-        if self.kind in (DISTANCE, REVERSE_RANK):
+        if _FAMILY_TABLE[self.kind].needs_alpha:
             if self.alpha is None:
                 raise ValueError(f"{self.kind} utility requires an alpha map")
         elif self.alpha is not None:
@@ -132,11 +132,17 @@ class DirectedGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        for s, d, w in self.edges:
-            if not (0 <= s < self.n) or not (0 <= d < self.n):
-                raise ValueError(f"edge ({s}, {d}) out of range")
-            if not (w > 0) or math.isinf(w):
-                raise ValueError(f"edge ({s}, {d}) needs a positive finite weight")
+        _check_edges(self.n, self.edges)
+
+
+def _check_edges(n: int, edges) -> None:
+    """Reject edges with an endpoint outside [0, n) or a weight that is not
+    a positive finite number."""
+    for s, d, w in edges:
+        if not (0 <= s < n) or not (0 <= d < n):
+            raise ValueError(f"edge ({s}, {d}) out of range")
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"edge ({s}, {d}) needs a positive finite weight")
 
 
 class RankTable:
@@ -183,14 +189,11 @@ class GraphInstanceSet:
         self.tadj: list[list[list[tuple[int, float]]]] = []
         self.caps: list[float] = []
         for edges in self.instances:
+            _check_edges(n, edges)
             fwd = [[] for _ in range(n)]
             rev = [[] for _ in range(n)]
             cap = 0.0
             for s, d, w in edges:
-                if not (0 <= s < n) or not (0 <= d < n):
-                    raise ValueError(f"edge ({s}, {d}) out of range")
-                if not (w > 0) or math.isinf(w):
-                    raise ValueError("edge weights must be positive and finite")
                 fwd[s].append((d, float(w)))
                 rev[d].append((s, float(w)))
                 cap = max(cap, float(w))
@@ -226,15 +229,11 @@ class GraphInstanceSet:
             best: dict[tuple[int, int], float] = {}
             for s, d, w in self.instances[h]:
                 w = 1.0 if unit else w
-                if (s, d) not in best or w < best[(s, d)]:
+                if w < best.get((s, d), math.inf):
                     best[(s, d)] = w
-            if best:
-                rows, cols = zip(*best.keys())
-                data = list(best.values())
-            else:
-                rows, cols, data = [], [], []
+            rows, cols = [s for s, _ in best], [d for _, d in best]
             self._csr_cache[key] = csr_matrix(
-                (data, (rows, cols)), shape=(self.n, self.n)
+                (list(best.values()), (rows, cols)), shape=(self.n, self.n)
             )
         return self._csr_cache[key]
 
@@ -273,9 +272,8 @@ def simulate_instances(
     if name == "fixed":
         instances = [list(base.edges) for _ in range(count)]
     elif name == "ic":
-        for _, _, w in base.edges:
-            if w > 1.0:
-                raise ValueError("ic edge probabilities must lie in [0, 1]")
+        if any(w > 1.0 for _, _, w in base.edges):
+            raise ValueError("ic edge probabilities must lie in [0, 1]")
         for _ in range(count):
             draws = rng.random(len(base.edges))
             instances.append(
@@ -298,12 +296,12 @@ def simulate_instances(
 
 class _DijkstraFrontier:
     """Hand-rolled incremental Dijkstra; settling and expansion are split so
-    pruned searches can refuse to expand a settled node."""
+    pruned searches can refuse to expand a settled node.  All frontiers
+    share one constructor; this one ignores cap."""
 
-    def __init__(self, adj, source: int):
+    def __init__(self, adj, source: int, cap: float = 0.0):
         self.adj = adj
         self.dist: dict[int, float] = {}
-        self.parent: dict[int, int | None] = {source: None}
         self._seen = {source: 0.0}
         self._heap = [(0.0, source)]
 
@@ -322,20 +320,20 @@ class _DijkstraFrontier:
             nd = d + weight
             if w not in self.dist and nd < self._seen.get(w, math.inf):
                 self._seen[w] = nd
-                self.parent[w] = v
                 heapq.heappush(self._heap, (nd, w))
 
 
 class _WidestFrontier:
     """Max-min (bottleneck) variant: labels are the best minimum edge
-    lifetime over paths from the source; nodes settle by decreasing label."""
+    lifetime over paths from the source; nodes settle by decreasing label.
+    The source's own label is cap, the instance's longest lifetime."""
 
-    def __init__(self, adj, source: int, source_label: float):
+    def __init__(self, adj, source: int, cap: float):
         self.adj = adj
         self.label: dict[int, float] = {}
         self.parent: dict[int, int | None] = {source: None}
-        self._seen = {source: source_label}
-        self._heap = [(-source_label, source)]
+        self._seen = {source: cap}
+        self._heap = [(-cap, source)]
 
     def next(self) -> tuple[int, float] | None:
         while self._heap:
@@ -357,12 +355,11 @@ class _WidestFrontier:
 
 
 class _ReachFrontier:
-    """Plain BFS with split settle/expand."""
+    """Plain BFS with split settle/expand; every node is labelled 1."""
 
-    def __init__(self, adj, source: int):
+    def __init__(self, adj, source: int, cap: float = 0.0):
         self.adj = adj
         self.visited = {source}
-        self.parent: dict[int, int | None] = {source: None}
         self._queue = deque([source])
 
     def next(self) -> tuple[int, float] | None:
@@ -374,197 +371,127 @@ class _ReachFrontier:
         for w, _ in self.adj[v]:
             if w not in self.visited:
                 self.visited.add(w)
-                self.parent[w] = v
                 self._queue.append(w)
 
 
 # ---------------------------------------------------------------------------
-# reverse sorted access
+# the family table and the two oracles
 
 
-class GraphRevStream:
-    """Peekable single-pass stream of (item, utility) by non-increasing utility."""
+def _alpha_of_label(alpha, ranks, node, label):
+    return alpha(label)
 
-    def __init__(self, gen):
-        self._gen = gen
-        self._cache: tuple[int, float] | None = None
-        self._done = False
 
-    def top(self) -> tuple[int, float] | None:
-        if self._cache is None and not self._done:
-            try:
-                self._cache = next(self._gen)
-            except StopIteration:
-                self._done = True
-        return self._cache
+def _alpha_of_rank(alpha, ranks, node, label):
+    return alpha(float(ranks[node]))
 
-    def pop(self) -> tuple[int, float] | None:
-        t = self.top()
-        self._cache = None
-        return t
 
-    def close(self) -> None:
-        self._gen = iter(())
-        self._done = True
-        self._cache = None
+def _label(alpha, ranks, node, label):
+    return label
+
+
+@dataclass(frozen=True)
+class _FamilyRow:
+    """One utility family as data for the two graph oracles.
+
+    The reverse stream walks rev_adj from the element node, forward search
+    the other adjacency from the item.  utility maps a settled node and
+    its label to a utility; ranks is the node-indexed rank vector of the
+    element-item pair, or None.  In forward search a zero utility ends the
+    instance's search, or with zero_skips only skips that branch.
+    """
+
+    frontier: type
+    rev_adj: str
+    utility: Callable
+    prune: Callable
+    zero_skips: bool = False
+
+    @property
+    def needs_alpha(self) -> bool:
+        return self.utility in (_alpha_of_label, _alpha_of_rank)
+
+    @property
+    def needs_ranks(self) -> bool:
+        return self.utility is _alpha_of_rank
+
+
+# Distance and survival walk paths into the element node, so the reverse
+# stream runs on the transposed instance.  Reverse rank runs forward from
+# the element node, whose ranks are monotone in its own distances; the
+# same ranks are only tree-monotone seen from an item, hence zero_skips.
+_FAMILY_TABLE = {
+    DISTANCE: _FamilyRow(_DijkstraFrontier, "tadj", _alpha_of_label, operator.lt),
+    REVERSE_RANK: _FamilyRow(
+        _DijkstraFrontier, "adj", _alpha_of_rank, operator.lt, zero_skips=True
+    ),
+    REACHABILITY: _FamilyRow(_ReachFrontier, "tadj", _label, operator.le),
+    SURVIVAL: _FamilyRow(_WidestFrontier, "tadj", _label, operator.le),
+}
 
 
 def rev_sorted_stream(
     instances: GraphInstanceSet, family: UtilityFamily, j: int
-) -> GraphRevStream:
-    """Incremental reverse sorted access for element j.
-
-    Distance and survival searches run on the transposed instance (paths
-    into the element node); reverse-rank runs forward from the element
-    node because ranks there are monotone in its own distances.  The
-    stream ends at the first zero utility since later ones only shrink.
-    """
+) -> RevStream:
+    """Incremental reverse sorted access for element j; the stream ends at
+    the first zero utility, since later ones only shrink."""
     v, h = instances.node_of(j), instances.instance_of(j)
-    kind = family.kind
+    row = _FAMILY_TABLE[family.kind]
+    ranks = instances.rank_table().row(h, v) if row.needs_ranks else None
+    frontier = row.frontier(getattr(instances, row.rev_adj)[h], v, instances.caps[h])
 
-    def gen_distance():
-        frontier = _DijkstraFrontier(instances.tadj[h], v)
+    def search():
+        utility, alpha = row.utility, family.alpha
         while (step := frontier.next()) is not None:
-            node, d = step
-            u = family.alpha(d)
+            node, label = step
+            u = utility(alpha, ranks, node, label)
             if u <= 0.0:
                 return
             frontier.expand(node)
             yield node, u
 
-    def gen_rank():
-        ranks = instances.rank_table().row(h, v)
-        frontier = _DijkstraFrontier(instances.adj[h], v)
-        while (step := frontier.next()) is not None:
-            node, _ = step
-            u = float(family.alpha(float(ranks[node])))
-            if u <= 0.0:
-                return
-            frontier.expand(node)
-            yield node, u
-
-    def gen_survival():
-        frontier = _WidestFrontier(instances.tadj[h], v, instances.caps[h])
-        while (step := frontier.next()) is not None:
-            node, t = step
-            if t <= 0.0:
-                return
-            frontier.expand(node)
-            yield node, t
-
-    def gen_reach():
-        frontier = _ReachFrontier(instances.tadj[h], v)
-        while (step := frontier.next()) is not None:
-            node, _ = step
-            frontier.expand(node)
-            yield node, 1.0
-
-    gens = {
-        DISTANCE: gen_distance,
-        REVERSE_RANK: gen_rank,
-        SURVIVAL: gen_survival,
-        REACHABILITY: gen_reach,
-    }
-    return GraphRevStream(gens[kind]())
-
-
-# ---------------------------------------------------------------------------
-# forward search
-
-
-class GraphForwardStream:
-    """Iterator of (element, utility) pairs with positive marginal gain.
-
-    Tracks how many nodes the pruned searches settle (visited) and goes
-    stale once another seed is committed to the digest table.
-    """
-
-    def __init__(self, digests: DigestTable):
-        self._digests = digests
-        self._version = digests.version
-        self._gen = None
-        self.visited = 0
-
-    def _bind(self, gen):
-        self._gen = gen
-        return self
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> tuple[int, float]:
-        if self._digests.version != self._version:
-            raise StaleStreamError("forward search used after a seed was added")
-        return next(self._gen)
+    return RevStream(search())
 
 
 def forward_search(
-    instances: GraphInstanceSet,
-    family: UtilityFamily,
-    i: int,
-    digests: DigestTable,
-) -> GraphForwardStream:
+    instances: GraphInstanceSet, family: UtilityFamily, i: int, digests: DigestTable
+) -> ForwardStream:
     """Pruned forward search from item i across all instances.
 
     Expansion stops at an element whose stored k-th best seed utility
-    already beats (strictly, for distance and rank; weakly, for survival
-    and reachability, where the family-specific pruning arguments allow
-    it) the item's utility there.  Yielded pairs are exactly the elements
-    where the item's marginal gain is positive.
+    already beats the item's utility there, strictly or weakly as the
+    family's pruning argument allows.  Yielded pairs are exactly the
+    elements where the item's marginal gain is positive.
     """
-    kind = family.kind
-    stream = GraphForwardStream(digests)
-    strict = kind in (DISTANCE, REVERSE_RANK)
+    row = _FAMILY_TABLE[family.kind]
+    adj = instances.adj if row.rev_adj == "tadj" else instances.tadj
+    table = instances.rank_table() if row.needs_ranks else None
 
-    def run():
-        ranks = instances.rank_table() if kind == REVERSE_RANK else None
+    def search(stream):
+        utility, prune, alpha = row.utility, row.prune, family.alpha
         for h in range(instances.count):
             base = h * instances.n
-            if kind == DISTANCE:
-                frontier = _DijkstraFrontier(instances.adj[h], i)
-                to_utility = family.alpha
-            elif kind == REVERSE_RANK:
-                frontier = _DijkstraFrontier(instances.tadj[h], i)
-                to_utility = None  # rank lookup per settled node
-            elif kind == SURVIVAL:
-                frontier = _WidestFrontier(instances.adj[h], i, instances.caps[h])
-                to_utility = None
-            else:
-                frontier = _ReachFrontier(instances.adj[h], i)
-                to_utility = None
+            ranks = table.tables[h][:, i] if table is not None else None
+            frontier = row.frontier(adj[h], i, instances.caps[h])
             while (step := frontier.next()) is not None:
                 node, label = step
                 stream.visited += 1
-                if kind == DISTANCE:
-                    u = to_utility(label)
-                    if u <= 0.0:
-                        break  # settle order is by distance, the rest are zero too
-                elif kind == REVERSE_RANK:
-                    u = family.alpha(ranks.pi(h, node, i))
-                    if u <= 0.0:
-                        continue  # dead branch; ranks are only tree-monotone
-                elif kind == SURVIVAL:
-                    u = label
-                    if u <= 0.0:
-                        break
-                else:
-                    u = 1.0
+                u = utility(alpha, ranks, node, label)
+                if u <= 0.0:
+                    if row.zero_skips:
+                        continue
+                    break  # settle order is by label, the rest are zero too
                 digest = digests[base + node]
-                level = digest.prune_level()
-                pruned = (u < level) if strict else (u <= level)
-                if not pruned:
+                if not prune(u, digest.prune_level()):
                     frontier.expand(node)
                 if digest.marg(u) > 0.0:
                     yield base + node, u
 
-    return stream._bind(run())
+    return ForwardStream(digests, search)
 
 
 def marg_gain(
-    instances: GraphInstanceSet,
-    family: UtilityFamily,
-    i: int,
-    digests: DigestTable,
+    instances: GraphInstanceSet, family: UtilityFamily, i: int, digests: DigestTable
 ) -> float:
     """Marginal influence of item i against the current digests; no mutation."""
     return sum(digests[j].marg(u) for j, u in forward_search(instances, family, i, digests))
@@ -600,16 +527,16 @@ class GraphProblem:
         self.spec = spec
         self.n_items = instances.n
         self.n_elements = instances.n_elements
-        if family.kind == REVERSE_RANK:
+        if _FAMILY_TABLE[family.kind].needs_ranks:
             instances.rank_table()
 
     def weight(self, j: int) -> float:
         return 1.0
 
-    def rev_stream(self, j: int) -> GraphRevStream:
+    def rev_stream(self, j: int) -> RevStream:
         return rev_sorted_stream(self.instances, self.family, j)
 
-    def forward_stream(self, i: int, digests: DigestTable) -> GraphForwardStream:
+    def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
         return forward_search(self.instances, self.family, i, digests)
 
 

@@ -1,10 +1,11 @@
 """Explicit sparse item-to-element utility matrices.
 
-Entries are (item, element, utility) triples with strictly positive
+Entries are (item, element, utility) triples with positive finite
 utilities; absent pairs mean utility zero.  Elements may carry positive
-weights (default 1) that scale their contribution to influence.
+finite weights (default 1) that scale their contribution to influence.
 """
 
+import math
 from typing import Iterable, Sequence
 
 
@@ -24,11 +25,12 @@ class SparseUtilityMatrix:
         self.cols: list[list[tuple[int, float]]] = [[] for _ in range(n_elements)]
         seen = set()
         m = 0
+        inf = math.inf
         for i, j, u in entries:
             if not (0 <= i < n_items) or not (0 <= j < n_elements):
                 raise ValueError(f"entry ({i}, {j}) out of range")
-            if u <= 0:
-                raise ValueError(f"utility for ({i}, {j}) must be positive")
+            if not 0.0 < u < inf:  # also rejects NaN
+                raise ValueError(f"utility for ({i}, {j}) must be positive and finite")
             if (i, j) in seen:
                 raise ValueError(f"duplicate entry ({i}, {j})")
             seen.add((i, j))
@@ -41,8 +43,8 @@ class SparseUtilityMatrix:
         else:
             if len(element_weights) != n_elements:
                 raise ValueError("one weight per element required")
-            if any(w <= 0 for w in element_weights):
-                raise ValueError("element weights must be positive")
+            if not all(0.0 < w < math.inf for w in element_weights):
+                raise ValueError("element weights must be positive and finite")
             self.element_weights = [float(w) for w in element_weights]
         # columns pre-sorted for reverse sorted access: utility desc, id asc
         self.sorted_cols = [

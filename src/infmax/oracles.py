@@ -7,64 +7,60 @@ Two access patterns drive the sketch-based maximizer:
 * forward search: for one item, stream every element where the item still
   has positive marginal utility given the current digests.
 
-This module provides the matrix-backed implementations and the slow,
-obviously-correct references (exact influence by enumeration, exact
-greedy by full recomputation, exhaustive optimum) used as test baselines.
+One stream pair, RevStream and ForwardStream, serves the matrix oracles
+here and the graph oracles in graphs.py.  The slow, obviously-correct
+references (exact influence by enumeration, exact greedy by full
+recomputation, exhaustive optimum) are the test baselines.
 """
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .aggregation import AggregationSpec, DigestTable, StaleStreamError, aggregate
 from .greedy import GreedySequence, SeedRecord
 from .matrix import SparseUtilityMatrix
 
 
-class MatrixRevStream:
-    """Cursor over one pre-sorted matrix column.
+class RevStream:
+    """Peekable single-pass stream over an iterator of (item, utility)
+    pairs by non-increasing utility: a sorted matrix column or a graph
+    search.  top() peeks, pop() consumes; both return None once the
+    stream is exhausted or closed."""
 
-    pop() yields (item, utility) by non-increasing utility, ties by
-    ascending item id; top() peeks without consuming.  Exhausted streams
-    return None.  Streams are single-pass; build a new one to restart.
-    """
+    __slots__ = ("_pairs", "_head")
 
-    def __init__(self, matrix: SparseUtilityMatrix, j: int):
-        if not 0 <= j < matrix.n_elements:
-            raise ValueError(f"unknown element {j}")
-        self._col = matrix.sorted_cols[j]
-        self._pos = 0
+    def __init__(self, pairs: Iterator[tuple[int, float]]):
+        self._pairs = pairs
+        self._head: tuple[int, float] | None = None
 
     def top(self) -> tuple[int, float] | None:
-        if self._pos >= len(self._col):
-            return None
-        return self._col[self._pos]
+        if self._head is None:
+            self._head = next(self._pairs, None)
+        return self._head
 
     def pop(self) -> tuple[int, float] | None:
         t = self.top()
-        if t is not None:
-            self._pos += 1
+        self._head = None
         return t
 
     def close(self) -> None:
-        self._col = []
-        self._pos = 0
+        self._pairs = iter(())
+        self._head = None
 
 
-class MatrixForwardStream:
-    """Iterator over the elements where an item still gains.
+class ForwardStream:
+    """Iterator over the (element, utility) pairs where an item still gains.
 
-    Holds a read-only view of the digest table; iterating after another
-    seed has been committed raises StaleStreamError.
+    search(stream) generates the pairs and counts the entries or nodes it
+    examines in stream.visited.  Iterating after another seed has been
+    committed to the digest table raises StaleStreamError.
     """
 
-    def __init__(self, matrix: SparseUtilityMatrix, i: int, digests: DigestTable):
-        if not 0 <= i < matrix.n_items:
-            raise ValueError(f"unknown item {i}")
-        self._row = matrix.rows[i]
-        self._pos = 0
+    def __init__(self, digests: DigestTable, search):
         self._digests = digests
         self._version = digests.version
         self.visited = 0
+        self._pairs = search(self)
 
     def __iter__(self):
         return self
@@ -72,23 +68,30 @@ class MatrixForwardStream:
     def __next__(self) -> tuple[int, float]:
         if self._digests.version != self._version:
             raise StaleStreamError("forward search used after a seed was added")
-        while self._pos < len(self._row):
-            j, u = self._row[self._pos]
-            self._pos += 1
-            self.visited += 1
-            if self._digests[j].marg(u) > 0.0:
-                return j, u
-        raise StopIteration
+        return next(self._pairs)
 
 
-def matrix_rev_sorted_stream(matrix: SparseUtilityMatrix, j: int) -> MatrixRevStream:
-    return MatrixRevStream(matrix, j)
+def matrix_rev_sorted_stream(matrix: SparseUtilityMatrix, j: int) -> RevStream:
+    """Column j by non-increasing utility, ties by ascending item id."""
+    if not 0 <= j < matrix.n_elements:
+        raise ValueError(f"unknown element {j}")
+    return RevStream(iter(matrix.sorted_cols[j]))
 
 
 def matrix_forward_search(
     matrix: SparseUtilityMatrix, i: int, digests: DigestTable
-) -> MatrixForwardStream:
-    return MatrixForwardStream(matrix, i, digests)
+) -> ForwardStream:
+    """Entries of row i whose element still gains from the item."""
+    if not 0 <= i < matrix.n_items:
+        raise ValueError(f"unknown item {i}")
+
+    def scan(stream):
+        for j, u in matrix.rows[i]:
+            stream.visited += 1
+            if digests[j].marg(u) > 0.0:
+                yield j, u
+
+    return ForwardStream(digests, scan)
 
 
 class MatrixProblem:
@@ -103,10 +106,10 @@ class MatrixProblem:
     def weight(self, j: int) -> float:
         return self.matrix.weight(j)
 
-    def rev_stream(self, j: int) -> MatrixRevStream:
+    def rev_stream(self, j: int) -> RevStream:
         return matrix_rev_sorted_stream(self.matrix, j)
 
-    def forward_stream(self, i: int, digests: DigestTable) -> MatrixForwardStream:
+    def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
         return matrix_forward_search(self.matrix, i, digests)
 
 

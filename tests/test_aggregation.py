@@ -1,5 +1,6 @@
 """Aggregation functions, domination order and utility digests."""
 
+import math
 import random
 
 import pytest
@@ -43,6 +44,12 @@ def test_spec_rejects_bad_gamma():
         AggregationSpec((1.0, -0.1))  # negative
     with pytest.raises(ValueError):
         AggregationSpec(())
+
+
+@pytest.mark.parametrize("gamma", [(math.nan,), (1.0, math.nan), (1.0, 0.5, math.nan)])
+def test_spec_rejects_nan_gamma(gamma):
+    with pytest.raises(ValueError):
+        AggregationSpec(gamma)
 
 
 def test_effective_ell_skips_trailing_zeros():

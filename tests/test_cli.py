@@ -1,12 +1,13 @@
 """Input parsing, CSV emission and end-to-end CLI runs."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
 from conftest import random_graph
-from infmax import SeedRecord
+from infmax import DirectedGraph, SeedRecord
 from infmax.cli import (
     ConfigError,
     ParseError,
@@ -104,6 +105,33 @@ def test_parse_alpha_forms(tmp_path):
         parse_alpha("log:2")
 
 
+def test_parse_alpha_table_reports_bad_line(tmp_path):
+    t = write(tmp_path / "alpha.txt", "0 1.0\n2 nan\n")
+    with pytest.raises(ParseError, match=r"alpha.txt:2"):
+        parse_alpha(f"table:{t}")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "exp:nan"],
+        ["--alpha", "threshold:nan"],
+        ["--alpha", "exp:1", "--gamma", "1,nan"],
+    ],
+)
+def test_nan_parameters_fail(tmp_path, capsys, flags):
+    src = write(tmp_path / "g.txt", "2 1\n0 1 1.0\n")
+    out = tmp_path / "r.csv"
+    argv = [
+        "--input", src, "--kind", "graph", "--family", "distance", "--k", "4",
+        "--output", str(out),
+    ]
+    assert main(argv + flags) == 2
+    assert "infmax:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--alpha", "threshold:inf"]) == 0
+
+
 # -- emission ---------------------------------------------------------------------
 
 
@@ -181,6 +209,51 @@ def test_skim_runs_are_byte_identical(tmp_path):
         assert run(cfg) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# SHA-256 of the CSV for each (family, model) on the graph built by
+# pinned_graph; any change to an oracle that alters a byte of output shows here
+PINNED_CSV = {
+    ("distance", "ic"): "e8b7e11598c9fc203e50ad175b9a91bd13f7be82432a7a595563ae56f482271f",
+    ("distance", "exponential"): "ae381521309239b7da7f00f90383338ff63617615ff1893524d991322df70914",
+    ("reverse-rank", "ic"): "41210315fe801a7d9502a83819a258c37d17407b37f3e4f8e5fcf3c9e0d3a624",
+    ("reverse-rank", "exponential"): "86d2b31d4996c1390ca4b884798b72b21d218248c3479f7097526430831b18f8",
+    ("reachability", "ic"): "61a31cd2a112166b0e6a15458c04066b08d8b3f6640386a19d789b91931fe97d",
+    ("reachability", "exponential"): "4675b267088df2b89e1a1aced74ffdc6bfba9ae85290dbb4e2a08fd041abd2c1",
+    ("survival", "ic"): "61a31cd2a112166b0e6a15458c04066b08d8b3f6640386a19d789b91931fe97d",
+    ("survival", "exponential"): "5e2c0027c4dcc71e2e39ebfd6fc499f8c6c65a6122639a8e9cbd0858058b66d7",
+}
+PINNED_ALPHA = {"distance": "exp:2.0", "reverse-rank": "inverse"}
+
+
+@pytest.fixture(scope="module")
+def pinned_graph(tmp_path_factory):
+    # weights are dyadic and lie in (0, 1], valid as IC probabilities and
+    # exponential rates alike, and survive write_graph's 12 digits exactly
+    rng = random.Random(2016)
+    n = 30
+    edges = []
+    for _ in range(90):
+        s, d = rng.randrange(n), rng.randrange(n)
+        if s != d:
+            edges.append((s, d, rng.randrange(8, 65) / 64.0))
+    path = tmp_path_factory.mktemp("pinned") / "g.txt"
+    write_graph(str(path), DirectedGraph(n, tuple(edges)))
+    return str(path)
+
+
+@pytest.mark.parametrize("family,model", sorted(PINNED_CSV))
+def test_cli_output_is_pinned(pinned_graph, tmp_path, family, model):
+    out = tmp_path / "r.csv"
+    argv = [
+        "--input", pinned_graph, "--kind", "graph", "--family", family,
+        "--model", model, "--instances", "2", "--gamma", "1,0.5",
+        "--rng-seed", "5", "--output", str(out),
+    ]
+    if family in PINNED_ALPHA:
+        argv += ["--alpha", PINNED_ALPHA[family]]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV[(family, model)]
 
 
 def test_ic_model_weights_must_be_probabilities(tmp_path):

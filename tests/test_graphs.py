@@ -82,11 +82,36 @@ def test_alpha_forms():
         Alpha.table([(0.0, 0.5), (1.0, 0.7)])  # increasing values
 
 
+def test_alpha_rejects_nan():
+    nan = math.nan
+    for make in (
+        lambda: Alpha.threshold(nan),
+        lambda: Alpha.exponential(nan),
+        lambda: Alpha.table([(nan, 1.0)]),
+        lambda: Alpha.table([(0.0, 1.0), (nan, 0.5)]),
+        lambda: Alpha.table([(0.0, nan)]),
+        lambda: Alpha.table([(0.0, 1.0), (1.0, nan)]),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    assert Alpha.threshold(math.inf)(1e300) == 1.0  # threshold:inf stays valid
+
+
 def test_instance_set_rejects_bad_edges():
     with pytest.raises(ValueError):
         GraphInstanceSet(2, [[(0, 2, 1.0)]])
     with pytest.raises(ValueError):
         GraphInstanceSet(2, [[(0, 1, 0.0)]])
+
+
+@pytest.mark.parametrize(
+    "edge", [(0, 2, 1.0), (-1, 0, 1.0), (0, 1, 0.0), (0, 1, math.nan), (0, 1, math.inf)]
+)
+def test_graph_and_instance_set_share_the_edge_check(edge):
+    with pytest.raises(ValueError, match=r"edge \(-?\d+, \d+\)"):
+        DirectedGraph(2, (edge,))
+    with pytest.raises(ValueError, match=r"edge \(-?\d+, \d+\)"):
+        GraphInstanceSet(2, [[(0, 1, 1.0)], [edge]])
 
 
 def test_element_ids_enumerate_node_instance_pairs():

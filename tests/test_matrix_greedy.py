@@ -38,6 +38,18 @@ def test_matrix_rejects_nonpositive_utility():
         SparseUtilityMatrix(2, 2, [(0, 0, 0.0)])
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_matrix_rejects_non_finite_utility(u):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (1, 1, u)])
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, 0.0])
+def test_matrix_rejects_bad_element_weight(w):
+    with pytest.raises(ValueError, match="element weights"):
+        SparseUtilityMatrix(2, 2, [(0, 0, 1.0)], element_weights=[1.0, w])
+
+
 def test_matrix_rejects_out_of_range():
     with pytest.raises(ValueError):
         SparseUtilityMatrix(2, 2, [(2, 0, 1.0)])

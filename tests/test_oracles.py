@@ -8,9 +8,14 @@ import pytest
 from conftest import random_matrix
 from infmax import (
     AggregationSpec,
+    Alpha,
     DigestTable,
+    GraphInstanceSet,
+    GraphProblem,
+    MatrixProblem,
     SparseUtilityMatrix,
     StaleStreamError,
+    UtilityFamily,
     aggregate,
     exact_greedy,
     exact_influence,
@@ -20,6 +25,7 @@ from infmax import (
     optimal_subset,
     sequence_items,
 )
+from infmax.oracles import ForwardStream, RevStream
 
 MAX = AggregationSpec.maximum()
 HALF = AggregationSpec((1.0, 0.5))
@@ -99,6 +105,45 @@ def test_rev_stream_matches_sorted_column_on_random_matrices():
         assert sorted(drained) == sorted(
             (i, u) for i, u in m.cols[j]
         )
+
+
+# -- the stream contract, shared by matrix and graph oracles --------------------
+
+
+def matrix_problem():
+    m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (1, 0, 0.5), (0, 1, 1.0)])
+    return MatrixProblem(m, MAX)
+
+
+def graph_problem():
+    inst = GraphInstanceSet(2, [[(0, 1, 1.0), (1, 0, 1.0)]])
+    return GraphProblem(inst, UtilityFamily("distance", Alpha.exponential(1.0)), MAX)
+
+
+@pytest.mark.parametrize("make", [matrix_problem, graph_problem], ids=["matrix", "graph"])
+def test_stream_contract(make):
+    problem = make()
+    s = problem.rev_stream(0)
+    assert isinstance(s, RevStream)
+    assert s.top() is not None
+    assert s.top() == s.top()  # top is idempotent
+    assert s.pop() == (0, 1.0)
+    while s.pop() is not None:
+        pass
+    assert s.pop() is None and s.top() is None  # exhausted for good
+    closed = problem.rev_stream(0)
+    closed.top()
+    closed.close()
+    assert closed.pop() is None and closed.top() is None
+
+    table = DigestTable(problem.n_elements, MAX)
+    fwd = problem.forward_stream(0, table)
+    assert isinstance(fwd, ForwardStream)
+    assert next(fwd) == (0, 1.0)
+    assert fwd.visited >= 1
+    table.mark_seed_added()
+    with pytest.raises(StaleStreamError):
+        next(fwd)
 
 
 # -- forward search --------------------------------------------------------------
