@@ -166,8 +166,6 @@ class DigestTable:
         self.spec = spec
         self.digests = [UtilityDigest(spec) for _ in range(n_elements)]
         self.version = 0
-        self.marg_calls = 0
-        self.update_calls = 0
 
     def __len__(self) -> int:
         return len(self.digests)
@@ -177,14 +175,6 @@ class DigestTable:
 
     def __iter__(self) -> Iterator[UtilityDigest]:
         return iter(self.digests)
-
-    def marg(self, j: int, x: float) -> float:
-        self.marg_calls += 1
-        return self.digests[j].marg(x)
-
-    def update(self, j: int, x: float) -> None:
-        self.update_calls += 1
-        self.digests[j].update(x)
 
     def mark_seed_added(self) -> None:
         """Commit the current seed addition; outstanding forward streams go stale."""

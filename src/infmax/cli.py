@@ -142,7 +142,7 @@ def write_graph(path: str, graph: DirectedGraph) -> None:
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {len(graph.edges)}\n")
         for s, d, w in graph.edges:
-            fh.write(f"{s} {d} {w:.12g}\n")
+            fh.write(f"{s} {d} {float(w)!r}\n")  # repr round-trips exactly
 
 
 def write_matrix(path: str, matrix: SparseUtilityMatrix) -> None:
@@ -150,7 +150,7 @@ def write_matrix(path: str, matrix: SparseUtilityMatrix) -> None:
         fh.write(f"{matrix.n_items} {matrix.n_elements}\n")
         for i, row in enumerate(matrix.rows):
             for j, u in row:
-                fh.write(f"{i} {j} {u:.12g}\n")
+                fh.write(f"{i} {j} {float(u)!r}\n")
 
 
 def emit_results(sequence: GreedySequence, path: str) -> None:

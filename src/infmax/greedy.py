@@ -65,14 +65,18 @@ def lazy_greedy(
     dropped: GreedySequence = []
     cumulative = 0.0
     pops = 0
+    digest_ops = 0
     while heap:
         neg_p, i = heapq.heappop(heap)
         priority = -neg_p
         pops += 1
-        gain = sum(weights[j] * digests.marg(j, u) for j, u in matrix.rows[i])
+        row = matrix.rows[i]
+        gain = sum(weights[j] * digests[j].marg(u) for j, u in row)
+        digest_ops += len(row)
         if gain >= (1.0 - epsilon) * priority:
-            for j, u in matrix.rows[i]:
-                digests.update(j, u)
+            for j, u in row:
+                digests[j].update(u)
+            digest_ops += len(row)
             digests.mark_seed_added()
             cumulative += gain
             seq.append(SeedRecord(i, priority, gain, cumulative))
@@ -83,6 +87,6 @@ def lazy_greedy(
     for rec in dropped:
         rec.cumulative = cumulative
     if stats is not None:
-        stats["digest_ops"] = digests.marg_calls + digests.update_calls
+        stats["digest_ops"] = digest_ops
         stats["pops"] = pops
     return seq + dropped

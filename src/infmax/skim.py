@@ -13,12 +13,18 @@ it holds up, commit the item as the next seed.
 
 Samples are stored inverted: index[j] lists the items that sampled
 element j, in the utility order delivered by the element's reverse
-sorted access stream.  Each list is segmented into H entries (marginal
-utility >= tau, counted at face value), M entries (below tau but still
-sampled, counted as tau) and L entries (lapsed, kept because a lower tau
-may revive them).  Segment boundaries move right when tau drops
-(move_up) and entries are reclassified or truncated when a new seed
-lowers marginal utilities (move_down).
+sorted access stream.  Two counts per element split the list into
+segments: entries [0, nh[j]) are H (marginal utility >= tau, counted at
+face value), [nh[j], nm[j]) are M (below tau but still sampled, counted
+as tau) and the rest are L (lapsed, kept because a lower tau may revive
+them).  Wherever an entry is (re)assigned, its class is that of the
+marginal just computed for it, capped so that no entry ranks above the
+one before it.  The counts grow when tau drops (move_up), and entries
+are reclassified or truncated when a new seed lowers marginal utilities
+(move_down).  An element waits for move_up at the largest tau at which
+a boundary entry changes class, max(c of its first M entry, c of its
+first L entry / rank), priced from the marginals each pass has just
+computed against the element's current (post-update) digest.
 """
 
 import heapq
@@ -28,6 +34,8 @@ import numpy as np
 
 from .aggregation import DigestTable
 from .greedy import GreedySequence, SeedRecord
+
+H, M, L = 2, 1, 0  # segment classes, ordered so that min() applies the prefix cap
 
 
 class LazyMaxQueue:
@@ -63,12 +71,6 @@ class LazyMaxQueue:
         heapq.heappop(self._heap)
         del self._prio[t[1]]
         return t
-
-    def __len__(self) -> int:
-        return len(self._prio)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._prio
 
     def keys(self):
         return list(self._prio)
@@ -129,8 +131,9 @@ class SkimRun:
         self.digests = DigestTable(n_el, self.spec)
         self.rev = [problem.rev_stream(j) for j in range(n_el)]
         self.index: dict[int, list[tuple[int, float]]] = {}
-        self.hm: dict[int, int | None] = {}
-        self.ml: dict[int, int | None] = {}
+        # index[j][:nh[j]] is H, index[j][nh[j]:nm[j]] is M, the rest is L
+        self.nh = [0] * n_el
+        self.nm = [0] * n_el
         self.est_h = [0.0] * problem.n_items
         self.est_m = [0] * problem.n_items
         # exact H-entry counts: when a count returns to zero the float
@@ -172,14 +175,30 @@ class SkimRun:
 
     # -- sampling ------------------------------------------------------------
 
+    def _segment(self, c: float, r: float) -> int:
+        """Class of an entry with weighted marginal c at an element of rank r."""
+        if c >= self.tau:
+            return H
+        return M if c >= r * self.tau else L
+
+    def _due(self, queue: LazyMaxQueue) -> list[int]:
+        """Pop every key whose priority reached tau, highest first.
+
+        All are popped before any is processed, so a key that processing
+        pushes back at a priority rounding to tau waits for the next tau
+        step instead of being popped again.
+        """
+        due = []
+        while True:
+            top = queue.peek()
+            if top is None or top[0] < self.tau:
+                return due
+            due.append(queue.pop()[1])
+
     def _drain(self) -> None:
         """Pull items from reverse streams for every element whose next entry
         may now satisfy the sampling condition."""
-        while True:
-            top = self.qelements.peek()
-            if top is None or top[0] < self.tau:
-                return
-            _, j = self.qelements.pop()
+        for j in self._due(self.qelements):
             self._drain_element(j)
 
     def _drain_element(self, j: int) -> None:
@@ -202,22 +221,38 @@ class SkimRun:
             if c == 0.0:
                 stream.pop()
                 continue
-            if c / r < self.tau:
+            if self._segment(c, r) == L:
                 self.qelements.push(j, c / r)  # revisit when tau drops
                 return
             stream.pop()
             self.stats["rev_pops"] += 1
             entries = self.index.setdefault(j, [])
             entries.append((i, u))
-            if c >= self.tau:
-                self.est_h[i] += c
-                self.h_count[i] += 1
-            else:
-                self.est_m[i] += 1
-                if self.hm.get(j) is None:
-                    self.hm[j] = len(entries) - 1
-                    self.qhml.push(j, c)
+            if self._place(j, i, c, r) == M and self.nh[j] == len(entries) - 1:
+                self.qhml.push(j, c)  # the first M entry prices the element
             self._touch(i)
+
+    def _place(self, j: int, i: int, c: float, r: float) -> int:
+        """Count the entry just appended to index[j] in the class of its
+        marginal c, capped by the class of the entry before it."""
+        n = len(self.index[j]) - 1
+        prev = H if self.nh[j] == n else M if self.nm[j] == n else L
+        cls = min(self._segment(c, r), prev)
+        if cls == H:
+            self.nh[j] += 1
+            self.est_h[i] += c
+            self.h_count[i] += 1
+        elif cls == M:
+            self.est_m[i] += 1
+        if cls != L:
+            self.nm[j] += 1
+        return cls
+
+    def _reprice(self, j: int, priority: float) -> None:
+        if priority > 0.0:
+            self.qhml.push(j, priority)
+        else:
+            self.qhml.remove(j)  # every entry is H, or none is left
 
     # -- seed selection ------------------------------------------------------
 
@@ -285,154 +320,91 @@ class SkimRun:
 
     def move_up(self) -> None:
         """After tau decreased, promote entries whose class improved."""
-        while True:
-            top = self.qhml.peek()
-            if top is None or top[0] < self.tau:
-                return
-            _, j = self.qhml.pop()
+        for j in self._due(self.qhml):
             self._reclassify_up(j)
-            self.update_reclass_thresh(j)
 
     def _reclassify_up(self, j: int) -> None:
+        """Promote M and L entries to H, then revive L entries to M, as far
+        as their marginals allow under the current tau; reprice j from the
+        marginals at which the two loops stopped."""
         entries = self.index.get(j, [])
         w = self.problem.weight(j)
         r = self.rank[j]
         digest = self.digests[j]
-        hm = self.hm.get(j)
-        ml = self.ml.get(j)
+        nh, nm = self.nh[j], self.nm[j]
         touched = set()
-        if hm is not None:
-            while hm < len(entries):
-                i, u = entries[hm]
+        c = 0.0
+        while nh < len(entries):
+            i, u = entries[nh]
+            c = w * digest.marg(u)
+            if self._segment(c, r) != H:
+                break
+            self.est_h[i] += c
+            self.h_count[i] += 1
+            if nh < nm:
+                self.est_m[i] -= 1  # the entry was M
+            touched.add(i)
+            nh += 1
+        nm = max(nm, nh)
+        first_m, priority = c, 0.0  # c prices entries[nh], the first M if any
+        while nm < len(entries):
+            i, u = entries[nm]
+            if nm > nh:
                 c = w * digest.marg(u)
-                if c < self.tau:
-                    break
-                self.est_h[i] += c
-                self.h_count[i] += 1
-                if ml is None or ml > hm:  # entry was M
-                    self.est_m[i] -= 1
-                touched.add(i)
-                hm += 1
-            if ml is not None and ml < hm:
-                ml = hm
-            if hm >= len(entries):
-                hm = None
-                ml = None
-        if ml is not None:
-            start = ml
-            while ml < len(entries):
-                i, u = entries[ml]
-                c = w * digest.marg(u)
-                if c < r * self.tau:
-                    break
-                self.est_m[i] += 1
-                touched.add(i)
-                ml += 1
-            if ml > start and hm is None:
-                hm = start  # first revived M; keeps future H-promotion reachable
-            if ml >= len(entries):
-                ml = None
-        self.hm[j] = hm
-        self.ml[j] = ml
+            if self._segment(c, r) == L:
+                priority = c / r
+                break
+            self.est_m[i] += 1
+            touched.add(i)
+            nm += 1
+        self.nh[j], self.nm[j] = nh, nm
+        self._reprice(j, max(priority, first_m) if nh < nm else priority)
         for i in touched:
             self._touch(i)
 
     def move_down(self, j: int, x: float, new_seed: int) -> None:
-        """Reclassify element j's entries before its digest absorbs utility x.
+        """Reclassify element j's entries as its digest absorbs utility x.
 
-        Each entry's marginal utility under the grown seed set is computed
-        from the pre-update digest; entries whose new marginal hits zero
-        (always including the new seed's own entry) are dropped, the rest
-        are re-segmented and the estimate components adjusted.
+        Each entry's old contribution comes off by its position; only H
+        entries need their old marginal.  The new marginal
+        nc = w * add_marg(x, u) equals, bit for bit, the marginal against
+        the updated digest.  Entries where it is zero (always including the
+        new seed's own) are dropped; the rest keep their order and take the
+        class of nc, capped by the class of the entry before.  The
+        element's move_up priority comes from the same nc values.
         """
         entries = self.index.get(j)
         if not entries:
             return
         w = self.problem.weight(j)
         r = self.rank[j]
-        tau = self.tau
         digest = self.digests[j]
-        ml = self.ml.get(j)
-        z = (ml - 1) if ml is not None else (len(entries) - 1)
-        kept: list[tuple[int, float]] = []
-        hm2: int | None = None
-        ml2: int | None = None
+        old_h, old_m = self.nh[j], self.nm[j]
+        self.nh[j] = self.nm[j] = 0
+        self.index[j] = kept = []
+        prev, priority = H, 0.0
         touched = set()
         for pos, (i, u) in enumerate(entries):
-            seed_entry = i == new_seed or i in self.seeds
-            nc = 0.0 if seed_entry else w * digest.add_marg(x, u)
-            if pos > z:
-                # L tail: carries no estimate weight, keep while still alive
-                if nc > 0.0:
-                    kept.append((i, u))
-                    if ml2 is None:
-                        ml2 = len(kept) - 1
-                continue
-            oc = w * digest.marg(u)
-            touched.add(i)
-            if oc >= tau:  # entry was H
-                self.est_h[i] -= oc
+            if pos < old_h:
+                self.est_h[i] -= w * digest.marg(u)
                 self.h_count[i] -= 1
-                if nc >= tau:
-                    self.est_h[i] += nc
-                    self.h_count[i] += 1
-                    kept.append((i, u))
-                elif nc >= r * tau:
-                    self.est_m[i] += 1
-                    kept.append((i, u))
-                    if hm2 is None:
-                        hm2 = len(kept) - 1
-                elif nc > 0.0:
-                    kept.append((i, u))
-                    if ml2 is None:
-                        ml2 = len(kept) - 1
-            elif oc >= r * tau:  # entry was M
-                if nc >= r * tau:
-                    kept.append((i, u))
-                    if hm2 is None:
-                        hm2 = len(kept) - 1
-                else:
-                    self.est_m[i] -= 1
-                    if nc > 0.0:
-                        kept.append((i, u))
-                        if ml2 is None:
-                            ml2 = len(kept) - 1
-            else:  # stale L inside the scanned range (defensive)
-                if nc > 0.0:
-                    kept.append((i, u))
-                    if ml2 is None:
-                        ml2 = len(kept) - 1
-        if kept:
-            self.index[j] = kept
-        else:
-            self.index.pop(j, None)
-        self.hm[j] = hm2
-        self.ml[j] = ml2
+            elif pos < old_m:
+                self.est_m[i] -= 1
+            cls = L
+            nc = 0.0 if i == new_seed or i in self.seeds else w * digest.add_marg(x, u)
+            if nc > 0.0:
+                kept.append((i, u))
+                cls = self._place(j, i, nc, r)
+                if cls < prev:  # the entry opens the M or the L segment
+                    priority = max(priority, nc if cls == M else nc / r)
+                prev = cls
+            if pos < old_m or cls != L:
+                touched.add(i)
+        if not kept:
+            del self.index[j]
+        self._reprice(j, priority)
         for i in touched:
             self._touch(i)
-        self.qhml.remove(j)
-        self.update_reclass_thresh(j)
-
-    def update_reclass_thresh(self, j: int) -> None:
-        """Refresh element j's reclassification priority: the largest tau at
-        which one of its boundary entries changes segment."""
-        entries = self.index.get(j, [])
-        w = self.problem.weight(j)
-        r = self.rank[j]
-        digest = self.digests[j]
-        c = 0.0
-        hm = self.hm.get(j)
-        ml = self.ml.get(j)
-        if hm is not None and hm < len(entries):
-            i, u = entries[hm]
-            c = w * digest.marg(u)
-        if ml is not None and ml < len(entries):
-            i, u = entries[ml]
-            c = max(c, w * digest.marg(u) / r)
-        if c > 0.0:
-            self.qhml.push(j, c)
-        else:
-            self.qhml.remove(j)
 
     # -- driver ----------------------------------------------------------------
 
@@ -440,26 +412,19 @@ class SkimRun:
         if self.tau is None:
             return self.records  # no positive utilities at all
         n = self.problem.n_items
-        first_gain = None
-        while True:
+        while len(self.seeds) < n:
             res = self.next_seed()
-            while res is None:
-                if self.qelements.peek() is None and self._fresh_max() <= 0.0:
-                    self.stats["tau_final"] = self.tau
-                    return self.records  # nothing left to sample or select
-                if self.tau == 0.0:
-                    self.stats["tau_final"] = self.tau
-                    return self.records  # threshold underflowed, nothing viable
-                self.tau *= self.lam
-                self.move_up()
-                self._drain()
-                res = self.next_seed()
-            i, est = res
-            gain = self._process_seed(i, est)
-            if first_gain is None:
-                first_gain = gain
-            if gain < first_gain / n ** 2 or len(self.seeds) == n:
-                break
+            if res is not None:
+                if self._process_seed(*res) < self.records[0].gain / n ** 2:
+                    break
+                continue
+            if self.qelements.peek() is None and self._fresh_max() <= 0.0:
+                break  # nothing left to sample or select
+            if self.tau == 0.0:
+                break  # threshold underflowed, nothing viable
+            self.tau *= self.lam
+            self.move_up()
+            self._drain()
         self.stats["tau_final"] = self.tau
         return self.records
 

@@ -4,10 +4,11 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_graph
-from infmax import DirectedGraph, SeedRecord
+from infmax import DirectedGraph, SeedRecord, SparseUtilityMatrix
 from infmax.cli import (
     ConfigError,
     ParseError,
@@ -78,6 +79,8 @@ def test_parse_graph_rejects_bad_weight(tmp_path):
 def test_graph_round_trip(tmp_path):
     rng = random.Random(3)
     g = random_graph(rng, 12)
+    # a weight not exact in 12 digits, and a numpy scalar
+    g = DirectedGraph(g.n, g.edges + ((0, 1, 0.1 + 0.2), (1, 2, np.float64(1.0) / 3.0)))
     p = tmp_path / "g.txt"
     write_graph(str(p), g)
     back = parse_input(str(p), "graph")
@@ -88,6 +91,10 @@ def test_graph_round_trip(tmp_path):
 def test_matrix_round_trip(tmp_path):
     p = write(tmp_path / "m.txt", "3 2\n0 0 0.25\n2 1 1.75\n1 0 0.5\n")
     m = parse_input(p, "matrix")
+    # a utility not exact in 12 digits, and a numpy scalar
+    entries = [(i, j, u) for i, row in enumerate(m.rows) for j, u in row]
+    entries += [(0, 1, 0.1 + 0.2), (1, 1, np.float64(2.0) / 3.0)]
+    m = SparseUtilityMatrix(m.n_items, m.n_elements, entries)
     q = tmp_path / "m2.txt"
     write_matrix(str(q), m)
     back = parse_input(str(q), "matrix")
@@ -229,7 +236,7 @@ PINNED_ALPHA = {"distance": "exp:2.0", "reverse-rank": "inverse"}
 @pytest.fixture(scope="module")
 def pinned_graph(tmp_path_factory):
     # weights are dyadic and lie in (0, 1], valid as IC probabilities and
-    # exponential rates alike, and survive write_graph's 12 digits exactly
+    # exponential rates alike, and read back from write_graph's file exactly
     rng = random.Random(2016)
     n = 30
     edges = []

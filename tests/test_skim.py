@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_matrix
+from conftest import random_instances, random_matrix
 from infmax import (
     AggregationSpec,
     Alpha,
@@ -43,17 +43,13 @@ def validate_state(run):
         w = run.problem.weight(j)
         r = run.rank[j]
         digest = run.digests[j]
-        hm = run.hm.get(j)
-        ml = run.ml.get(j)
-        if hm is not None and ml is not None:
-            assert hm <= ml
+        nh, nm = run.nh[j], run.nm[j]
+        assert 0 <= nh <= nm <= len(entries)
         for pos, (i, u) in enumerate(entries):
             c = w * digest.marg(u)
-            if hm is None:
-                marker = "L" if (ml is not None and pos >= ml) else "H"
-            elif pos < hm:
+            if pos < nh:
                 marker = "H"
-            elif ml is None or pos < ml:
+            elif pos < nm:
                 marker = "M"
             else:
                 marker = "L"
@@ -160,8 +156,7 @@ def test_move_up_promotes_m_entry_to_h():
     run.rank[0] = 0.5
     run.tau = 1.0
     run.index = {0: [(0, 1.5), (1, 0.6)]}
-    run.hm = {0: 1}
-    run.ml = {0: None}
+    run.nh, run.nm = [1], [2]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
     run.est_m = [0, 1]
@@ -171,7 +166,7 @@ def test_move_up_promotes_m_entry_to_h():
     run.move_up()
     assert run.est_h == [1.5, 0.6]
     assert run.est_m == [0, 0]
-    assert run.hm[0] is None and run.ml[0] is None
+    assert run.nh[0] == run.nm[0] == 2  # every entry is H
     assert run.qhml.peek() is None  # no boundary entries left
 
 
@@ -179,8 +174,7 @@ def test_move_up_without_candidates_is_a_noop():
     run = fixture_run()
     run.tau = 1.0
     run.index = {0: [(0, 1.5)]}
-    run.hm = {0: None}
-    run.ml = {0: None}
+    run.nh, run.nm = [1], [1]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
     before = (dict(run.index), list(run.est_h), list(run.est_m))
@@ -194,8 +188,7 @@ def test_move_up_revives_l_entry_to_m():
     run.rank[0] = 0.5
     run.tau = 1.0
     run.index = {0: [(0, 1.5), (1, 0.4)]}
-    run.hm = {0: 1}
-    run.ml = {0: 1}  # the 0.4 entry lapsed: 0.4/0.5 = 0.8 < tau
+    run.nh, run.nm = [1], [1]  # the 0.4 entry lapsed: 0.4/0.5 = 0.8 < tau
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
     run.est_m = [0, 0]
@@ -204,7 +197,7 @@ def test_move_up_revives_l_entry_to_m():
     run.tau = 0.5  # now 0.4 >= r * tau = 0.25, but 0.4 < tau
     run.move_up()
     assert run.est_m == [0, 1]
-    assert run.hm[0] == 1 and run.ml[0] is None
+    assert run.nh[0] == 1 and run.nm[0] == 2
     assert run.qhml.peek() == (0.4, 0)  # H-boundary entry drives the priority
 
 
@@ -214,8 +207,7 @@ def test_move_down_truncates_everything_under_max_aggregation():
     run.rank[0] = 0.5
     run.tau = 1.0
     run.index = {0: [(0, 1.0), (1, 0.5)]}
-    run.hm = {0: 1}
-    run.ml = {0: None}
+    run.nh, run.nm = [1], [2]
     run.est_h = [1.0, 0.0, 0.0]
     run.h_count = [1, 0, 0]
     run.est_m = [0, 1, 0]
@@ -233,8 +225,7 @@ def test_move_down_with_zero_utility_changes_nothing():
     run.rank[0] = 0.5
     run.tau = 1.0
     run.index = {0: [(0, 1.5), (1, 0.6)]}
-    run.hm = {0: 1}
-    run.ml = {0: None}
+    run.nh, run.nm = [1], [2]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
     run.est_m = [0, 1]
@@ -242,7 +233,7 @@ def test_move_down_with_zero_utility_changes_nothing():
     assert run.est_h == [1.5, 0.0]
     assert run.est_m == [0, 1]
     assert run.index[0] == [(0, 1.5), (1, 0.6)]
-    assert run.hm[0] == 1 and run.ml[0] is None
+    assert run.nh[0] == 1 and run.nm[0] == 2
 
 
 def test_move_down_demotes_h_entry_to_m():
@@ -251,8 +242,7 @@ def test_move_down_demotes_h_entry_to_m():
     run.rank[0] = 0.3
     run.tau = 1.0
     run.index = {0: [(0, 1.0)]}
-    run.hm = {0: None}
-    run.ml = {0: None}
+    run.nh, run.nm = [1], [1]
     run.est_h = [1.0, 0.0]
     run.h_count = [1, 0]
     run.est_m = [0, 0]
@@ -262,7 +252,7 @@ def test_move_down_demotes_h_entry_to_m():
     run.move_down(0, 0.6, 1)
     assert run.est_h == [0.0, 0.0]
     assert run.est_m == [1, 0]
-    assert run.hm[0] == 0 and run.ml[0] is None
+    assert run.nh[0] == 0 and run.nm[0] == 1
 
 
 def test_move_down_drops_the_new_seeds_own_entry():
@@ -271,8 +261,7 @@ def test_move_down_drops_the_new_seeds_own_entry():
     run.rank[0] = 0.5
     run.tau = 1.0
     run.index = {0: [(0, 1.0), (1, 0.9)]}
-    run.hm = {0: 1}
-    run.ml = {0: None}
+    run.nh, run.nm = [1], [2]
     run.est_h = [1.0, 0.0, 0.0]
     run.h_count = [1, 0, 0]
     run.est_m = [0, 1, 0]
@@ -286,30 +275,69 @@ def test_move_down_drops_the_new_seeds_own_entry():
     assert run.index[0] == [(0, 1.0)]
 
 
-def test_update_reclass_thresh_uses_both_boundaries():
-    run = fixture_run()
+def test_reclassify_up_prices_both_boundaries():
+    # hand-made state: boundary margs 0.4 (first M) and 0.3 (first L); at
+    # tau = 2 neither moves, so the element is repriced from both
+    m = SparseUtilityMatrix(2, 1, [(0, 0, 0.4), (1, 0, 0.3)])
+    run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0] = 0.5
     run.tau = 2.0
-    # hand-made state: boundary margs 0.4 (H side) and 0.3 (L side)
-    m2 = SparseUtilityMatrix(2, 1, [(0, 0, 0.4), (1, 0, 0.3)])
-    run2 = make_run(m2, MAX, k=4, rng_seed=0)
-    run2.rank[0] = 0.5
-    run2.tau = 2.0
-    run2.index = {0: [(0, 0.4), (1, 0.3)]}
-    run2.hm = {0: 0}
-    run2.ml = {0: 1}
-    run2.update_reclass_thresh(0)
-    assert run2.qhml.peek() == (pytest.approx(0.6), 0)  # max(0.4, 0.3/0.5)
+    run.index = {0: [(0, 0.4), (1, 0.3)]}
+    run.nh, run.nm = [0], [1]
+    run._reclassify_up(0)
+    assert run.qhml.peek() == (pytest.approx(0.6), 0)  # max(0.4, 0.3/0.5)
 
 
-def test_update_reclass_thresh_removes_untracked_elements():
+def test_reclassify_up_unqueues_all_h_elements():
     run = fixture_run()
     run.index = {0: [(0, 1.5)]}
-    run.hm = {0: None}
-    run.ml = {0: None}
+    run.nh, run.nm = [1], [1]
     run.qhml.push(0, 1.0)
-    run.update_reclass_thresh(0)
+    run._reclassify_up(0)
     assert run.qhml.peek() is None
+
+
+def bound_pops(queue, limit=4):
+    """Fail, instead of hanging, if one pass keeps popping the queue."""
+    pop = queue.pop
+
+    def counted():
+        counted.n += 1
+        assert counted.n <= limit, "key popped again in the same pass"
+        return pop()
+
+    counted.n = 0
+    queue.pop = counted
+
+
+def test_priorities_rounding_up_to_tau_wait_for_the_next_step():
+    # c sits one ulp below r * tau, yet c / r rounds to at least tau: the
+    # entry is L, and its element's priority c / r must not be popped again
+    # in the same pass (it would be re-pushed unchanged forever)
+    r, tau = 0.7834006028693866, 1.2663497267481518
+    c = math.nextafter(r * tau, 0.0)
+    assert c < r * tau and c / r >= tau
+    m = SparseUtilityMatrix(2, 1, [(0, 0, 1.5), (1, 0, c)])
+
+    run = make_run(m, MAX, k=4, rng_seed=0)
+    run.rank[0], run.tau = r, tau
+    run.index = {0: [(0, 1.5), (1, c)]}
+    run.nh, run.nm = [1], [1]
+    run.est_h, run.h_count = [1.5, 0.0], [1, 0]
+    run.qhml.push(0, c / r)
+    bound_pops(run.qhml)
+    run.move_up()
+    assert run.nm[0] == 1 and run.est_m == [0, 0]
+    assert run.qhml.peek() == (c / r, 0)  # revisited at the next tau
+
+    run = make_run(m, MAX, k=4, rng_seed=0)
+    run.rank[0], run.tau = r, tau
+    run.qelements.push(0, 1.5 / r)
+    bound_pops(run.qelements)
+    run._drain()
+    assert run.index == {0: [(0, 1.5)]}  # the c entry is not sampled yet
+    assert run.qelements.peek() == (c / r, 0)
+    validate_state(run)
 
 
 def test_next_seed_returns_none_below_gate():
@@ -374,12 +402,16 @@ def test_next_seed_skips_seed_items():
 # -- invariants along full runs ---------------------------------------------------------
 
 
-def test_state_invariants_hold_during_matrix_runs():
+@pytest.mark.parametrize("rank_mode", ["uniform", "permutation"])
+def test_state_invariants_hold_during_matrix_runs(rank_mode):
     rng = random.Random(71)
     for trial in range(4):
         spec = [MAX, HALF, AggregationSpec((1.0, 1.0))][trial % 3]
         m = random_matrix(rng, 12, 30, density=0.4)
-        run = SkimRun(MatrixProblem(m, spec), k=8, rng_seed=trial, audit=validate_state)
+        run = SkimRun(
+            MatrixProblem(m, spec), k=8, rng_seed=trial, rank_mode=rank_mode,
+            audit=validate_state,
+        )
         run.run()
 
 
@@ -397,13 +429,26 @@ def test_state_invariants_hold_with_element_weights():
     )
 
 
-def test_state_invariants_hold_during_graph_runs():
-    rng = random.Random(73)
-    from conftest import random_instances
+GRAPH_FAMILIES = {
+    "distance": UtilityFamily("distance", Alpha.exponential(1.0)),
+    "reverse_rank": UtilityFamily("reverse_rank", Alpha.inverse()),
+    "reachability": UtilityFamily("reachability"),
+    "survival": UtilityFamily("survival"),
+}
 
-    inst = random_instances(rng, 16, 2)
-    fam = UtilityFamily("distance", Alpha.exponential(1.0))
-    run = SkimRun(GraphProblem(inst, fam, HALF), k=8, rng_seed=3, audit=validate_state)
+
+@pytest.mark.parametrize(
+    "gamma", [(1.0,), (1.0, 0.5), (1.0, 1.0, 1.0)], ids=["max", "half", "top3"]
+)
+@pytest.mark.parametrize("rank_mode", ["uniform", "permutation"])
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+def test_state_invariants_hold_during_graph_runs(family, rank_mode, gamma):
+    # permutation ranks with gamma=(1, 1, 1) put distance and reverse-rank
+    # marginals right on class boundaries, where a move_up priority priced
+    # on a stale digest leaves an entry in the wrong segment
+    inst = random_instances(random.Random(73), 16, 2)
+    problem = GraphProblem(inst, GRAPH_FAMILIES[family], AggregationSpec(gamma))
+    run = SkimRun(problem, k=8, rng_seed=3, rank_mode=rank_mode, audit=validate_state)
     seq = run.run()
     assert seq  # the run actually selected something
 
