@@ -13,6 +13,7 @@ utility multiset.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -45,11 +46,11 @@ class AggregationSpec:
                 raise ValueError("gamma coefficients must be non-increasing")
             prev = g
 
-    @property
+    @cached_property
     def ell(self) -> int:
         return len(self.gamma)
 
-    @property
+    @cached_property
     def effective_ell(self) -> int:
         """Index of the last strictly positive coefficient (trailing zeros are inert)."""
         k = len(self.gamma)
@@ -66,11 +67,6 @@ class AggregationSpec:
     def top(cls, ell: int) -> "AggregationSpec":
         """Unweighted sum of the ell largest utilities."""
         return cls((1.0,) * ell)
-
-
-def nth_largest(values: list[float], i: int) -> float:
-    """i-th largest of a descending-sorted list, 0 when absent (1-based i)."""
-    return values[i - 1] if i <= len(values) else 0.0
 
 
 def dominates(a: Iterable[float], b: Iterable[float]) -> bool:
@@ -93,29 +89,26 @@ def aggregate(spec: AggregationSpec, values: Iterable[float]) -> float:
 class UtilityDigest:
     """Top-k summary of one element's seed utilities.
 
-    Stores the ell largest positive utilities seen so far (descending) and
-    the cached aggregated value.  All queries are answered exactly because
-    the aggregation never looks past the ell largest values.
+    Stores the ell largest positive utilities seen so far (descending),
+    the aggregated value and the two order statistics the searches test
+    against; update() refreshes all three and is the only method that
+    builds a list.  All queries are answered exactly because the
+    aggregation never looks past the ell largest values.  marg() and
+    add_marg() merge their probe values into the stored ones on the fly
+    (a probe goes after its equals) and sum left to right, term for term
+    as val is summed, so a quoted gain equals the growth of val bit for bit.
     """
 
-    __slots__ = ("spec", "top", "val")
+    __slots__ = ("spec", "gamma", "ell", "top", "val", "_thresh", "_prune")
 
     def __init__(self, spec: AggregationSpec):
         self.spec = spec
+        self.gamma = spec.gamma
+        self.ell = spec.ell
         self.top: list[float] = []
         self.val = 0.0
-
-    def _insert(self, values: list[float], x: float) -> list[float]:
-        # new value goes after existing equals; list stays descending
-        pos = 0
-        while pos < len(values) and values[pos] >= x:
-            pos += 1
-        out = values[:pos] + [x] + values[pos:]
-        del out[self.spec.ell:]
-        return out
-
-    def _value(self, values: list[float]) -> float:
-        return sum(g * v for g, v in zip(self.spec.gamma, values))
+        self._thresh = 0.0
+        self._prune = 0.0
 
     def thresh(self) -> float:
         """Smallest utility that can still increase the aggregated value.
@@ -123,27 +116,83 @@ class UtilityDigest:
         Equals the boundary order statistic at the last positive gamma
         coefficient; an empty digest has threshold 0.
         """
-        return nth_largest(self.top, self.spec.effective_ell)
+        return self._thresh
 
     def prune_level(self) -> float:
         """ell-th largest stored value (0 while fewer than ell are stored)."""
-        return nth_largest(self.top, self.spec.ell)
+        return self._prune
 
     def marg(self, x: float) -> float:
         """Gain of adding one seed with utility x, without mutating."""
         if x < 0:
             raise ValueError("utility must be non-negative")
-        if x == 0.0 or x < self.thresh():
+        if x == 0.0 or x < self._thresh:
             return 0.0
-        return self._value(self._insert(self.top, x)) - self.val
+        gamma, top = self.gamma, self.top
+        s = 0
+        k = 0  # x's place: after every stored value >= x
+        for v in top:
+            if v < x:
+                break
+            s += gamma[k] * v
+            k += 1
+        ell = self.ell
+        if k == ell:
+            return 0.0  # x falls past the ell-th place
+        s += gamma[k] * x
+        k += 1
+        n = len(top)
+        while k < ell and k <= n:  # the values after x move one place down
+            s += gamma[k] * top[k - 1]
+            k += 1
+        return s - self.val
 
     def add_marg(self, y: float, x: float) -> float:
         """Gain of a seed with utility x once another with utility y is in."""
         if x < 0 or y < 0:
             raise ValueError("utility must be non-negative")
-        base = self._insert(self.top, y) if y > 0 else self.top
-        with_both = self._insert(base, x) if x > 0 else base
-        return self._value(with_both) - self._value(base)
+        if x == 0.0:
+            return 0.0
+        gamma, ell, top = self.gamma, self.ell, self.top
+        n = len(top)
+        # walk base = top with y after its equals (a zero y is never stored)
+        i = 0  # next stored value
+        pending = y > 0.0  # y not yet walked
+        s = 0
+        k = 0
+        while k < ell:  # the base values >= x keep their places
+            if i < n and (not pending or top[i] >= y):
+                b = top[i]
+                if b < x:
+                    break
+                i += 1
+            elif pending:
+                if y < x:
+                    break
+                b = y
+                pending = False
+            else:
+                break
+            s += gamma[k] * b
+            k += 1
+        if k == ell:
+            return 0.0  # x falls past the ell-th place
+        base = s
+        s += gamma[k] * x
+        while k < ell:  # the rest of base moves one place down beside x
+            if i < n and (not pending or top[i] >= y):
+                b = top[i]
+                i += 1
+            elif pending:
+                b = y
+                pending = False
+            else:
+                break
+            base += gamma[k] * b
+            k += 1
+            if k < ell:
+                s += gamma[k] * b
+        return s - base
 
     def update(self, x: float) -> None:
         """Fold a new seed utility into the digest; zero is never stored."""
@@ -151,8 +200,21 @@ class UtilityDigest:
             raise ValueError("utility must be non-negative")
         if x == 0.0:
             return
-        self.top = self._insert(self.top, x)
-        self.val = self._value(self.top)
+        top, ell = self.top, self.ell
+        pos = 0
+        while pos < len(top) and top[pos] >= x:
+            pos += 1
+        if pos == ell:
+            return  # x falls past the ell-th place
+        top.insert(pos, x)
+        del top[ell:]
+        val = 0
+        for g, v in zip(self.gamma, top):
+            val += g * v
+        self.val = val
+        n, eff = len(top), self.spec.effective_ell
+        self._thresh = top[eff - 1] if n >= eff else 0.0
+        self._prune = top[ell - 1] if n == ell else 0.0
 
 
 class DigestTable:

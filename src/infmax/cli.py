@@ -211,13 +211,14 @@ def _verify_report(matrix: SparseUtilityMatrix, spec, sequence: GreedySequence, 
         raise ConfigError("verify refuses more than 1000 items (greedy baseline)")
     digests = DigestTable(matrix.n_elements, spec)
     weights = matrix.element_weights
-    selected = []
+    selected = []  # in selection order
+    taken = set()
     for rec in sequence:
         if rec.below_cutoff:
             continue
         best = 0.0
         for i in range(matrix.n_items):
-            if i in selected:
+            if i in taken:
                 continue
             gain = sum(weights[j] * digests[j].marg(u) for j, u in matrix.rows[i])
             best = max(best, gain)
@@ -229,6 +230,7 @@ def _verify_report(matrix: SparseUtilityMatrix, spec, sequence: GreedySequence, 
         for j, u in matrix.rows[rec.item]:
             digests[j].update(u)
         selected.append(rec.item)
+        taken.add(rec.item)
     total = exact_influence(matrix, spec, selected)
     final = sequence[-1].cumulative if sequence else 0.0
     out.write(f"verify influence {final:.12g} recomputed {total:.12g}\n")

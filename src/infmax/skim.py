@@ -25,6 +25,10 @@ are reclassified or truncated when a new seed lowers marginal utilities
 a boundary entry changes class, max(c of its first M entry, c of its
 first L entry / rank), priced from the marginals each pass has just
 computed against the element's current (post-update) digest.
+
+Each pass (a drain, a move_up, the move_downs of one new seed) records
+the items whose estimates it changed and pushes each onto the item queue
+once, at the estimate it ends the pass with.
 """
 
 import heapq
@@ -143,6 +147,7 @@ class SkimRun:
         self.qelements = LazyMaxQueue()
         self.qitems = LazyMaxQueue()
         self.qhml = LazyMaxQueue()
+        self.dirty: set[int] = set()  # items touched since the last _flush
         self.seeds: set[int] = set()
         self.records: GreedySequence = []
         self.coverage = 0.0
@@ -161,10 +166,26 @@ class SkimRun:
         return self.est_h[i] + self.tau * self.est_m[i]
 
     def _touch(self, i: int) -> None:
+        """Mark i for this pass's _flush, which pushes each touched item once.
+
+        An item with no H entry left has its est_h snapped to 0.0 here,
+        after every change the pass made at one element, so cancellation
+        residue never keeps a dead item looking alive.
+        """
         if self.h_count[i] == 0:
             self.est_h[i] = 0.0
-        if i not in self.seeds:
-            self.qitems.push(i, self._estimate(i))
+        self.dirty.add(i)
+
+    def _flush(self) -> None:
+        """Push every item touched in this pass at its final estimate.
+
+        Valid entries pop by priority, ties by key, so the order of the
+        pushes cannot change which item pops.
+        """
+        for i in self.dirty:
+            if i not in self.seeds:
+                self.qitems.push(i, self._estimate(i))
+        self.dirty.clear()
 
     def _fresh_max(self) -> float:
         best = 0.0
@@ -200,6 +221,7 @@ class SkimRun:
         may now satisfy the sampling condition."""
         for j in self._due(self.qelements):
             self._drain_element(j)
+        self._flush()
 
     def _drain_element(self, j: int) -> None:
         stream = self.rev[j]
@@ -310,6 +332,7 @@ class SkimRun:
         self.digests.mark_seed_added()
         self.seeds.add(i)
         self.qitems.remove(i)
+        self._flush()
         self.coverage += gain
         self.records.append(SeedRecord(i, est, gain, self.coverage))
         if self.trace is not None:
@@ -322,6 +345,7 @@ class SkimRun:
         """After tau decreased, promote entries whose class improved."""
         for j in self._due(self.qhml):
             self._reclassify_up(j)
+        self._flush()
 
     def _reclassify_up(self, j: int) -> None:
         """Promote M and L entries to H, then revive L entries to M, as far

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infmax import AggregationSpec, UtilityDigest, aggregate, dominates
 
@@ -12,9 +14,12 @@ HALF = AggregationSpec((1.0, 0.5))
 
 
 def brute_value(spec, values):
-    """Direct evaluation of the aggregation on a full multiset."""
-    top = sorted(values, reverse=True)[: spec.ell]
-    return sum(g * v for g, v in zip(spec.gamma, top))
+    """Direct evaluation of the aggregation on a full multiset, summed left
+    to right (the order of sum() before Python 3.12)."""
+    total = 0
+    for g, v in zip(spec.gamma, sorted(values, reverse=True)[: spec.ell]):
+        total += g * v
+    return total
 
 
 def random_multiset(rng, max_len=8, tie_prone=False):
@@ -179,6 +184,15 @@ def test_digest_marg_weighted_pair():
     assert d.marg(0.5) == 0.0
 
 
+def test_digest_gains_are_floats():
+    d = UtilityDigest(HALF)
+    assert type(d.marg(0.0)) is float
+    assert type(d.add_marg(0.0, 0.0)) is float  # empty digest, nothing inserted
+    d.update(1.0)
+    assert type(d.add_marg(0.0, 0.0)) is float
+    assert type(d.add_marg(0.5, 0.0)) is float
+
+
 def test_digest_marg_rejects_negative():
     d = UtilityDigest(MAX)
     with pytest.raises(ValueError):
@@ -307,3 +321,55 @@ def test_digest_never_stores_more_than_ell():
         assert len(d.top) <= spec.ell
         assert all(a >= b for a, b in zip(d.top, d.top[1:]))
         assert all(v > 0 for v in d.top)
+
+
+# -- bit-exact digest kernel ---------------------------------------------------
+
+# tie-prone grid values mixed with arbitrary floats
+utilities = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+
+
+@st.composite
+def specs(draw):
+    gamma = [1.0]
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats(0.0, 1.0)))
+        gamma.append(gamma[-1] * factor)  # a 0.0 factor makes the rest trailing zeros
+    return AggregationSpec(tuple(gamma))
+
+
+def order_statistic(ordered, i):
+    return ordered[i - 1] if i <= len(ordered) else 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    spec=specs(),
+    updates=st.lists(utilities, max_size=10),
+    probes=st.lists(st.tuples(utilities, utilities), min_size=1, max_size=4),
+)
+def test_digest_is_bit_exact_against_brute_force(spec, updates, probes):
+    d = UtilityDigest(spec)
+    seen = []
+    for step in range(len(updates) + 1):
+        top = list(d.top)
+        ordered = sorted((u for u in seen if u > 0.0), reverse=True)
+        assert top == ordered[: spec.ell]
+        assert d.val == brute_value(spec, top)
+        assert d.thresh() == order_statistic(ordered, spec.effective_ell)
+        assert d.prune_level() == order_statistic(ordered, spec.ell)
+        for y, x in probes:
+            assert d.marg(x) == brute_value(spec, top + [x]) - brute_value(spec, top)
+            gain = d.add_marg(y, x)
+            assert type(gain) is float
+            assert gain == brute_value(spec, top + [y, x]) - brute_value(spec, top + [y])
+        if step == len(updates):
+            break
+        x = updates[step]
+        gain, before = d.marg(x), d.val
+        d.update(x)
+        seen.append(x)
+        assert d.val - before == gain  # val grows by exactly the quoted gain

@@ -453,6 +453,43 @@ def test_state_invariants_hold_during_graph_runs(family, rank_mode, gamma):
     assert seq  # the run actually selected something
 
 
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+def test_items_are_pushed_once_per_pass(family):
+    inst = random_instances(random.Random(73), 16, 2)
+    spec = AggregationSpec((1.0, 1.0, 1.0))
+    problem = GraphProblem(inst, GRAPH_FAMILIES[family], spec)
+    run = SkimRun(problem, k=8, rng_seed=3, rank_mode="permutation", audit=validate_state)
+    pushed = []
+    push = run.qitems.push
+
+    def recording_push(key, priority):
+        pushed.append(key)
+        push(key, priority)
+
+    run.qitems.push = recording_push
+    passes = []
+
+    def one_push_per_item(name):
+        method = getattr(run, name)
+
+        def wrapped(*args):
+            pushed.clear()  # next_seed's own re-pushes fall between passes
+            out = method(*args)
+            assert len(pushed) == len(set(pushed)), (name, pushed)
+            for i in pushed:  # each at the estimate it ended the pass with
+                assert i not in run.seeds
+                assert run.qitems._prio[i] == run._estimate(i)
+            passes.append((name, len(pushed)))
+            return out
+
+        setattr(run, name, wrapped)
+
+    for name in ("_drain", "move_up", "_process_seed"):
+        one_push_per_item(name)
+    assert run.run()
+    assert {"_drain", "_process_seed"} <= {name for name, n in passes if n > 0}
+
+
 # -- estimator ---------------------------------------------------------------------------
 
 
