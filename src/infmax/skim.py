@@ -12,23 +12,35 @@ k * tau the estimate is trustworthy enough (relative error about
 it holds up, commit the item as the next seed.
 
 Samples are stored inverted: index[j] lists the items that sampled
-element j, in the utility order delivered by the element's reverse
-sorted access stream.  Two counts per element split the list into
-segments: entries [0, nh[j]) are H (marginal utility >= tau, counted at
-face value), [nh[j], nm[j]) are M (below tau but still sampled, counted
-as tau) and the rest are L (lapsed, kept because a lower tau may revive
-them).  Wherever an entry is (re)assigned, its class is that of the
-marginal just computed for it, capped so that no entry ranks above the
-one before it.  The counts grow when tau drops (move_up), and entries
-are reclassified or truncated when a new seed lowers marginal utilities
-(move_down).  An element waits for move_up at the largest tau at which
-a boundary entry changes class, max(c of its first M entry, c of its
-first L entry / rank), priced from the marginals each pass has just
-computed against the element's current (post-update) digest.
+element j as (item, utility, c) entries, in the utility order delivered
+by the element's reverse sorted access stream, where c is the item's
+weighted marginal utility w * marg(u) against the element's digest.  The
+digest changes only when a seed is committed, right after move_down has
+recomputed every entry of the element, so a stored c is never stale and
+no pass recomputes a marginal it already holds.  A reverse stream is
+retired once its next utility is at or below the digest's threshold,
+where every later marginal is exactly zero.  Two counts per element
+split the list into segments: entries [0, nh[j]) are H (marginal utility
+>= tau, counted at face value), [nh[j], nm[j]) are M (below tau but
+still sampled, counted as tau) and the rest are L (lapsed, kept because
+a lower tau may revive them).  Wherever an entry is (re)assigned, its
+class is that of the marginal just computed for it, capped so that no
+entry ranks above the one before it.  The counts grow when tau drops
+(move_up), and entries are reclassified or truncated when a new seed
+lowers marginal utilities (move_down).  An element waits for move_up at
+the largest tau at which a boundary entry changes class, max(c of its
+first M entry, c of its first L entry / rank), priced from the marginals
+each pass has just computed against the element's current (post-update)
+digest.
 
 Each pass (a drain, a move_up, the move_downs of one new seed) records
 the items whose estimates it changed and pushes each onto the item queue
 once, at the estimate it ends the pass with.
+
+A seed is committed from the forward search that validated it: the
+validation keeps the (element, utility) pairs it consumed, and nothing
+changes a digest between the two, so the commit walks those pairs
+instead of searching again.
 """
 
 import heapq
@@ -36,7 +48,7 @@ import math
 
 import numpy as np
 
-from .aggregation import DigestTable
+from .aggregation import DigestTable, StaleStreamError
 from .greedy import GreedySequence, SeedRecord
 
 H, M, L = 2, 1, 0  # segment classes, ordered so that min() applies the prefix cap
@@ -134,7 +146,7 @@ class SkimRun:
 
         self.digests = DigestTable(n_el, self.spec)
         self.rev = [problem.rev_stream(j) for j in range(n_el)]
-        self.index: dict[int, list[tuple[int, float]]] = {}
+        self.index: dict[int, list[tuple[int, float, float]]] = {}
         # index[j][:nh[j]] is H, index[j][nh[j]:nm[j]] is M, the rest is L
         self.nh = [0] * n_el
         self.nm = [0] * n_el
@@ -149,6 +161,8 @@ class SkimRun:
         self.qhml = LazyMaxQueue()
         self.dirty: set[int] = set()  # items touched since the last _flush
         self.seeds: set[int] = set()
+        # (item, digest version, exact gain, consumed pairs) of the last validation
+        self._validated: tuple[int, int, float, list[tuple[int, float]]] | None = None
         self.records: GreedySequence = []
         self.coverage = 0.0
 
@@ -224,6 +238,13 @@ class SkimRun:
         self._flush()
 
     def _drain_element(self, j: int) -> None:
+        """Sample j's stream entries down to the first one that is L.
+
+        The stream retires at the first utility at or below the digest's
+        threshold: such a utility lands past the last positive gamma
+        coefficient, so its marginal and every later one is exactly zero,
+        and the threshold never falls.
+        """
         stream = self.rev[j]
         w = self.problem.weight(j)
         r = self.rank[j]
@@ -233,7 +254,7 @@ class SkimRun:
             if t is None:
                 return  # exhausted for good
             i, u = t
-            if u < digest.thresh():
+            if u <= digest.thresh():
                 stream.close()  # utilities only shrink from here; retire
                 return
             if i in self.seeds:
@@ -249,7 +270,7 @@ class SkimRun:
             stream.pop()
             self.stats["rev_pops"] += 1
             entries = self.index.setdefault(j, [])
-            entries.append((i, u))
+            entries.append((i, u, c))
             if self._place(j, i, c, r) == M and self.nh[j] == len(entries) - 1:
                 self.qhml.push(j, c)  # the first M entry prices the element
             self._touch(i)
@@ -316,18 +337,33 @@ class SkimRun:
             q.push(i, est)
 
     def _marg_gain(self, i: int) -> float:
+        """Exact marginal gain of i by one forward search.
+
+        The consumed pairs are kept with the gain and the digest version,
+        so that committing i (_process_seed) needs no second search.
+        """
+        pairs = []
         gain = 0.0
         for j, u in self.problem.forward_stream(i, self.digests):
             self.stats["forward_yields"] += 1
+            pairs.append((j, u))
             gain += self.problem.weight(j) * self.digests[j].marg(u)
+        self._validated = (i, self.digests.version, gain, pairs)
         return gain
 
     def _process_seed(self, i: int, est: float) -> float:
-        gain = 0.0
-        for j, u in self.problem.forward_stream(i, self.digests):
-            self.stats["forward_yields"] += 1
+        """Commit i from the pairs its validation search consumed.
+
+        A search yields each element at most once and only update()
+        changes a digest, so these are the pairs, and the validation's
+        gain the sum, that a fresh search would give now.
+        """
+        if self._validated is None or self._validated[:2] != (i, self.digests.version):
+            raise StaleStreamError(f"item {i} was not validated against the current seeds")
+        _, _, gain, pairs = self._validated
+        self._validated = None
+        for j, u in pairs:
             self.move_down(j, u, i)
-            gain += self.problem.weight(j) * self.digests[j].marg(u)
             self.digests[j].update(u)
         self.digests.mark_seed_added()
         self.seeds.add(i)
@@ -349,18 +385,15 @@ class SkimRun:
 
     def _reclassify_up(self, j: int) -> None:
         """Promote M and L entries to H, then revive L entries to M, as far
-        as their marginals allow under the current tau; reprice j from the
-        marginals at which the two loops stopped."""
+        as their stored marginals allow under the current tau; reprice j
+        from the marginals at which the two loops stopped."""
         entries = self.index.get(j, [])
-        w = self.problem.weight(j)
         r = self.rank[j]
-        digest = self.digests[j]
         nh, nm = self.nh[j], self.nm[j]
         touched = set()
         c = 0.0
         while nh < len(entries):
-            i, u = entries[nh]
-            c = w * digest.marg(u)
+            i, _, c = entries[nh]
             if self._segment(c, r) != H:
                 break
             self.est_h[i] += c
@@ -372,9 +405,7 @@ class SkimRun:
         nm = max(nm, nh)
         first_m, priority = c, 0.0  # c prices entries[nh], the first M if any
         while nm < len(entries):
-            i, u = entries[nm]
-            if nm > nh:
-                c = w * digest.marg(u)
+            i, _, c = entries[nm]
             if self._segment(c, r) == L:
                 priority = c / r
                 break
@@ -389,13 +420,14 @@ class SkimRun:
     def move_down(self, j: int, x: float, new_seed: int) -> None:
         """Reclassify element j's entries as its digest absorbs utility x.
 
-        Each entry's old contribution comes off by its position; only H
-        entries need their old marginal.  The new marginal
+        Each entry's old contribution comes off by its position; an H
+        entry's is its stored marginal.  The new marginal
         nc = w * add_marg(x, u) equals, bit for bit, the marginal against
-        the updated digest.  Entries where it is zero (always including the
-        new seed's own) are dropped; the rest keep their order and take the
-        class of nc, capped by the class of the entry before.  The
-        element's move_up priority comes from the same nc values.
+        the updated digest, and is stored with the entry.  Entries where it
+        is zero (always including the new seed's own) are dropped; the rest
+        keep their order and take the class of nc, capped by the class of
+        the entry before.  The element's move_up priority comes from the
+        same nc values.
         """
         entries = self.index.get(j)
         if not entries:
@@ -408,16 +440,16 @@ class SkimRun:
         self.index[j] = kept = []
         prev, priority = H, 0.0
         touched = set()
-        for pos, (i, u) in enumerate(entries):
+        for pos, (i, u, c) in enumerate(entries):
             if pos < old_h:
-                self.est_h[i] -= w * digest.marg(u)
+                self.est_h[i] -= c
                 self.h_count[i] -= 1
             elif pos < old_m:
                 self.est_m[i] -= 1
             cls = L
             nc = 0.0 if i == new_seed or i in self.seeds else w * digest.add_marg(x, u)
             if nc > 0.0:
-                kept.append((i, u))
+                kept.append((i, u, nc))
                 cls = self._place(j, i, nc, r)
                 if cls < prev:  # the entry opens the M or the L segment
                     priority = max(priority, nc if cls == M else nc / r)

@@ -2,7 +2,15 @@
 
 import random
 
+from hypothesis import settings
+
 from infmax import DirectedGraph, GraphInstanceSet, SparseUtilityMatrix
+
+# every run draws the same examples and keeps no example database, so the
+# suite is deterministic; no deadline, because a loaded shared host can
+# slow any single example past one
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_matrix(

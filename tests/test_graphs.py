@@ -3,7 +3,10 @@
 import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instances
 from infmax import (
@@ -491,3 +494,105 @@ def test_reachability_equals_unit_survival():
             seq.append(-neg_i)
         seqs.append(seq)
     assert seqs[0] == seqs[1]
+
+
+# -- networkx as a third reference -------------------------------------------------------
+
+NX_FAMILIES = {
+    "distance-exp": UtilityFamily("distance", Alpha.exponential(1.5)),
+    "distance-threshold": UtilityFamily("distance", Alpha.threshold(1.0)),
+    "reverse_rank": RANK_INV,
+    "reachability": REACH,
+    "survival": SURV,
+}
+
+
+def nx_graph(n, edges):
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(range(n))
+    g.add_weighted_edges_from(edges)
+    return g
+
+
+def nx_survival(n, edges, src):
+    """Largest lifetime t at which each node stays reachable from src over
+    the edges of lifetime >= t, by one descendants() query per lifetime."""
+    best = [0.0] * n
+    for t in sorted({w for _, _, w in edges}):
+        for v in nx.descendants(nx_graph(n, [e for e in edges if e[2] >= t]), src) | {src}:
+            best[v] = t
+    return best
+
+
+def nx_utilities(inst, family):
+    """{(item, element): utility} of every positive utility, by networkx."""
+    n, kind, alpha = inst.n, family.kind, family.alpha
+    util = {}
+    for h, edges in enumerate(inst.instances):
+        g = nx_graph(n, edges)
+        for s in range(n):
+            if kind == "reverse_rank":  # s is the element node, ranking items
+                dist = nx.single_source_dijkstra_path_length(g, s)
+                for i, d in dist.items():
+                    util[(i, h * n + s)] = alpha(sum(1 for e in dist.values() if e <= d))
+                continue
+            if kind == "distance":
+                dist = nx.single_source_dijkstra_path_length(g, s)
+                row = {v: alpha(d) for v, d in dist.items()}
+            elif kind == "reachability":
+                row = dict.fromkeys(nx.descendants(g, s) | {s}, 1.0)
+            else:
+                row = dict(enumerate(nx_survival(n, edges, s)))
+            for v, u in row.items():
+                util[(s, h * n + v)] = u
+    return {key: u for key, u in util.items() if u > 0.0}
+
+
+@st.composite
+def instance_sets(draw):
+    # dyadic weights keep every path sum exact, so utilities compare with ==
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    edge = st.tuples(node, node, st.integers(1, 16).map(lambda k: k / 8))
+    return GraphInstanceSet(n, draw(st.lists(st.lists(edge, max_size=12), min_size=1, max_size=2)))
+
+
+# n = 1 with an IC draw that kept no edge; a self-loop, parallel edges and
+# an empty draw beside a non-empty one
+NX_EXAMPLES = [
+    GraphInstanceSet(1, [[]]),
+    GraphInstanceSet(3, [[(0, 0, 0.5), (0, 1, 1.0), (0, 1, 0.25), (1, 2, 2.0)], []]),
+]
+
+
+def nx_examples(test):
+    for inst in NX_EXAMPLES:
+        test = example(inst=inst)(test)
+    return test
+
+
+@pytest.mark.parametrize("name", sorted(NX_FAMILIES))
+@settings(max_examples=40)
+@nx_examples
+@given(inst=instance_sets())
+def test_rev_streams_match_networkx(name, inst):
+    family = NX_FAMILIES[name]
+    ref = nx_utilities(inst, family)
+    for j in range(inst.n_elements):
+        got = drain(rev_sorted_stream(inst, family, j))
+        utilities = [u for _, u in got]
+        assert utilities == sorted(utilities, reverse=True)
+        assert sorted(got) == sorted((i, u) for (i, e), u in ref.items() if e == j)
+
+
+@pytest.mark.parametrize("name", sorted(NX_FAMILIES))
+@settings(max_examples=40)
+@nx_examples
+@given(inst=instance_sets())
+def test_unpruned_forward_searches_match_networkx(name, inst):
+    # empty digests prune nothing, so each search yields the item's whole row
+    family = NX_FAMILIES[name]
+    ref = nx_utilities(inst, family)
+    for i in range(inst.n):
+        got = list(forward_search(inst, family, i, DigestTable(inst.n_elements, MAX)))
+        assert sorted(got) == sorted((e, u) for (s, e), u in ref.items() if s == i)

@@ -1,5 +1,6 @@
 """Sketch-based maximizer: unit fixtures, state invariants, quality."""
 
+import hashlib
 import math
 import random
 
@@ -16,6 +17,7 @@ from infmax import (
     MatrixProblem,
     SkimRun,
     SparseUtilityMatrix,
+    StaleStreamError,
     UtilityFamily,
     default_sample_size,
     exact_influence,
@@ -31,9 +33,10 @@ HALF = AggregationSpec((1.0, 0.5))
 def validate_state(run):
     """Recompute segment classes and estimate components from scratch.
 
-    Checks, at every next_seed entry: segment markers agree with the
-    value-based classification, est components match their definitional
-    sums, and any item holding >= k live samples has estimate >= k*tau.
+    Checks, at every next_seed entry: each entry's stored marginal equals
+    a fresh one bit for bit, segment markers agree with the value-based
+    classification, est components match their definitional sums, and any
+    item holding >= k live samples has estimate >= k*tau.
     """
     est_h = [0.0] * run.problem.n_items
     est_m = [0] * run.problem.n_items
@@ -45,8 +48,8 @@ def validate_state(run):
         digest = run.digests[j]
         nh, nm = run.nh[j], run.nm[j]
         assert 0 <= nh <= nm <= len(entries)
-        for pos, (i, u) in enumerate(entries):
-            c = w * digest.marg(u)
+        for pos, (i, u, c) in enumerate(entries):
+            assert c == w * digest.marg(u), (j, pos, c)
             if pos < nh:
                 marker = "H"
             elif pos < nm:
@@ -80,6 +83,12 @@ def validate_state(run):
 
 def make_run(matrix, spec=MAX, **kw):
     return SkimRun(MatrixProblem(matrix, spec), **kw)
+
+
+def index_entries(run, j, pairs):
+    """Index entries (i, u, c) of element j, c priced on j's own digest."""
+    w, digest = run.problem.weight(j), run.digests[j]
+    return [(i, u, w * digest.marg(u)) for i, u in pairs]
 
 
 # -- parameter validation --------------------------------------------------------
@@ -155,7 +164,7 @@ def test_move_up_promotes_m_entry_to_h():
     run = fixture_run()
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: [(0, 1.5), (1, 0.6)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.5), (1, 0.6)])}
     run.nh, run.nm = [1], [2]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
@@ -173,7 +182,7 @@ def test_move_up_promotes_m_entry_to_h():
 def test_move_up_without_candidates_is_a_noop():
     run = fixture_run()
     run.tau = 1.0
-    run.index = {0: [(0, 1.5)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.5)])}
     run.nh, run.nm = [1], [1]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
@@ -187,7 +196,7 @@ def test_move_up_revives_l_entry_to_m():
     run = fixture_run()
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: [(0, 1.5), (1, 0.4)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.5), (1, 0.4)])}
     run.nh, run.nm = [1], [1]  # the 0.4 entry lapsed: 0.4/0.5 = 0.8 < tau
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
@@ -206,7 +215,7 @@ def test_move_down_truncates_everything_under_max_aggregation():
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: [(0, 1.0), (1, 0.5)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.0), (1, 0.5)])}
     run.nh, run.nm = [1], [2]
     run.est_h = [1.0, 0.0, 0.0]
     run.h_count = [1, 0, 0]
@@ -224,7 +233,7 @@ def test_move_down_with_zero_utility_changes_nothing():
     run = fixture_run()
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: [(0, 1.5), (1, 0.6)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.5), (1, 0.6)])}
     run.nh, run.nm = [1], [2]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
@@ -232,7 +241,7 @@ def test_move_down_with_zero_utility_changes_nothing():
     run.move_down(0, 0.0, 2)
     assert run.est_h == [1.5, 0.0]
     assert run.est_m == [0, 1]
-    assert run.index[0] == [(0, 1.5), (1, 0.6)]
+    assert run.index[0] == index_entries(run, 0, [(0, 1.5), (1, 0.6)])
     assert run.nh[0] == 1 and run.nm[0] == 2
 
 
@@ -241,7 +250,7 @@ def test_move_down_demotes_h_entry_to_m():
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0] = 0.3
     run.tau = 1.0
-    run.index = {0: [(0, 1.0)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.0)])}
     run.nh, run.nm = [1], [1]
     run.est_h = [1.0, 0.0]
     run.h_count = [1, 0]
@@ -260,7 +269,7 @@ def test_move_down_drops_the_new_seeds_own_entry():
     run = make_run(m, HALF, k=4, rng_seed=0)
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: [(0, 1.0), (1, 0.9)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.0), (1, 0.9)])}
     run.nh, run.nm = [1], [2]
     run.est_h = [1.0, 0.0, 0.0]
     run.h_count = [1, 0, 0]
@@ -268,11 +277,11 @@ def test_move_down_drops_the_new_seeds_own_entry():
 
     run.move_down(0, 0.9, 1)  # item 1 becomes a seed at this element
     assert run.est_m[1] == 0  # its own sample entry is removed
-    assert all(i != 1 for i, _ in run.index.get(0, []))
+    assert all(i != 1 for i, *_ in run.index.get(0, []))
     # item 0 stays: marginal now add_marg(0.9, 1.0) = 0.55 under gamma=(1, .5)
     assert run.est_h[0] == pytest.approx(0.0)
     assert run.est_m[0] == 1
-    assert run.index[0] == [(0, 1.0)]
+    assert run.index[0] == [(0, 1.0, run.digests[0].add_marg(0.9, 1.0))]
 
 
 def test_reclassify_up_prices_both_boundaries():
@@ -282,7 +291,7 @@ def test_reclassify_up_prices_both_boundaries():
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0] = 0.5
     run.tau = 2.0
-    run.index = {0: [(0, 0.4), (1, 0.3)]}
+    run.index = {0: index_entries(run, 0, [(0, 0.4), (1, 0.3)])}
     run.nh, run.nm = [0], [1]
     run._reclassify_up(0)
     assert run.qhml.peek() == (pytest.approx(0.6), 0)  # max(0.4, 0.3/0.5)
@@ -290,7 +299,7 @@ def test_reclassify_up_prices_both_boundaries():
 
 def test_reclassify_up_unqueues_all_h_elements():
     run = fixture_run()
-    run.index = {0: [(0, 1.5)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.5)])}
     run.nh, run.nm = [1], [1]
     run.qhml.push(0, 1.0)
     run._reclassify_up(0)
@@ -321,7 +330,7 @@ def test_priorities_rounding_up_to_tau_wait_for_the_next_step():
 
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0], run.tau = r, tau
-    run.index = {0: [(0, 1.5), (1, c)]}
+    run.index = {0: index_entries(run, 0, [(0, 1.5), (1, c)])}
     run.nh, run.nm = [1], [1]
     run.est_h, run.h_count = [1.5, 0.0], [1, 0]
     run.qhml.push(0, c / r)
@@ -335,7 +344,7 @@ def test_priorities_rounding_up_to_tau_wait_for_the_next_step():
     run.qelements.push(0, 1.5 / r)
     bound_pops(run.qelements)
     run._drain()
-    assert run.index == {0: [(0, 1.5)]}  # the c entry is not sampled yet
+    assert run.index == {0: index_entries(run, 0, [(0, 1.5)])}  # the c entry is not sampled yet
     assert run.qelements.peek() == (c / r, 0)
     validate_state(run)
 
@@ -388,6 +397,21 @@ def test_next_seed_three_item_trace():
     assert run.qitems.peek() == (2.0, 0)  # refreshed during the trace
 
 
+def test_commit_needs_a_current_validation():
+    m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+    run = make_run(m, MAX, k=4, rng_seed=0)
+    with pytest.raises(StaleStreamError):
+        run._process_seed(0, 1.0)  # never validated
+    run._marg_gain(0)
+    with pytest.raises(StaleStreamError):
+        run._process_seed(1, 1.0)  # another item's validation
+    run.digests.mark_seed_added()
+    with pytest.raises(StaleStreamError):
+        run._process_seed(0, 1.0)  # validated before the last seed
+    run._marg_gain(0)
+    assert run._process_seed(0, 1.0) == 1.0
+
+
 def test_next_seed_skips_seed_items():
     run = fixture_run()
     run.tau = 0.1
@@ -415,12 +439,16 @@ def test_state_invariants_hold_during_matrix_runs(rank_mode):
         run.run()
 
 
-def test_state_invariants_hold_with_element_weights():
+def weighted_matrix():
     rng = random.Random(72)
     base = random_matrix(rng, 10, 24, density=0.4)
     weights = [0.5 + rng.random() * 3.0 for _ in range(base.n_elements)]
     entries = [(i, j, u) for i, row in enumerate(base.rows) for j, u in row]
-    m = SparseUtilityMatrix(base.n_items, base.n_elements, entries, weights)
+    return SparseUtilityMatrix(base.n_items, base.n_elements, entries, weights)
+
+
+def test_state_invariants_hold_with_element_weights():
+    m = weighted_matrix()
     run = SkimRun(MatrixProblem(m, HALF), k=8, rng_seed=1, audit=validate_state)
     seq = run.run()
     items = sequence_items(seq)
@@ -437,28 +465,115 @@ GRAPH_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize(
-    "gamma", [(1.0,), (1.0, 0.5), (1.0, 1.0, 1.0)], ids=["max", "half", "top3"]
-)
+GAMMAS = {"max": (1.0,), "half": (1.0, 0.5), "top3": (1.0, 1.0, 1.0)}
+
+
+def fixture_problem(source, gamma):
+    """The seeded 16-node, 2-instance graph under one family, or the
+    weighted matrix."""
+    spec = AggregationSpec(GAMMAS[gamma])
+    if source == "matrix":
+        return MatrixProblem(weighted_matrix(), spec)
+    inst = random_instances(random.Random(73), 16, 2)
+    return GraphProblem(inst, GRAPH_FAMILIES[source], spec)
+
+
+@pytest.mark.parametrize("gamma", ["max", "half", "top3"])
 @pytest.mark.parametrize("rank_mode", ["uniform", "permutation"])
 @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
 def test_state_invariants_hold_during_graph_runs(family, rank_mode, gamma):
     # permutation ranks with gamma=(1, 1, 1) put distance and reverse-rank
     # marginals right on class boundaries, where a move_up priority priced
     # on a stale digest leaves an entry in the wrong segment
-    inst = random_instances(random.Random(73), 16, 2)
-    problem = GraphProblem(inst, GRAPH_FAMILIES[family], AggregationSpec(gamma))
+    problem = fixture_problem(family, gamma)
     run = SkimRun(problem, k=8, rng_seed=3, rank_mode=rank_mode, audit=validate_state)
     seq = run.run()
     assert seq  # the run actually selected something
 
 
+# SHA-256 of the full-precision repr of (item, estimate, gain, cumulative)
+# per selection, k=8, rng_seed=3; any change to SKIM, an oracle or the
+# digest kernel that moves one bit of a selection shows here
+PINNED_SEQUENCES = {
+    ("distance", "half", "permutation"): "d53ad5626a8e6ba862143318c773762a116a3aeb954bbc7d145d3ca935576aaf",
+    ("distance", "half", "uniform"): "cd4aa07a1f11b491e9ed66e913e99acb3a0bdf0c420d5e16211cf20c0881d2f5",
+    ("distance", "max", "permutation"): "6df2ec4e4e1b8390039c562429899c4d1c5d9f55de44a68434b8dc53bf077aa4",
+    ("distance", "max", "uniform"): "792d88e35861b7d669d33238995c36b035a847330e8f856db550a2cad44d1101",
+    ("distance", "top3", "permutation"): "9d63224f4e7a41db7deef536cb49640fcdd8c24da5faf6215c7c35f070281ad5",
+    ("distance", "top3", "uniform"): "a4891222727cdb7878bba225dc4ae2e49dfcd2cf78fab2176d9029c11251fe0c",
+    ("matrix", "half", "permutation"): "9cc7383f0dab4add21a88d1a96658027473812f92d2ae1956a4287e909f6509c",
+    ("matrix", "half", "uniform"): "25e10b2417a1161cccbac056af60696dce615ebd3f73317a457e2305f498ee2f",
+    ("reachability", "half", "permutation"): "d7791c7779a5ccff343cf28ace1f775d09c5df52dbc6bc8058acf7e6ad0be15a",
+    ("reachability", "half", "uniform"): "fbeee38c686118407e630c55e81e3c70a8dba7e69d3215bb2910f89b231a37b4",
+    ("reachability", "max", "permutation"): "82b5ef54d4177870861951f5cc96decc6cec2e5ae917b10ffe0710d1e412b28c",
+    ("reachability", "max", "uniform"): "84600b3bce198e8299b5535c62414ad943df2b24d271d068c1942a2b97f93654",
+    ("reachability", "top3", "permutation"): "ab24e0b1c1a2f14a883b308d755642718ce59cc6f36ab1fa10139ce57195c645",
+    ("reachability", "top3", "uniform"): "2acc3a51e66a70500eff3df82adf3f2755ae4c8da9f4001a112d1f0a678c6fa2",
+    ("reverse_rank", "half", "permutation"): "0291b3eefb03c7672a48ac49b8a12005ac720b0f388fc99df5b4db8e732c2302",
+    ("reverse_rank", "half", "uniform"): "122372217e2cfeb93bd7eae36ee30a033a79bf2e413ccd59e063b03fc58d211c",
+    ("reverse_rank", "max", "permutation"): "cb7e72ffdc409e4aaf546b0e779d8ce6cce838920d7496a21840432ce3b831bd",
+    ("reverse_rank", "max", "uniform"): "85551b2d6158e41cfed75356924e701a0ec293d1c209aad9add2099670f1f6b8",
+    ("reverse_rank", "top3", "permutation"): "14f3661ffaf1f205797c1b05b548cc3a16b46875aad45fba193c3cc50a5a0e63",
+    ("reverse_rank", "top3", "uniform"): "822314a0e296d6231a3138442d915cc38700e537f2fee59dccf61cc2a4e89fe9",
+    ("survival", "half", "permutation"): "f88ee87d39ef941d3e5523b3780bdf7a26c38a63eb9250a5b3cd2d7e9e071626",
+    ("survival", "half", "uniform"): "26b802a86531ee3c63095f247b5b4cd31028992d902dc9491551761e84541f94",
+    ("survival", "max", "permutation"): "ef98a69e2d3e13efc49ba8bb10db45138d08e98a520c9d22a7f49562f8745a48",
+    ("survival", "max", "uniform"): "fb8e4881d14e5c538343438e14782c9e86a0f9eb0526d42fd0014866639d6790",
+    ("survival", "top3", "permutation"): "38d35a005f2b6434e08c97363836c032ca262b9948b0838dc67bae4fb090ffde",
+    ("survival", "top3", "uniform"): "6ba1769c9c8b6bda26e78d2e2f25e252b244940c20a37ffc2189ff208796b9b6",
+}
+
+
+@pytest.mark.parametrize("source,gamma,rank_mode", sorted(PINNED_SEQUENCES))
+def test_skim_sequences_are_pinned(source, gamma, rank_mode):
+    seq = run_skim(fixture_problem(source, gamma), k=8, rng_seed=3, rank_mode=rank_mode)
+    text = repr([(r.item, r.estimate, r.gain, r.cumulative) for r in seq])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_SEQUENCES[(source, gamma, rank_mode)]
+
+
+@pytest.mark.parametrize("source", sorted(GRAPH_FAMILIES) + ["matrix"])
+def test_each_seed_costs_one_forward_search(source):
+    # the commit reuses the validation's pairs and gain, so a run searches
+    # once per exact evaluation and records exactly the validated gain
+    problem = fixture_problem(source, "top3")
+    searches, yielded, validated, accepted = [], [], [], []
+    search = problem.forward_stream
+
+    def counting_search(i, digests):
+        searches.append(i)
+        for pair in search(i, digests):
+            yielded.append(pair)
+            yield pair
+
+    problem.forward_stream = counting_search
+    stats = {}
+    run = SkimRun(problem, k=8, rng_seed=3, rank_mode="permutation", stats=stats)
+    marg_gain, next_seed = run._marg_gain, run.next_seed
+
+    def recording_marg_gain(i):
+        exact = marg_gain(i)
+        validated.append((i, exact))
+        return exact
+
+    def recording_next_seed():
+        validated.clear()
+        out = next_seed()
+        if out is not None:
+            accepted.append(validated[-1])
+        return out
+
+    run._marg_gain, run.next_seed = recording_marg_gain, recording_next_seed
+    seq = run.run()
+    assert seq
+    assert len(searches) == stats["exact_evals"]
+    assert [(r.item, r.gain) for r in seq] == accepted
+    assert len(yielded) == stats["forward_yields"]
+
+
 @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
 def test_items_are_pushed_once_per_pass(family):
-    inst = random_instances(random.Random(73), 16, 2)
-    spec = AggregationSpec((1.0, 1.0, 1.0))
-    problem = GraphProblem(inst, GRAPH_FAMILIES[family], spec)
-    run = SkimRun(problem, k=8, rng_seed=3, rank_mode="permutation", audit=validate_state)
+    run = SkimRun(fixture_problem(family, "top3"), k=8, rng_seed=3, rank_mode="permutation", audit=validate_state)
     pushed = []
     push = run.qitems.push
 
