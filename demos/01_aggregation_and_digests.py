@@ -31,4 +31,7 @@ for x in (0.5, 1.0, 0.2, 0.8):
 print()
 print("threshold to improve further:", digest.thresh())
 print("gain of adding 0.9          :", digest.marg(0.9))
-print("same, if 0.85 arrives first :", digest.add_marg(0.85, 0.9))
+after = UtilityDigest(spec)
+for x in digest.top + [0.85]:
+    after.update(x)
+print("same, if 0.85 arrives first :", after.marg(0.9))

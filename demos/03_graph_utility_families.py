@@ -48,8 +48,9 @@ while (t := stream.pop()) is not None:
 
 print("\nforward search from node 0 before and after seeding node 1:")
 digests = DigestTable(inst.n_elements, AggregationSpec.maximum())
-print("  before:", list(forward_search(inst, fam, 0, digests)))
+print("  before:", [(j, u) for j, u, _ in forward_search(inst, fam, 0, digests)])
 gain = add_seed(inst, fam, 1, digests)
 print(f"  seeding node 1 gains {gain:.3f}")
 stream = forward_search(inst, fam, 0, digests)
-print("  after :", list(stream), f"({stream.visited} nodes settled, rest pruned)")
+pairs = [(j, u) for j, u, _ in stream]
+print("  after :", pairs, f"({stream.visited} nodes settled, rest pruned)")

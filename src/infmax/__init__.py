@@ -44,7 +44,7 @@ from .oracles import (
     matrix_rev_sorted_stream,
     optimal_subset,
 )
-from .skim import SkimRun, default_sample_size, run_skim, threshold_sample_estimate
+from .skim import SkimRun, default_sample_size, run_skim
 
 __all__ = [
     "AggregationSpec",
@@ -79,6 +79,5 @@ __all__ = [
     "run_skim",
     "sequence_items",
     "simulate_instances",
-    "threshold_sample_estimate",
     "to_utility_matrix",
 ]

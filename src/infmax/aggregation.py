@@ -93,10 +93,10 @@ class UtilityDigest:
     the aggregated value and the two order statistics the searches test
     against; update() refreshes all three and is the only method that
     builds a list.  All queries are answered exactly because the
-    aggregation never looks past the ell largest values.  marg() and
-    add_marg() merge their probe values into the stored ones on the fly
-    (a probe goes after its equals) and sum left to right, term for term
-    as val is summed, so a quoted gain equals the growth of val bit for bit.
+    aggregation never looks past the ell largest values.  marg() merges
+    its probe value into the stored ones on the fly (the probe goes after
+    its equals) and sums left to right, term for term as val is summed, so
+    a quoted gain equals the growth of val bit for bit.
     """
 
     __slots__ = ("spec", "gamma", "ell", "top", "val", "_thresh", "_prune")
@@ -146,53 +146,6 @@ class UtilityDigest:
             s += gamma[k] * top[k - 1]
             k += 1
         return s - self.val
-
-    def add_marg(self, y: float, x: float) -> float:
-        """Gain of a seed with utility x once another with utility y is in."""
-        if x < 0 or y < 0:
-            raise ValueError("utility must be non-negative")
-        if x == 0.0:
-            return 0.0
-        gamma, ell, top = self.gamma, self.ell, self.top
-        n = len(top)
-        # walk base = top with y after its equals (a zero y is never stored)
-        i = 0  # next stored value
-        pending = y > 0.0  # y not yet walked
-        s = 0
-        k = 0
-        while k < ell:  # the base values >= x keep their places
-            if i < n and (not pending or top[i] >= y):
-                b = top[i]
-                if b < x:
-                    break
-                i += 1
-            elif pending:
-                if y < x:
-                    break
-                b = y
-                pending = False
-            else:
-                break
-            s += gamma[k] * b
-            k += 1
-        if k == ell:
-            return 0.0  # x falls past the ell-th place
-        base = s
-        s += gamma[k] * x
-        while k < ell:  # the rest of base moves one place down beside x
-            if i < n and (not pending or top[i] >= y):
-                b = top[i]
-                i += 1
-            elif pending:
-                b = y
-                pending = False
-            else:
-                break
-            base += gamma[k] * b
-            k += 1
-            if k < ell:
-                s += gamma[k] * b
-        return s - base
 
     def update(self, x: float) -> None:
         """Fold a new seed utility into the digest; zero is never stored."""

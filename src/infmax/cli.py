@@ -91,10 +91,17 @@ def _to_float(tok: str, path: str, lineno: int) -> float:
     return x
 
 
+def _read_lines(path: str) -> list[str]:
+    try:
+        with open(path) as fh:
+            return fh.read().splitlines()
+    except OSError as e:
+        raise ParseError(f"{path}: cannot read: {e.strerror}") from None
+
+
 def parse_input(path: str, kind: str) -> SparseUtilityMatrix | DirectedGraph:
     """Read and strictly validate a matrix or graph file."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}:1: empty file")
     if kind == "matrix":
@@ -184,13 +191,12 @@ def parse_alpha(spec: str) -> Alpha:
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         points = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                x_tok, v_tok = _tokens(line, 2, path, lineno)
-                x = _to_float(x_tok, path, lineno)
-                points.append((x, _to_float(v_tok, path, lineno)))
+        for lineno, line in enumerate(_read_lines(path), start=1):
+            if not line.strip():
+                continue
+            x_tok, v_tok = _tokens(line, 2, path, lineno)
+            x = _to_float(x_tok, path, lineno)
+            points.append((x, _to_float(v_tok, path, lineno)))
         return Alpha.table(points)
     raise ConfigError(f"cannot parse alpha spec {spec!r}")
 
@@ -302,7 +308,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True)
     p.add_argument("--kind", required=True, choices=["matrix", "graph"])
-    p.add_argument("--algorithm", default="skim", choices=["skim", "lazy", "exact"])
+    p.add_argument(
+        "--algorithm", default="skim", choices=["skim", "lazy", "exact"],
+        help="skim (default) needs only oracle access; lazy and exact work on "
+        "the full utility matrix, which graph input builds first (quadratic in "
+        "the node count), and exact recomputes every gain at every step",
+    )
     p.add_argument("--family", help="distance | reverse-rank | reachability | survival")
     p.add_argument("--alpha", help="threshold:T | inverse | exp:sigma | table:path")
     p.add_argument("--gamma", help="comma-separated aggregation weights, e.g. 1,0.5")
@@ -319,7 +330,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--output", default="-")
-    p.add_argument("--verify", action="store_true")
+    p.add_argument(
+        "--verify", action="store_true",
+        help="check each selection against the exact per-step maximum: builds "
+        "the full utility matrix and is quadratic, so for small inputs only",
+    )
     return p
 
 

@@ -460,8 +460,9 @@ def forward_search(
 
     Expansion stops at an element whose stored k-th best seed utility
     already beats the item's utility there, strictly or weakly as the
-    family's pruning argument allows.  Yielded pairs are exactly the
-    elements where the item's marginal gain is positive.
+    family's pruning argument allows.  Yielded (element, utility, gain)
+    triples are exactly the elements where the item's marginal gain is
+    positive, each with that gain.
     """
     row = _FAMILY_TABLE[family.kind]
     adj = instances.adj if row.rev_adj == "tadj" else instances.tadj
@@ -484,8 +485,9 @@ def forward_search(
                 digest = digests[base + node]
                 if not prune(u, digest.prune_level()):
                     frontier.expand(node)
-                if digest.marg(u) > 0.0:
-                    yield base + node, u
+                c = digest.marg(u)
+                if c > 0.0:
+                    yield base + node, u, c
 
     return ForwardStream(digests, search)
 
@@ -494,7 +496,7 @@ def marg_gain(
     instances: GraphInstanceSet, family: UtilityFamily, i: int, digests: DigestTable
 ) -> float:
     """Marginal influence of item i against the current digests; no mutation."""
-    return sum(digests[j].marg(u) for j, u in forward_search(instances, family, i, digests))
+    return sum(c for _, _, c in forward_search(instances, family, i, digests))
 
 
 def add_seed(
@@ -511,8 +513,8 @@ def add_seed(
             raise ValueError(f"item {i} is already a seed")
         seeds.add(i)
     gain = 0.0
-    for j, u in forward_search(instances, family, i, digests):
-        gain += digests[j].marg(u)
+    for j, u, c in forward_search(instances, family, i, digests):
+        gain += c
         digests[j].update(u)
     digests.mark_seed_added()
     return gain

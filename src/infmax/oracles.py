@@ -5,7 +5,8 @@ Two access patterns drive the sketch-based maximizer:
 * reverse sorted access: for one element, stream (item, utility) pairs by
   non-increasing utility;
 * forward search: for one item, stream every element where the item still
-  has positive marginal utility given the current digests.
+  has positive marginal utility given the current digests, with the
+  utility and that marginal.
 
 One stream pair, RevStream and ForwardStream, serves the matrix oracles
 here and the graph oracles in graphs.py.  The slow, obviously-correct
@@ -49,9 +50,11 @@ class RevStream:
 
 
 class ForwardStream:
-    """Iterator over the (element, utility) pairs where an item still gains.
+    """Iterator over the (element, utility, marginal) triples where an item
+    still gains; the marginal is digests[element].marg(utility), computed
+    once by the search's yield test.
 
-    search(stream) generates the pairs and counts the entries or nodes it
+    search(stream) generates the triples and counts the entries or nodes it
     examines in stream.visited.  Iterating after another seed has been
     committed to the digest table raises StaleStreamError.
     """
@@ -65,7 +68,7 @@ class ForwardStream:
     def __iter__(self):
         return self
 
-    def __next__(self) -> tuple[int, float]:
+    def __next__(self) -> tuple[int, float, float]:
         if self._digests.version != self._version:
             raise StaleStreamError("forward search used after a seed was added")
         return next(self._pairs)
@@ -81,15 +84,16 @@ def matrix_rev_sorted_stream(matrix: SparseUtilityMatrix, j: int) -> RevStream:
 def matrix_forward_search(
     matrix: SparseUtilityMatrix, i: int, digests: DigestTable
 ) -> ForwardStream:
-    """Entries of row i whose element still gains from the item."""
+    """Entries of row i whose element still gains from the item, with the gain."""
     if not 0 <= i < matrix.n_items:
         raise ValueError(f"unknown item {i}")
 
     def scan(stream):
         for j, u in matrix.rows[i]:
             stream.visited += 1
-            if digests[j].marg(u) > 0.0:
-                yield j, u
+            c = digests[j].marg(u)
+            if c > 0.0:
+                yield j, u, c
 
     return ForwardStream(digests, scan)
 

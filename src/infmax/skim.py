@@ -15,11 +15,13 @@ Samples are stored inverted: index[j] lists the items that sampled
 element j as (item, utility, c) entries, in the utility order delivered
 by the element's reverse sorted access stream, where c is the item's
 weighted marginal utility w * marg(u) against the element's digest.  The
-digest changes only when a seed is committed, right after move_down has
-recomputed every entry of the element, so a stored c is never stale and
-no pass recomputes a marginal it already holds.  A reverse stream is
-retired once its next utility is at or below the digest's threshold,
-where every later marginal is exactly zero.  Two counts per element
+digest changes only when a seed is committed: move_down folds the seed's
+utility in first and then prices each surviving entry once against the
+updated digest, so a stored c is never stale and no pass recomputes a
+marginal it already holds.  A utility at or below the digest's threshold
+lies past the last positive gamma coefficient, so its marginal is exactly
+zero: a reverse stream is retired at the first such utility, and
+move_down drops such entries without pricing them.  Two counts per element
 split the list into segments: entries [0, nh[j]) are H (marginal utility
 >= tau, counted at face value), [nh[j], nm[j]) are M (below tau but
 still sampled, counted as tau) and the rest are L (lapsed, kept because
@@ -37,10 +39,12 @@ Each pass (a drain, a move_up, the move_downs of one new seed) records
 the items whose estimates it changed and pushes each onto the item queue
 once, at the estimate it ends the pass with.
 
-A seed is committed from the forward search that validated it: the
-validation keeps the (element, utility) pairs it consumed, and nothing
-changes a digest between the two, so the commit walks those pairs
-instead of searching again.
+A seed is committed from the forward search that validated it.  Forward
+streams yield (element, utility, marginal) triples, the marginal being
+the one the search's yield test computed, so the validation sums them
+without pricing a pair again.  It keeps the (element, utility) pairs it
+consumed, and nothing changes a digest between the two, so the commit
+walks those pairs instead of searching again.
 """
 
 import heapq
@@ -339,15 +343,17 @@ class SkimRun:
     def _marg_gain(self, i: int) -> float:
         """Exact marginal gain of i by one forward search.
 
-        The consumed pairs are kept with the gain and the digest version,
-        so that committing i (_process_seed) needs no second search.
+        The gain sums w * c over the search's (j, u, c) triples; c is the
+        marginal the search already computed, so no pair is priced twice.
+        The consumed (j, u) pairs are kept with the gain and the digest
+        version, so that committing i (_process_seed) needs no second search.
         """
         pairs = []
         gain = 0.0
-        for j, u in self.problem.forward_stream(i, self.digests):
+        for j, u, c in self.problem.forward_stream(i, self.digests):
             self.stats["forward_yields"] += 1
             pairs.append((j, u))
-            gain += self.problem.weight(j) * self.digests[j].marg(u)
+            gain += self.problem.weight(j) * c
         self._validated = (i, self.digests.version, gain, pairs)
         return gain
 
@@ -356,7 +362,8 @@ class SkimRun:
 
         A search yields each element at most once and only update()
         changes a digest, so these are the pairs, and the validation's
-        gain the sum, that a fresh search would give now.
+        gain the sum, that a fresh search would give now.  move_down folds
+        each pair's utility into its element's digest.
         """
         if self._validated is None or self._validated[:2] != (i, self.digests.version):
             raise StaleStreamError(f"item {i} was not validated against the current seeds")
@@ -364,7 +371,6 @@ class SkimRun:
         self._validated = None
         for j, u in pairs:
             self.move_down(j, u, i)
-            self.digests[j].update(u)
         self.digests.mark_seed_added()
         self.seeds.add(i)
         self.qitems.remove(i)
@@ -418,23 +424,27 @@ class SkimRun:
             self._touch(i)
 
     def move_down(self, j: int, x: float, new_seed: int) -> None:
-        """Reclassify element j's entries as its digest absorbs utility x.
+        """Fold utility x of the new seed into element j's digest, then
+        reclassify j's entries against the updated digest.
 
         Each entry's old contribution comes off by its position; an H
-        entry's is its stored marginal.  The new marginal
-        nc = w * add_marg(x, u) equals, bit for bit, the marginal against
-        the updated digest, and is stored with the entry.  Entries where it
-        is zero (always including the new seed's own) are dropped; the rest
-        keep their order and take the class of nc, capped by the class of
-        the entry before.  The element's move_up priority comes from the
-        same nc values.
+        entry's is its stored marginal.  An entry at or below the digest's
+        threshold lies past the last positive gamma coefficient, so its
+        marginal is exactly zero and it is dropped unpriced, as are the
+        new seed's own entry and any other seed's.  Every other entry is
+        priced once, nc = w * marg(u), and stored with nc; entries where
+        nc is zero are dropped too.  The rest keep their order and take
+        the class of nc, capped by the class of the entry before.  The
+        element's move_up priority comes from the same nc values.
         """
+        digest = self.digests[j]
+        digest.update(x)
         entries = self.index.get(j)
         if not entries:
             return
         w = self.problem.weight(j)
         r = self.rank[j]
-        digest = self.digests[j]
+        thresh = digest.thresh()
         old_h, old_m = self.nh[j], self.nm[j]
         self.nh[j] = self.nm[j] = 0
         self.index[j] = kept = []
@@ -447,13 +457,14 @@ class SkimRun:
             elif pos < old_m:
                 self.est_m[i] -= 1
             cls = L
-            nc = 0.0 if i == new_seed or i in self.seeds else w * digest.add_marg(x, u)
-            if nc > 0.0:
-                kept.append((i, u, nc))
-                cls = self._place(j, i, nc, r)
-                if cls < prev:  # the entry opens the M or the L segment
-                    priority = max(priority, nc if cls == M else nc / r)
-                prev = cls
+            if u > thresh and i != new_seed and i not in self.seeds:
+                nc = w * digest.marg(u)
+                if nc > 0.0:
+                    kept.append((i, u, nc))
+                    cls = self._place(j, i, nc, r)
+                    if cls < prev:  # the entry opens the M or the L segment
+                        priority = max(priority, nc if cls == M else nc / r)
+                    prev = cls
             if pos < old_m or cls != L:
                 touched.add(i)
         if not kept:
@@ -516,18 +527,3 @@ def run_skim(
         audit=audit,
     ).run()
 
-
-def threshold_sample_estimate(
-    margs: np.ndarray, ranks: np.ndarray, tau: float, weights: np.ndarray | None = None
-) -> float:
-    """Inverse-probability estimate of a marginal influence from one rank draw.
-
-    An element j enters the sample when w_j * margs[j] / ranks[j] >= tau
-    and then contributes max(w_j * margs[j], tau); the expectation over
-    ranks drawn uniformly from (0, 1] is exactly sum(w * margs).
-    """
-    margs = np.asarray(margs, dtype=float)
-    w = np.ones_like(margs) if weights is None else np.asarray(weights, dtype=float)
-    wm = w * margs
-    sampled = wm / ranks >= tau
-    return float(np.maximum(wm, tau)[sampled].sum())

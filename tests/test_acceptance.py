@@ -160,7 +160,7 @@ def test_criterion_4_oracle_equivalence():
                 for i in range(inst.n):
                     if i in seeds:
                         continue
-                    got = {j for j, _ in forward_search(inst, family, i, table)}
+                    got = {j for j, _, _ in forward_search(inst, family, i, table)}
                     if got != want[i]:
                         ok = False
     report(4, "pruned search equals brute force", ok)

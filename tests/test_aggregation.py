@@ -22,6 +22,14 @@ def brute_value(spec, values):
     return total
 
 
+def digest_of(spec, values):
+    """A fresh digest that has folded in values, in order."""
+    d = UtilityDigest(spec)
+    for v in values:
+        d.update(v)
+    return d
+
+
 def random_multiset(rng, max_len=8, tie_prone=False):
     n = rng.randrange(0, max_len + 1)
     if tie_prone:
@@ -187,32 +195,12 @@ def test_digest_marg_weighted_pair():
 def test_digest_gains_are_floats():
     d = UtilityDigest(HALF)
     assert type(d.marg(0.0)) is float
-    assert type(d.add_marg(0.0, 0.0)) is float  # empty digest, nothing inserted
-    d.update(1.0)
-    assert type(d.add_marg(0.0, 0.0)) is float
-    assert type(d.add_marg(0.5, 0.0)) is float
 
 
 def test_digest_marg_rejects_negative():
     d = UtilityDigest(MAX)
     with pytest.raises(ValueError):
         d.marg(-1.0)
-
-
-def test_digest_add_marg_examples():
-    d = UtilityDigest(HALF)
-    d.update(1.0)
-    # top two saturate at {1, 0.8}; 0.6 then adds nothing
-    assert d.add_marg(0.8, 0.6) == pytest.approx(0.0, abs=1e-12)
-
-    d2 = UtilityDigest(MAX)
-    assert d2.add_marg(2.0, 3.0) == pytest.approx(1.0)
-
-    d3 = UtilityDigest(HALF)
-    d3.update(1.0)
-    d3.update(0.4)
-    for x in (0.0, 0.3, 0.7, 1.5):
-        assert d3.add_marg(0.0, x) == d3.marg(x)
 
 
 def test_digest_update_examples():
@@ -272,22 +260,6 @@ def test_digest_matches_brute_force_on_random_updates():
             assert d.val >= before  # monotone
 
 
-def test_digest_add_marg_matches_brute_force():
-    rng = random.Random(55)
-    for _ in range(300):
-        spec = random_spec(rng)
-        d = UtilityDigest(spec)
-        seen = []
-        for _ in range(rng.randrange(0, 6)):
-            x = rng.randrange(0, 9) / 4.0
-            d.update(x)
-            seen.append(x)
-        y = rng.randrange(0, 9) / 4.0
-        x = rng.randrange(0, 9) / 4.0
-        expected = brute_value(spec, seen + [y, x]) - brute_value(spec, seen + [y])
-        assert abs(d.add_marg(y, x) - expected) < 1e-12
-
-
 def test_insertion_has_diminishing_returns():
     rng = random.Random(23)
     for _ in range(500):
@@ -297,7 +269,7 @@ def test_insertion_has_diminishing_returns():
             d.update(rng.randrange(0, 9) / 4.0)
         y = rng.randrange(0, 9) / 4.0
         x = rng.randrange(0, 9) / 4.0
-        assert d.add_marg(y, x) <= d.marg(x) + 1e-12
+        assert digest_of(spec, d.top + [y]).marg(x) <= d.marg(x) + 1e-12
 
 
 def test_marginal_gain_preserves_utility_order():
@@ -363,7 +335,8 @@ def test_digest_is_bit_exact_against_brute_force(spec, updates, probes):
         assert d.prune_level() == order_statistic(ordered, spec.ell)
         for y, x in probes:
             assert d.marg(x) == brute_value(spec, top + [x]) - brute_value(spec, top)
-            gain = d.add_marg(y, x)
+            # the gain of x once y is folded in, as move_down prices it
+            gain = digest_of(spec, top + [y]).marg(x)
             assert type(gain) is float
             assert gain == brute_value(spec, top + [y, x]) - brute_value(spec, top + [y])
         if step == len(updates):

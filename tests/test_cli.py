@@ -335,7 +335,7 @@ def test_verify_reports_per_seed_ratios(tmp_path, capsys):
     assert float(reported) == pytest.approx(float(recomputed), rel=1e-9)
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     src = write(tmp_path / "m.txt", "2 2\n0 0 2.0\n1 0 1.0\n1 1 1.0\n")
     out = tmp_path / "r.csv"
     assert main([
@@ -344,6 +344,17 @@ def test_main_exit_codes(tmp_path):
     ]) == 0
     bad = write(tmp_path / "bad.txt", "2 2\n0 0\n")
     assert main(["--input", bad, "--kind", "matrix"]) == 2
+    missing = str(tmp_path / "nope.txt")
+    assert main(["--input", missing, "--kind", "matrix"]) == 2
+    assert main(["--input", str(tmp_path), "--kind", "matrix"]) == 2  # a directory
+    graph = write(tmp_path / "g.txt", "2 1\n0 1 1.0\n")
+    assert main([
+        "--input", graph, "--kind", "graph", "--family", "distance",
+        "--alpha", f"table:{missing}",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"infmax: {missing}: cannot read") == 2
+    assert "Traceback" not in err
 
 
 def test_env_var_provides_default_seed(tmp_path, monkeypatch, capsys):

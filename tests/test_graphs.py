@@ -301,7 +301,7 @@ def test_forward_search_empty_seed_set_reaches_everything():
     fam = UtilityFamily("distance", alpha)
     g = single([(0, 1, 1.0), (1, 2, 1.0)], 3)
     table = DigestTable(3, MAX)
-    got = list(forward_search(g, fam, 0, table))
+    got = [(j, u) for j, u, _ in forward_search(g, fam, 0, table)]
     assert got == [(0, 1.0), (1, pytest.approx(alpha(1.0))), (2, pytest.approx(alpha(2.0)))]
 
 
@@ -312,7 +312,7 @@ def test_forward_search_prunes_at_covered_node():
     table = DigestTable(3, MAX)
     add_seed(g, fam, 1, table)  # seed b covers b and c
     stream = forward_search(g, fam, 0, table)
-    got = list(stream)
+    got = [(j, u) for j, u, _ in stream]
     assert got == [(0, 1.0)]  # only a's own element still gains
     assert stream.visited == 2  # a and b settled, never reaches c
 
@@ -349,7 +349,7 @@ def test_pruned_search_equals_brute_force_sets():
                 for i in range(inst.n):
                     if i in seeds:
                         continue
-                    got = {j for j, _ in forward_search(inst, fam, i, table)}
+                    got = {j for j, _, _ in forward_search(inst, fam, i, table)}
                     want = set()
                     for j in range(ref.n_elements):
                         base = ref.column_utilities(j, seeds)
@@ -594,5 +594,6 @@ def test_unpruned_forward_searches_match_networkx(name, inst):
     family = NX_FAMILIES[name]
     ref = nx_utilities(inst, family)
     for i in range(inst.n):
-        got = list(forward_search(inst, family, i, DigestTable(inst.n_elements, MAX)))
+        table = DigestTable(inst.n_elements, MAX)
+        got = [(j, u) for j, u, _ in forward_search(inst, family, i, table)]
         assert sorted(got) == sorted((e, u) for (s, e), u in ref.items() if s == i)

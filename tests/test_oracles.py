@@ -139,11 +139,23 @@ def test_stream_contract(make):
     table = DigestTable(problem.n_elements, MAX)
     fwd = problem.forward_stream(0, table)
     assert isinstance(fwd, ForwardStream)
-    assert next(fwd) == (0, 1.0)
+    assert next(fwd) == (0, 1.0, 1.0)
     assert fwd.visited >= 1
     table.mark_seed_added()
     with pytest.raises(StaleStreamError):
         next(fwd)
+
+    # each yield carries the marginal its yield test computed, bit for bit
+    yields = 0
+    for spec, prior in ((MAX, 0.3), (HALF, 0.7), (HALF, 2.0)):
+        table = DigestTable(problem.n_elements, spec)
+        for digest in table:
+            digest.update(prior)
+        for i in range(problem.n_items):
+            for j, u, c in problem.forward_stream(i, table):
+                assert c == table[j].marg(u) and c > 0.0
+                yields += 1
+    assert yields > 0
 
 
 # -- forward search --------------------------------------------------------------
@@ -152,7 +164,7 @@ def test_stream_contract(make):
 def test_forward_search_empty_seed_set_yields_row():
     m = SparseUtilityMatrix(2, 3, [(0, 0, 1.0), (0, 2, 0.5), (1, 1, 0.7)])
     table = DigestTable(3, MAX)
-    got = list(matrix_forward_search(m, 0, table))
+    got = [(j, u) for j, u, _ in matrix_forward_search(m, 0, table)]
     assert got == [(0, 1.0), (2, 0.5)]
 
 
@@ -167,7 +179,7 @@ def test_forward_search_filters_by_marginal_gain():
     table = DigestTable(2, MAX)
     table[0].update(3.0)
     table[1].update(0.5)
-    assert list(matrix_forward_search(m, 0, table)) == [(1, 1.0)]
+    assert [(j, u) for j, u, _ in matrix_forward_search(m, 0, table)] == [(1, 1.0)]
 
 
 def test_forward_search_goes_stale_after_seed_commit():
@@ -190,7 +202,7 @@ def test_forward_search_equals_brute_force_set():
         for i in range(8):
             if i in seeds:
                 continue
-            got = {j for j, _ in matrix_forward_search(m, i, table)}
+            got = {j for j, _, _ in matrix_forward_search(m, i, table)}
             assert got == brute_positive_set(m, spec, seeds, i)
 
 

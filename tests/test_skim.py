@@ -18,12 +18,12 @@ from infmax import (
     SkimRun,
     SparseUtilityMatrix,
     StaleStreamError,
+    UtilityDigest,
     UtilityFamily,
     default_sample_size,
     exact_influence,
     run_skim,
     sequence_items,
-    threshold_sample_estimate,
 )
 
 MAX = AggregationSpec.maximum()
@@ -278,10 +278,12 @@ def test_move_down_drops_the_new_seeds_own_entry():
     run.move_down(0, 0.9, 1)  # item 1 becomes a seed at this element
     assert run.est_m[1] == 0  # its own sample entry is removed
     assert all(i != 1 for i, *_ in run.index.get(0, []))
-    # item 0 stays: marginal now add_marg(0.9, 1.0) = 0.55 under gamma=(1, .5)
+    # item 0 stays: move_down folded 0.9 into the digest, so its marginal
+    # is now marg(1.0) = 0.55 under gamma=(1, .5)
+    assert run.digests[0].top == [0.9]
     assert run.est_h[0] == pytest.approx(0.0)
     assert run.est_m[0] == 1
-    assert run.index[0] == [(0, 1.0, run.digests[0].add_marg(0.9, 1.0))]
+    assert run.index[0] == [(0, 1.0, run.digests[0].marg(1.0))]
 
 
 def test_reclassify_up_prices_both_boundaries():
@@ -571,6 +573,48 @@ def test_each_seed_costs_one_forward_search(source):
     assert len(yielded) == stats["forward_yields"]
 
 
+@pytest.mark.parametrize("source", sorted(GRAPH_FAMILIES) + ["matrix"])
+def test_each_commit_prices_only_the_surviving_entries(source, monkeypatch):
+    # an entry at or below the updated digest's threshold has marginal
+    # exactly zero, and a seed's own entries are dropped, so move_down
+    # calls the digest kernel once per remaining entry and for no other
+    problem = fixture_problem(source, "top3")
+    run = SkimRun(problem, k=8, rng_seed=3, rank_mode="permutation")
+    priced, expected, skipped = [0], [0], [0]
+    inside = [False]
+    marg = UtilityDigest.marg
+
+    def counting_marg(digest, u):
+        priced[0] += inside[0]
+        return marg(digest, u)
+
+    monkeypatch.setattr(UtilityDigest, "marg", counting_marg)
+    move_down = run.move_down
+
+    def counting_move_down(j, x, new_seed):
+        after = UtilityDigest(problem.spec)  # j's digest once x is folded in
+        for v in run.digests[j].top + [x]:
+            after.update(v)
+        t = after.thresh()
+        for i, u, _ in run.index.get(j, []):
+            if i == new_seed or i in run.seeds:
+                continue
+            if u > t:
+                expected[0] += 1
+            else:
+                skipped[0] += 1
+        inside[0] = True
+        try:
+            move_down(j, x, new_seed)
+        finally:
+            inside[0] = False
+
+    run.move_down = counting_move_down
+    assert run.run()
+    assert skipped[0] > 0  # the fixture does reach the zero tail
+    assert priced[0] == expected[0]
+
+
 @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
 def test_items_are_pushed_once_per_pass(family):
     run = SkimRun(fixture_problem(family, "top3"), k=8, rng_seed=3, rank_mode="permutation", audit=validate_state)
@@ -606,6 +650,20 @@ def test_items_are_pushed_once_per_pass(family):
 
 
 # -- estimator ---------------------------------------------------------------------------
+
+
+def threshold_sample_estimate(margs, ranks, tau, weights=None):
+    """Inverse-probability estimate of a marginal influence from one rank draw.
+
+    An element j enters the sample when w_j * margs[j] / ranks[j] >= tau
+    and then contributes max(w_j * margs[j], tau); the expectation over
+    ranks drawn uniformly from (0, 1] is exactly sum(w * margs).
+    """
+    margs = np.asarray(margs, dtype=float)
+    w = np.ones_like(margs) if weights is None else np.asarray(weights, dtype=float)
+    wm = w * margs
+    sampled = wm / ranks >= tau
+    return float(np.maximum(wm, tau)[sampled].sum())
 
 
 def test_threshold_sample_estimate_is_unbiased():
