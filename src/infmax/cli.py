@@ -176,8 +176,11 @@ def emit_results(sequence: GreedySequence, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"{path}: cannot write: {e.strerror}") from None
 
 
 def parse_alpha(spec: str) -> Alpha:

@@ -27,11 +27,11 @@ the incremental searches so the two can cross-check each other.
 """
 
 import bisect
-import heapq
 import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
@@ -53,7 +53,10 @@ class Alpha:
 
     Kinds: threshold:T (1 up to T, then 0), inverse (1/x, clamped to 1
     below x=1 so self-distances stay finite), exp:sigma (exp(-x/sigma)),
-    and table (right-continuous step function over breakpoints).
+    and table (right-continuous step function over breakpoints).  The
+    kind's map is picked once, at construction, as self.map, which the
+    oracles call directly; every kind maps an infinite x (an unreachable
+    node) to 0.
     """
 
     def __init__(self, kind: str, param: float | None = None,
@@ -64,20 +67,28 @@ class Alpha:
         if kind == "table":
             if not points:
                 raise ValueError("table alpha needs breakpoints")
-            self._xs = xs = [x for x, _ in points]
+            xs = [x for x, _ in points]
             vs = [v for _, v in points]
             # negated comparisons so that NaN fails every check
             if math.isnan(xs[0]) or any(not a < b for a, b in zip(xs, xs[1:])):
                 raise ValueError("table breakpoints must be strictly increasing")
             if not vs[-1] >= 0 or any(not a >= b for a, b in zip(vs, vs[1:])):
                 raise ValueError("table values must be non-negative and non-increasing")
+            # last breakpoint at or below x; below the first one, the first value
+            self.map = lambda x: (
+                vs[max(bisect.bisect_right(xs, x) - 1, 0)] if x < math.inf else 0.0
+            )
         elif kind == "threshold":
             if param is None or not param >= 0:
                 raise ValueError("threshold alpha needs T >= 0")
+            self.map = lambda x: 1.0 if x <= param and x < math.inf else 0.0
         elif kind == "exp":
             if param is None or not param > 0:
                 raise ValueError("exponential alpha needs sigma > 0")
-        elif kind != "inverse":
+            self.map = lambda x: math.exp(-x / param)  # exp(-inf) is 0.0
+        elif kind == "inverse":
+            self.map = lambda x: 1.0 / max(x, 1.0)  # 1/inf is 0.0
+        else:
             raise ValueError(f"unknown alpha kind {kind!r}")
 
     @classmethod
@@ -97,16 +108,7 @@ class Alpha:
         return cls("table", points=points)
 
     def __call__(self, x: float) -> float:
-        if math.isinf(x):
-            return 0.0
-        if self.kind == "threshold":
-            return 1.0 if x <= self.param else 0.0
-        if self.kind == "inverse":
-            return 1.0 / max(x, 1.0)
-        if self.kind == "exp":
-            return math.exp(-x / self.param)
-        # last breakpoint at or below x; below the first one, the first value
-        return self.points[max(bisect.bisect_right(self._xs, x) - 1, 0)][1]
+        return self.map(x)
 
 
 @dataclass(frozen=True)
@@ -299,6 +301,8 @@ class _DijkstraFrontier:
     pruned searches can refuse to expand a settled node.  All frontiers
     share one constructor; this one ignores cap."""
 
+    __slots__ = ("adj", "dist", "_seen", "_heap")
+
     def __init__(self, adj, source: int, cap: float = 0.0):
         self.adj = adj
         self.dist: dict[int, float] = {}
@@ -306,27 +310,31 @@ class _DijkstraFrontier:
         self._heap = [(0.0, source)]
 
     def next(self) -> tuple[int, float] | None:
-        while self._heap:
-            d, v = heapq.heappop(self._heap)
-            if v in self.dist:
+        heap, dist = self._heap, self.dist
+        while heap:
+            d, v = heappop(heap)
+            if v in dist:
                 continue
-            self.dist[v] = d
+            dist[v] = d
             return v, d
         return None
 
     def expand(self, v: int) -> None:
-        d = self.dist[v]
+        dist, seen, heap, inf = self.dist, self._seen, self._heap, math.inf
+        d = dist[v]
         for w, weight in self.adj[v]:
             nd = d + weight
-            if w not in self.dist and nd < self._seen.get(w, math.inf):
-                self._seen[w] = nd
-                heapq.heappush(self._heap, (nd, w))
+            if w not in dist and nd < seen.get(w, inf):
+                seen[w] = nd
+                heappush(heap, (nd, w))
 
 
 class _WidestFrontier:
     """Max-min (bottleneck) variant: labels are the best minimum edge
     lifetime over paths from the source; nodes settle by decreasing label.
     The source's own label is cap, the instance's longest lifetime."""
+
+    __slots__ = ("adj", "label", "parent", "_seen", "_heap")
 
     def __init__(self, adj, source: int, cap: float):
         self.adj = adj
@@ -336,26 +344,30 @@ class _WidestFrontier:
         self._heap = [(-cap, source)]
 
     def next(self) -> tuple[int, float] | None:
-        while self._heap:
-            nt, v = heapq.heappop(self._heap)
-            if v in self.label:
+        heap, label = self._heap, self.label
+        while heap:
+            nt, v = heappop(heap)
+            if v in label:
                 continue
-            self.label[v] = -nt
+            label[v] = -nt
             return v, -nt
         return None
 
     def expand(self, v: int) -> None:
-        t = self.label[v]
+        label, seen, heap, parent = self.label, self._seen, self._heap, self.parent
+        t = label[v]
         for w, weight in self.adj[v]:
             cand = min(t, weight)
-            if w not in self.label and cand > self._seen.get(w, 0.0):
-                self._seen[w] = cand
-                self.parent[w] = v
-                heapq.heappush(self._heap, (-cand, w))
+            if w not in label and cand > seen.get(w, 0.0):
+                seen[w] = cand
+                parent[w] = v
+                heappush(heap, (-cand, w))
 
 
 class _ReachFrontier:
     """Plain BFS with split settle/expand; every node is labelled 1."""
+
+    __slots__ = ("adj", "visited", "_queue")
 
     def __init__(self, adj, source: int, cap: float = 0.0):
         self.adj = adj
@@ -363,31 +375,19 @@ class _ReachFrontier:
         self._queue = deque([source])
 
     def next(self) -> tuple[int, float] | None:
-        if not self._queue:
-            return None
-        return self._queue.popleft(), 1.0
+        queue = self._queue
+        return (queue.popleft(), 1.0) if queue else None
 
     def expand(self, v: int) -> None:
+        visited, append = self.visited, self._queue.append
         for w, _ in self.adj[v]:
-            if w not in self.visited:
-                self.visited.add(w)
-                self._queue.append(w)
+            if w not in visited:
+                visited.add(w)
+                append(w)
 
 
 # ---------------------------------------------------------------------------
 # the family table and the two oracles
-
-
-def _alpha_of_label(alpha, ranks, node, label):
-    return alpha(label)
-
-
-def _alpha_of_rank(alpha, ranks, node, label):
-    return alpha(float(ranks[node]))
-
-
-def _label(alpha, ranks, node, label):
-    return label
 
 
 @dataclass(frozen=True)
@@ -395,25 +395,26 @@ class _FamilyRow:
     """One utility family as data for the two graph oracles.
 
     The reverse stream walks rev_adj from the element node, forward search
-    the other adjacency from the item.  utility maps a settled node and
-    its label to a utility; ranks is the node-indexed rank vector of the
-    element-item pair, or None.  In forward search a zero utility ends the
-    instance's search, or with zero_skips only skips that branch.
+    the other adjacency from the item.  alpha_of says what the family's
+    alpha maps to a utility: the settled node's label ("label"), the
+    element-item rank ("rank"), or nothing, the label being the utility
+    (None).  In forward search a zero utility ends the instance's search,
+    or with zero_skips only skips that branch.
     """
 
     frontier: type
     rev_adj: str
-    utility: Callable
+    alpha_of: str | None
     prune: Callable
     zero_skips: bool = False
 
     @property
     def needs_alpha(self) -> bool:
-        return self.utility in (_alpha_of_label, _alpha_of_rank)
+        return self.alpha_of is not None
 
     @property
     def needs_ranks(self) -> bool:
-        return self.utility is _alpha_of_rank
+        return self.alpha_of == "rank"
 
 
 # Distance and survival walk paths into the element node, so the reverse
@@ -421,12 +422,10 @@ class _FamilyRow:
 # the element node, whose ranks are monotone in its own distances; the
 # same ranks are only tree-monotone seen from an item, hence zero_skips.
 _FAMILY_TABLE = {
-    DISTANCE: _FamilyRow(_DijkstraFrontier, "tadj", _alpha_of_label, operator.lt),
-    REVERSE_RANK: _FamilyRow(
-        _DijkstraFrontier, "adj", _alpha_of_rank, operator.lt, zero_skips=True
-    ),
-    REACHABILITY: _FamilyRow(_ReachFrontier, "tadj", _label, operator.le),
-    SURVIVAL: _FamilyRow(_WidestFrontier, "tadj", _label, operator.le),
+    DISTANCE: _FamilyRow(_DijkstraFrontier, "tadj", "label", operator.lt),
+    REVERSE_RANK: _FamilyRow(_DijkstraFrontier, "adj", "rank", operator.lt, zero_skips=True),
+    REACHABILITY: _FamilyRow(_ReachFrontier, "tadj", None, operator.le),
+    SURVIVAL: _FamilyRow(_WidestFrontier, "tadj", None, operator.le),
 }
 
 
@@ -441,13 +440,17 @@ def rev_sorted_stream(
     frontier = row.frontier(getattr(instances, row.rev_adj)[h], v, instances.caps[h])
 
     def search():
-        utility, alpha = row.utility, family.alpha
-        while (step := frontier.next()) is not None:
-            node, label = step
-            u = utility(alpha, ranks, node, label)
+        next_, expand = frontier.next, frontier.expand
+        amap = family.alpha.map if row.needs_alpha else None
+        while (step := next_()) is not None:
+            node, u = step
+            if ranks is not None:
+                u = float(ranks[node])
+            if amap is not None:
+                u = amap(u)
             if u <= 0.0:
                 return
-            frontier.expand(node)
+            expand(node)
             yield node, u
 
     return RevStream(search())
@@ -469,22 +472,28 @@ def forward_search(
     table = instances.rank_table() if row.needs_ranks else None
 
     def search(stream):
-        utility, prune, alpha = row.utility, row.prune, family.alpha
+        prune, zero_skips, caps = row.prune, row.zero_skips, instances.caps
+        amap = family.alpha.map if row.needs_alpha else None
+        elements = digests.digests
         for h in range(instances.count):
             base = h * instances.n
             ranks = table.tables[h][:, i] if table is not None else None
-            frontier = row.frontier(adj[h], i, instances.caps[h])
-            while (step := frontier.next()) is not None:
-                node, label = step
+            frontier = row.frontier(adj[h], i, caps[h])
+            next_, expand = frontier.next, frontier.expand
+            while (step := next_()) is not None:
+                node, u = step
                 stream.visited += 1
-                u = utility(alpha, ranks, node, label)
+                if ranks is not None:
+                    u = float(ranks[node])
+                if amap is not None:
+                    u = amap(u)
                 if u <= 0.0:
-                    if row.zero_skips:
+                    if zero_skips:
                         continue
                     break  # settle order is by label, the rest are zero too
-                digest = digests[base + node]
+                digest = elements[base + node]
                 if not prune(u, digest.prune_level()):
-                    frontier.expand(node)
+                    expand(node)
                 c = digest.marg(u)
                 if c > 0.0:
                     yield base + node, u, c

@@ -40,7 +40,9 @@ class RevStream:
         return self._head
 
     def pop(self) -> tuple[int, float] | None:
-        t = self.top()
+        t = self._head
+        if t is None:
+            return next(self._pairs, None)
         self._head = None
         return t
 

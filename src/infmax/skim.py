@@ -21,23 +21,30 @@ updated digest, so a stored c is never stale and no pass recomputes a
 marginal it already holds.  A utility at or below the digest's threshold
 lies past the last positive gamma coefficient, so its marginal is exactly
 zero: a reverse stream is retired at the first such utility, and
-move_down drops such entries without pricing them.  Two counts per element
-split the list into segments: entries [0, nh[j]) are H (marginal utility
->= tau, counted at face value), [nh[j], nm[j]) are M (below tau but
-still sampled, counted as tau) and the rest are L (lapsed, kept because
-a lower tau may revive them).  Wherever an entry is (re)assigned, its
-class is that of the marginal just computed for it, capped so that no
-entry ranks above the one before it.  The counts grow when tau drops
-(move_up), and entries are reclassified or truncated when a new seed
-lowers marginal utilities (move_down).  An element waits for move_up at
-the largest tau at which a boundary entry changes class, max(c of its
-first M entry, c of its first L entry / rank), priced from the marginals
-each pass has just computed against the element's current (post-update)
-digest.
+move_down stops pricing at the first such entry, because utilities do not
+increase along a list.  Two counts per element split the list into
+segments: entries [0, nh[j]) are H (counted at face value), [nh[j],
+nm[j]) are M (below tau but still sampled, counted as tau) and the rest
+are L (lapsed, kept because a lower tau may revive them).  Wherever an
+entry is (re)assigned, one value rule classes it by the marginal c just
+computed for it at an element of rank r: H if c >= tau, M if c >=
+r * tau, else L.  A cap then lowers its class to that of the entry before
+it, so no entry ranks above its predecessor.  The counts grow when tau
+drops (move_up), and entries are reclassified or truncated when a new
+seed lowers marginal utilities (move_down).  An element waits for
+move_up at the largest tau at which a boundary entry changes class,
+max(c of its first M entry, c of its first L entry / rank), priced from
+the marginals each pass has just computed against the element's current
+(post-update) digest.
 
-Each pass (a drain, a move_up, the move_downs of one new seed) records
-the items whose estimates it changed and pushes each onto the item queue
-once, at the estimate it ends the pass with.
+Each pass (a drain, a move_up, the move_downs of one new seed) handles an
+entry in one place: it takes off the entry's old contribution, prices
+and classes it, adds the new one and marks the item dirty.  An item with
+no H entry left has its est_h snapped to 0.0 after all changes at one
+element, so cancellation residue never keeps a dead item looking alive;
+only move_down lowers h_count, so only move_down snaps.  Each dirty item
+is pushed onto the item queue once per pass, at the estimate it ends the
+pass with.
 
 A seed is committed from the forward search that validated it.  Forward
 streams yield (element, utility, marginal) triples, the marginal being
@@ -55,7 +62,7 @@ import numpy as np
 from .aggregation import DigestTable, StaleStreamError
 from .greedy import GreedySequence, SeedRecord
 
-H, M, L = 2, 1, 0  # segment classes, ordered so that min() applies the prefix cap
+H, M, L = 2, 1, 0  # segment classes, ordered so that the prefix cap is a min
 
 
 class LazyMaxQueue:
@@ -183,17 +190,6 @@ class SkimRun:
     def _estimate(self, i: int) -> float:
         return self.est_h[i] + self.tau * self.est_m[i]
 
-    def _touch(self, i: int) -> None:
-        """Mark i for this pass's _flush, which pushes each touched item once.
-
-        An item with no H entry left has its est_h snapped to 0.0 here,
-        after every change the pass made at one element, so cancellation
-        residue never keeps a dead item looking alive.
-        """
-        if self.h_count[i] == 0:
-            self.est_h[i] = 0.0
-        self.dirty.add(i)
-
     def _flush(self) -> None:
         """Push every item touched in this pass at its final estimate.
 
@@ -213,12 +209,6 @@ class SkimRun:
         return best
 
     # -- sampling ------------------------------------------------------------
-
-    def _segment(self, c: float, r: float) -> int:
-        """Class of an entry with weighted marginal c at an element of rank r."""
-        if c >= self.tau:
-            return H
-        return M if c >= r * self.tau else L
 
     def _due(self, queue: LazyMaxQueue) -> list[int]:
         """Pop every key whose priority reached tau, highest first.
@@ -244,56 +234,58 @@ class SkimRun:
     def _drain_element(self, j: int) -> None:
         """Sample j's stream entries down to the first one that is L.
 
-        The stream retires at the first utility at or below the digest's
-        threshold: such a utility lands past the last positive gamma
-        coefficient, so its marginal and every later one is exactly zero,
-        and the threshold never falls.
+        Each sampled entry is priced once, c = w * marg(u), appended, and
+        counted in the class of c under the value rule, capped by the
+        class of the entry before it; the first M entry of a list prices
+        the element for move_up.  The stream retires at the first utility
+        at or below the digest's threshold: such a utility lands past the
+        last positive gamma coefficient, so its marginal and every later
+        one is exactly zero, and the threshold never falls.
         """
         stream = self.rev[j]
-        w = self.problem.weight(j)
-        r = self.rank[j]
+        top, pop = stream.top, stream.pop
+        w, r, tau = self.problem.weight(j), self.rank[j], self.tau
+        rtau = r * tau
         digest = self.digests[j]
-        while True:
-            t = stream.top()
-            if t is None:
-                return  # exhausted for good
+        marg, thresh = digest.marg, digest.thresh()
+        seeds, dirty = self.seeds, self.dirty
+        est_h, est_m, h_count = self.est_h, self.est_m, self.h_count
+        entries = self.index.setdefault(j, [])
+        start = n = len(entries)
+        nh, nm = self.nh[j], self.nm[j]
+        while (t := top()) is not None:
             i, u = t
-            if u <= digest.thresh():
+            if u <= thresh:
                 stream.close()  # utilities only shrink from here; retire
-                return
-            if i in self.seeds:
-                stream.pop()
+                break
+            if i in seeds:
+                pop()
                 continue
-            c = w * digest.marg(u)
+            c = w * marg(u)
             if c == 0.0:
-                stream.pop()
+                pop()
                 continue
-            if self._segment(c, r) == L:
-                self.qelements.push(j, c / r)  # revisit when tau drops
-                return
-            stream.pop()
-            self.stats["rev_pops"] += 1
-            entries = self.index.setdefault(j, [])
+            if c < rtau:  # L (r <= 1, so r * tau <= tau): revisit when tau drops
+                self.qelements.push(j, c / r)
+                break
+            pop()
             entries.append((i, u, c))
-            if self._place(j, i, c, r) == M and self.nh[j] == len(entries) - 1:
-                self.qhml.push(j, c)  # the first M entry prices the element
-            self._touch(i)
-
-    def _place(self, j: int, i: int, c: float, r: float) -> int:
-        """Count the entry just appended to index[j] in the class of its
-        marginal c, capped by the class of the entry before it."""
-        n = len(self.index[j]) - 1
-        prev = H if self.nh[j] == n else M if self.nm[j] == n else L
-        cls = min(self._segment(c, r), prev)
-        if cls == H:
-            self.nh[j] += 1
-            self.est_h[i] += c
-            self.h_count[i] += 1
-        elif cls == M:
-            self.est_m[i] += 1
-        if cls != L:
-            self.nm[j] += 1
-        return cls
+            if nm == n:  # the entry before is H or M, or there is none
+                if c >= tau and nh == n:
+                    nh += 1
+                    est_h[i] += c
+                    h_count[i] += 1
+                else:
+                    if nh == n:
+                        self.qhml.push(j, c)  # the first M entry prices the element
+                    est_m[i] += 1
+                nm += 1
+            n += 1
+            dirty.add(i)
+        self.nh[j], self.nm[j] = nh, nm
+        self.stats["rev_pops"] += n - start
+        if not entries:
+            del self.index[j]
 
     def _reprice(self, j: int, priority: float) -> None:
         if priority > 0.0:
@@ -392,86 +384,118 @@ class SkimRun:
     def _reclassify_up(self, j: int) -> None:
         """Promote M and L entries to H, then revive L entries to M, as far
         as their stored marginals allow under the current tau; reprice j
-        from the marginals at which the two loops stopped."""
+        from the marginals at which the two loops stopped.  Both loops only
+        add to h_count, so no est_h needs snapping here."""
         entries = self.index.get(j, [])
-        r = self.rank[j]
+        n = len(entries)
+        r, tau = self.rank[j], self.tau
+        rtau = r * tau
+        est_h, est_m, h_count, dirty = self.est_h, self.est_m, self.h_count, self.dirty
         nh, nm = self.nh[j], self.nm[j]
-        touched = set()
         c = 0.0
-        while nh < len(entries):
+        while nh < n:
             i, _, c = entries[nh]
-            if self._segment(c, r) != H:
+            if c < tau:
                 break
-            self.est_h[i] += c
-            self.h_count[i] += 1
+            est_h[i] += c
+            h_count[i] += 1
             if nh < nm:
-                self.est_m[i] -= 1  # the entry was M
-            touched.add(i)
+                est_m[i] -= 1  # the entry was M
+            dirty.add(i)
             nh += 1
         nm = max(nm, nh)
         first_m, priority = c, 0.0  # c prices entries[nh], the first M if any
-        while nm < len(entries):
+        while nm < n:
             i, _, c = entries[nm]
-            if self._segment(c, r) == L:
+            if c < rtau:
                 priority = c / r
                 break
-            self.est_m[i] += 1
-            touched.add(i)
+            est_m[i] += 1
+            dirty.add(i)
             nm += 1
         self.nh[j], self.nm[j] = nh, nm
         self._reprice(j, max(priority, first_m) if nh < nm else priority)
-        for i in touched:
-            self._touch(i)
 
     def move_down(self, j: int, x: float, new_seed: int) -> None:
         """Fold utility x of the new seed into element j's digest, then
         reclassify j's entries against the updated digest.
 
         Each entry's old contribution comes off by its position; an H
-        entry's is its stored marginal.  An entry at or below the digest's
-        threshold lies past the last positive gamma coefficient, so its
-        marginal is exactly zero and it is dropped unpriced, as are the
-        new seed's own entry and any other seed's.  Every other entry is
-        priced once, nc = w * marg(u), and stored with nc; entries where
-        nc is zero are dropped too.  The rest keep their order and take
-        the class of nc, capped by the class of the entry before.  The
-        element's move_up priority comes from the same nc values.
+        entry's is its stored marginal.  The new seed's own entry and any
+        other seed's are dropped unpriced.  Every other entry is priced
+        once, nc = w * marg(u), and dropped if nc is zero; the rest keep
+        their order, are stored with nc and take the class of nc, capped
+        by the class of the entry before.  The element's move_up priority
+        comes from the same nc values.  Utilities do not increase along
+        the list, so pricing stops at the first one at or below the
+        digest's threshold: that entry and every later one lies past the
+        last positive gamma coefficient, has marginal exactly zero, and
+        only has its old H or M contribution taken off.  An item has at
+        most one entry per element, so its est_h is snapped (if it has no
+        H entry left) as soon as that entry is done.
         """
         digest = self.digests[j]
         digest.update(x)
         entries = self.index.get(j)
         if not entries:
             return
-        w = self.problem.weight(j)
-        r = self.rank[j]
-        thresh = digest.thresh()
+        w, r, tau = self.problem.weight(j), self.rank[j], self.tau
+        rtau = r * tau
+        marg, thresh = digest.marg, digest.thresh()
+        seeds, dirty = self.seeds, self.dirty
+        est_h, est_m, h_count = self.est_h, self.est_m, self.h_count
         old_h, old_m = self.nh[j], self.nm[j]
-        self.nh[j] = self.nm[j] = 0
-        self.index[j] = kept = []
+        kept = []
+        nh = nm = 0
         prev, priority = H, 0.0
-        touched = set()
+        cut = len(entries)
         for pos, (i, u, c) in enumerate(entries):
+            if u <= thresh:
+                cut = pos
+                break
             if pos < old_h:
-                self.est_h[i] -= c
-                self.h_count[i] -= 1
+                est_h[i] -= c
+                h_count[i] -= 1
             elif pos < old_m:
-                self.est_m[i] -= 1
+                est_m[i] -= 1
             cls = L
-            if u > thresh and i != new_seed and i not in self.seeds:
-                nc = w * digest.marg(u)
+            if i != new_seed and i not in seeds:
+                nc = w * marg(u)
                 if nc > 0.0:
                     kept.append((i, u, nc))
-                    cls = self._place(j, i, nc, r)
+                    cls = H if nc >= tau else M if nc >= rtau else L
+                    if cls > prev:
+                        cls = prev  # capped by the entry before
+                    if cls == H:
+                        nh += 1
+                        est_h[i] += nc
+                        h_count[i] += 1
+                    elif cls == M:
+                        est_m[i] += 1
+                    if cls != L:
+                        nm += 1
                     if cls < prev:  # the entry opens the M or the L segment
                         priority = max(priority, nc if cls == M else nc / r)
                     prev = cls
             if pos < old_m or cls != L:
-                touched.add(i)
-        if not kept:
+                if h_count[i] == 0:
+                    est_h[i] = 0.0
+                dirty.add(i)
+        for i, _, c in entries[cut:old_h]:  # the zero tail's H entries
+            est_h[i] -= c
+            h_count[i] -= 1
+            if h_count[i] == 0:
+                est_h[i] = 0.0
+            dirty.add(i)
+        for i, _, _ in entries[max(cut, old_h):old_m]:  # and its M entries
+            est_m[i] -= 1
+            dirty.add(i)
+        self.nh[j], self.nm[j] = nh, nm
+        if kept:
+            self.index[j] = kept
+        else:
             del self.index[j]
         self._reprice(j, priority)
-        for i in touched:
-            self._touch(i)
 
     # -- driver ----------------------------------------------------------------
 

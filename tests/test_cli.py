@@ -352,8 +352,11 @@ def test_main_exit_codes(tmp_path, capsys):
         "--input", graph, "--kind", "graph", "--family", "distance",
         "--alpha", f"table:{missing}",
     ]) == 2
+    unwritable = str(tmp_path / "no-such-dir" / "r.csv")
+    assert main(["--input", src, "--kind", "matrix", "--output", unwritable]) == 2
     err = capsys.readouterr().err
     assert err.count(f"infmax: {missing}: cannot read") == 2
+    assert f"infmax: {unwritable}: cannot write: " in err
     assert "Traceback" not in err
 
 

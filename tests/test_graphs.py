@@ -70,6 +70,12 @@ def test_family_validation():
         UtilityFamily("nearest")
 
 
+def table_step(points, x):
+    """Value of the last breakpoint at or below x; the first value below all."""
+    below = [v for bx, v in points if bx <= x]
+    return below[-1] if below else points[0][1]
+
+
 def test_alpha_forms():
     t = Alpha.threshold(2.0)
     assert t(2.0) == 1.0 and t(2.1) == 0.0
@@ -80,9 +86,32 @@ def test_alpha_forms():
     assert INV(0.0) == 1.0  # clamped below 1 so self-distances stay finite
     tab = Alpha.table([(0.0, 1.0), (1.5, 0.5), (3.0, 0.0)])
     assert tab(0.0) == 1.0 and tab(1.4) == 1.0 and tab(1.5) == 0.5 and tab(5.0) == 0.0
-    assert tab(math.inf) == 0.0
     with pytest.raises(ValueError):
         Alpha.table([(0.0, 0.5), (1.0, 0.7)])  # increasing values
+    # every kind maps an unreachable (infinite) distance or rank to zero,
+    # threshold:inf included, and agrees with its formula bit for bit on
+    # a grid holding 0, 1, the breakpoints and their neighbours
+    steps = [(0.0, 1.0), (1.5, 0.5), (3.0, 0.0)]
+    above_zero = [(1.0, 0.8), (2.5, 0.25)]
+    kinds = [
+        (Alpha.threshold(2.0), lambda x: 1.0 if x <= 2.0 else 0.0),
+        (Alpha.threshold(math.inf), lambda x: 1.0),
+        (Alpha.threshold(0.0), lambda x: 1.0 if x <= 0.0 else 0.0),
+        (INV, lambda x: 1.0 / max(x, 1.0)),
+        (Alpha.exponential(2.0), lambda x: math.exp(-x / 2.0)),
+        (Alpha.exponential(0.3), lambda x: math.exp(-x / 0.3)),
+        (Alpha.table(steps), lambda x: table_step(steps, x)),
+        (Alpha.table(above_zero), lambda x: table_step(above_zero, x)),
+    ]
+    breaks = (0.0, 1.0, 1.5, 2.0, 2.5, 3.0)
+    grid = [0.25, 0.5, 4.0, 7.0, 1e300, *breaks]
+    grid += [math.nextafter(b, -math.inf) for b in breaks[1:]]
+    grid += [math.nextafter(b, math.inf) for b in breaks]
+    for alpha, formula in kinds:
+        assert alpha(math.inf) == 0.0, alpha.kind
+        for x in grid:
+            assert alpha(x) == formula(x), (alpha.kind, x)
+            assert type(alpha(x)) is float, (alpha.kind, x)
 
 
 def test_alpha_rejects_nan():

@@ -33,8 +33,9 @@ HALF = AggregationSpec((1.0, 0.5))
 def validate_state(run):
     """Recompute segment classes and estimate components from scratch.
 
-    Checks, at every next_seed entry: each entry's stored marginal equals
-    a fresh one bit for bit, segment markers agree with the value-based
+    Checks, at every next_seed entry: utilities are non-increasing along
+    each element's list, each entry's stored marginal equals a fresh one
+    bit for bit, segment markers agree with the value-based
     classification, est components match their definitional sums, and any
     item holding >= k live samples has estimate >= k*tau.
     """
@@ -48,6 +49,9 @@ def validate_state(run):
         digest = run.digests[j]
         nh, nm = run.nh[j], run.nm[j]
         assert 0 <= nh <= nm <= len(entries)
+        # move_down stops pricing at the first entry at or below the
+        # digest's threshold, which needs utilities non-increasing
+        assert all(a[1] >= b[1] for a, b in zip(entries, entries[1:])), j
         for pos, (i, u, c) in enumerate(entries):
             assert c == w * digest.marg(u), (j, pos, c)
             if pos < nh:
@@ -286,6 +290,29 @@ def test_move_down_drops_the_new_seeds_own_entry():
     assert run.index[0] == [(0, 1.0, run.digests[0].marg(1.0))]
 
 
+def test_move_down_drops_the_zero_tail_unpriced():
+    # the updated threshold (2.0 under max aggregation) cuts the list after
+    # the kept H entry; the cut-off tail holds an H, an M and an L entry
+    m = SparseUtilityMatrix(5, 1, [(0, 0, 4.0), (1, 0, 2.0), (2, 0, 1.0), (3, 0, 0.5), (4, 0, 2.0)])
+    run = make_run(m, MAX, k=4, rng_seed=0)
+    run.rank[0] = 0.5
+    run.tau = 1.5  # H: c >= 1.5, M: c >= 0.75
+    run.index = {0: index_entries(run, 0, [(0, 4.0), (1, 2.0), (2, 1.0), (3, 0.5)])}
+    run.nh, run.nm = [2], [3]
+    run.est_h = [4.0, 2.0, 0.0, 0.0, 0.0]
+    run.h_count = [1, 1, 0, 0, 0]
+    run.est_m = [0, 0, 1, 0, 0]
+
+    run.move_down(0, 2.0, 4)
+    assert run.index[0] == [(0, 4.0, 2.0)]  # the kept entry, repriced, still H
+    assert run.nh[0] == run.nm[0] == 1
+    assert run.est_h == [2.0, 0.0, 0.0, 0.0, 0.0]  # the tail's H contribution is gone
+    assert run.h_count == [1, 0, 0, 0, 0]
+    assert run.est_m == [0, 0, 0, 0, 0]  # and so is its M contribution
+    assert run.dirty == {0, 1, 2}  # kept, H and M entries; not the L entry's item
+    assert run.qhml.peek() is None  # every remaining entry is H
+
+
 def test_reclassify_up_prices_both_boundaries():
     # hand-made state: boundary margs 0.4 (first M) and 0.3 (first L); at
     # tau = 2 neither moves, so the element is repriced from both
@@ -470,13 +497,13 @@ GRAPH_FAMILIES = {
 GAMMAS = {"max": (1.0,), "half": (1.0, 0.5), "top3": (1.0, 1.0, 1.0)}
 
 
-def fixture_problem(source, gamma):
-    """The seeded 16-node, 2-instance graph under one family, or the
+def fixture_problem(source, gamma, n=16):
+    """The seeded n-node, 2-instance graph under one family, or the
     weighted matrix."""
     spec = AggregationSpec(GAMMAS[gamma])
     if source == "matrix":
         return MatrixProblem(weighted_matrix(), spec)
-    inst = random_instances(random.Random(73), 16, 2)
+    inst = random_instances(random.Random(73), n, 2)
     return GraphProblem(inst, GRAPH_FAMILIES[source], spec)
 
 
@@ -526,12 +553,28 @@ PINNED_SEQUENCES = {
 }
 
 
-@pytest.mark.parametrize("source,gamma,rank_mode", sorted(PINNED_SEQUENCES))
-def test_skim_sequences_are_pinned(source, gamma, rank_mode):
-    seq = run_skim(fixture_problem(source, gamma), k=8, rng_seed=3, rank_mode=rank_mode)
+# the same on the seeded 120-node, 2-instance graph with k=16, where
+# move_down walks thousands of index entries per run instead of a few
+PINNED_SEQUENCES_120 = {
+    ("distance", "half", "permutation"): "a43deb996c808ed4111366223d62ae1ec99604b2ba03561c4c8f57a3176d1420",
+    ("distance", "half", "uniform"): "8395a111bf20ac0131e576e9a7bdadb8e1a56334959973b1edbffe91c318b02f",
+    ("reachability", "max", "permutation"): "068460b1bee9b4d5ece4963b73c79723ddf7ba4ce5047bd0f6d37abb1fd16af2",
+    ("reachability", "max", "uniform"): "91d4d7c816a4c37d2cc7c221b7aee3597415935a9a7fdfec5e0a0b8720c0c640",
+    ("reverse_rank", "top3", "permutation"): "45a106c8226434d3c0465b3279da324ab0520d9b15ddf9b8e669b36a0d5ee392",
+    ("reverse_rank", "top3", "uniform"): "29caac52d391a97cd33fbd1f300d7f3f193a67c629994ab21be9156720df7393",
+}
+
+
+@pytest.mark.parametrize(
+    "n,k,source,gamma,rank_mode,expected",
+    [pytest.param(16, 8, *key, d, id="-".join(key)) for key, d in sorted(PINNED_SEQUENCES.items())]
+    + [pytest.param(120, 16, *key, d, id="n120-" + "-".join(key))
+       for key, d in sorted(PINNED_SEQUENCES_120.items())],
+)
+def test_skim_sequences_are_pinned(n, k, source, gamma, rank_mode, expected):
+    seq = run_skim(fixture_problem(source, gamma, n), k=k, rng_seed=3, rank_mode=rank_mode)
     text = repr([(r.item, r.estimate, r.gain, r.cumulative) for r in seq])
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == PINNED_SEQUENCES[(source, gamma, rank_mode)]
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("source", sorted(GRAPH_FAMILIES) + ["matrix"])
