@@ -19,7 +19,10 @@ best stored seed utility, which provably cannot hide any element where
 the item still has positive marginal utility.
 
 Each oracle is one loop over a row of the family table (_FAMILY_TABLE),
-so a new family is one table row plus one reference branch below.
+so a new family is one table row plus one reference branch below.  A
+GraphProblem resolves its family's row once, at construction, so a
+reverse stream is one frontier plus its generator; rev_sorted_stream and
+forward_search go through a one-off GraphProblem.
 
 Reference (brute-force) utilities are computed through scipy.sparse.csgraph
 and a descending threshold sweep, deliberately independent code paths from
@@ -31,6 +34,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -150,19 +154,13 @@ def _check_edges(n: int, edges) -> None:
 class RankTable:
     """Exact per-instance Dijkstra ranks from full single-source searches.
 
-    pi[src][dst] counts the nodes src reaches at least as cheaply as it
-    reaches dst (weak inequality, so equidistant nodes share a rank);
-    unreachable pairs get inf.
+    tables[h][src][dst] counts the nodes src reaches at least as cheaply
+    as it reaches dst in instance h (weak inequality, so equidistant nodes
+    share a rank); unreachable pairs get inf.
     """
 
     def __init__(self, tables: list[np.ndarray]):
         self.tables = tables
-
-    def row(self, h: int, src: int) -> np.ndarray:
-        return self.tables[h][src]
-
-    def pi(self, h: int, src: int, dst: int) -> float:
-        return float(self.tables[h][src][dst])
 
 
 def ranks_from_distances(dist_row: np.ndarray) -> np.ndarray:
@@ -429,56 +427,88 @@ _FAMILY_TABLE = {
 }
 
 
-def rev_sorted_stream(
-    instances: GraphInstanceSet, family: UtilityFamily, j: int
-) -> RevStream:
-    """Incremental reverse sorted access for element j; the stream ends at
-    the first zero utility, since later ones only shrink."""
-    v, h = instances.node_of(j), instances.instance_of(j)
-    row = _FAMILY_TABLE[family.kind]
-    ranks = instances.rank_table().row(h, v) if row.needs_ranks else None
-    frontier = row.frontier(getattr(instances, row.rev_adj)[h], v, instances.caps[h])
-
-    def search():
-        next_, expand = frontier.next, frontier.expand
-        amap = family.alpha.map if row.needs_alpha else None
-        while (step := next_()) is not None:
-            node, u = step
-            if ranks is not None:
-                u = float(ranks[node])
-            if amap is not None:
-                u = amap(u)
-            if u <= 0.0:
-                return
-            expand(node)
-            yield node, u
-
-    return RevStream(search())
+def _rev_pairs(frontier, ranks, amap):
+    """(node, utility) pairs of one reverse search by non-increasing
+    utility, ending at the first zero, since later ones only shrink.
+    ranks maps a settled node to its rank first (reverse rank only) and
+    amap maps label or rank to the utility (None: the label is it)."""
+    next_, expand = frontier.next, frontier.expand
+    while (step := next_()) is not None:
+        node, u = step
+        if ranks is not None:
+            u = float(ranks[node])
+        if amap is not None:
+            u = amap(u)
+        if u <= 0.0:
+            return
+        expand(node)
+        yield node, u
 
 
-def forward_search(
-    instances: GraphInstanceSet, family: UtilityFamily, i: int, digests: DigestTable
-) -> ForwardStream:
-    """Pruned forward search from item i across all instances.
+class GraphProblem:
+    """Oracle bundle over graph instances, as consumed by the maximizer.
 
-    Expansion stops at an element whose stored k-th best seed utility
-    already beats the item's utility there, strictly or weakly as the
-    family's pruning argument allows.  Yielded (element, utility, gain)
-    triples are exactly the elements where the item's marginal gain is
-    positive, each with that gain.
+    The family's table row is resolved once, here: the frontier class, the
+    adjacency each oracle walks, the instances' caps, the alpha map (None
+    when the label is the utility) and, for reverse rank only, the rank
+    tables.  A reverse stream is then one frontier plus the generator
+    _rev_pairs over it, and a forward search reads the same bound state.
+    spec is the aggregation the maximizer reads; the oracles ignore it,
+    so the one-off problems of rev_sorted_stream and forward_search pass None.
     """
-    row = _FAMILY_TABLE[family.kind]
-    adj = instances.adj if row.rev_adj == "tadj" else instances.tadj
-    table = instances.rank_table() if row.needs_ranks else None
 
-    def search(stream):
-        prune, zero_skips, caps = row.prune, row.zero_skips, instances.caps
-        amap = family.alpha.map if row.needs_alpha else None
+    def __init__(self, instances: GraphInstanceSet, family: UtilityFamily, spec):
+        row = _FAMILY_TABLE[family.kind]
+        self.instances = instances
+        self.family = family
+        self.spec = spec
+        self.n_items = instances.n
+        self.n_elements = instances.n_elements
+        self._frontier = row.frontier
+        self._rev_adj = getattr(instances, row.rev_adj)
+        self._fwd_adj = instances.adj if row.rev_adj == "tadj" else instances.tadj
+        self._caps = instances.caps
+        self._amap = family.alpha.map if row.needs_alpha else None
+        self._ranks = instances.rank_table().tables if row.needs_ranks else None
+        self._prune = row.prune
+        self._zero_skips = row.zero_skips
+
+    def weight(self, j: int) -> float:
+        return 1.0
+
+    def rev_stream(self, j: int) -> RevStream:
+        """Incremental reverse sorted access for element j."""
+        if not 0 <= j < self.n_elements:
+            raise ValueError(f"unknown element {j}")
+        h, v = divmod(j, self.n_items)
+        ranks = self._ranks
+        return RevStream(_rev_pairs(
+            self._frontier(self._rev_adj[h], v, self._caps[h]),
+            None if ranks is None else ranks[h][v],
+            self._amap,
+        ))
+
+    def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
+        """Pruned forward search from item i across all instances.
+
+        Expansion stops at an element whose stored k-th best seed utility
+        already beats the item's utility there, strictly or weakly as the
+        family's pruning argument allows.  Yielded (element, utility, gain)
+        triples are exactly the elements where the item's marginal gain is
+        positive, each with that gain.
+        """
+        if not 0 <= i < self.n_items:
+            raise ValueError(f"unknown item {i}")
+        return ForwardStream(digests, partial(self._forward_triples, i, digests))
+
+    def _forward_triples(self, i: int, digests: DigestTable, stream: ForwardStream):
+        frontier_of, adj, caps, tables = self._frontier, self._fwd_adj, self._caps, self._ranks
+        amap, prune, zero_skips, n = self._amap, self._prune, self._zero_skips, self.n_items
         elements = digests.digests
-        for h in range(instances.count):
-            base = h * instances.n
-            ranks = table.tables[h][:, i] if table is not None else None
-            frontier = row.frontier(adj[h], i, caps[h])
+        for h in range(len(adj)):
+            base = h * n
+            ranks = tables[h][:, i] if tables is not None else None
+            frontier = frontier_of(adj[h], i, caps[h])
             next_, expand = frontier.next, frontier.expand
             while (step := next_()) is not None:
                 node, u = step
@@ -498,7 +528,19 @@ def forward_search(
                 if c > 0.0:
                     yield base + node, u, c
 
-    return ForwardStream(digests, search)
+
+def rev_sorted_stream(
+    instances: GraphInstanceSet, family: UtilityFamily, j: int
+) -> RevStream:
+    """GraphProblem.rev_stream for a one-off element."""
+    return GraphProblem(instances, family, None).rev_stream(j)
+
+
+def forward_search(
+    instances: GraphInstanceSet, family: UtilityFamily, i: int, digests: DigestTable
+) -> ForwardStream:
+    """GraphProblem.forward_stream for a one-off item."""
+    return GraphProblem(instances, family, None).forward_stream(i, digests)
 
 
 def marg_gain(
@@ -517,38 +559,17 @@ def add_seed(
 ) -> float:
     """Add item i to the seed set: fold its utilities into every digest it
     still improves and return the marginal gain."""
+    stream = forward_search(instances, family, i, digests)  # checks i first
     if seeds is not None:
         if i in seeds:
             raise ValueError(f"item {i} is already a seed")
         seeds.add(i)
     gain = 0.0
-    for j, u, c in forward_search(instances, family, i, digests):
+    for j, u, c in stream:
         gain += c
         digests[j].update(u)
     digests.mark_seed_added()
     return gain
-
-
-class GraphProblem:
-    """Oracle bundle over graph instances, as consumed by the maximizer."""
-
-    def __init__(self, instances: GraphInstanceSet, family: UtilityFamily, spec):
-        self.instances = instances
-        self.family = family
-        self.spec = spec
-        self.n_items = instances.n
-        self.n_elements = instances.n_elements
-        if _FAMILY_TABLE[family.kind].needs_ranks:
-            instances.rank_table()
-
-    def weight(self, j: int) -> float:
-        return 1.0
-
-    def rev_stream(self, j: int) -> RevStream:
-        return rev_sorted_stream(self.instances, self.family, j)
-
-    def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
-        return forward_search(self.instances, self.family, i, digests)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from infmax import (
     DigestTable,
     DirectedGraph,
     GraphInstanceSet,
+    GraphProblem,
     StaleStreamError,
     UtilityFamily,
     add_seed,
@@ -255,11 +256,11 @@ def test_rank_table_diagonal_and_reference_agreement():
     table = inst.rank_table()
     for h in range(2):
         for v in range(12):
-            assert table.pi(h, v, v) == 1.0
+            row = table.tables[h][v]
+            assert row[v] == 1.0
             ranks = ranks_from_distances(inst.distances(h, source=v))
             finite = sorted(r for r in ranks if math.isfinite(r))
-            assert finite == sorted(table.row(h, v)[m] for m in range(12)
-                                    if math.isfinite(table.row(h, v)[m]))
+            assert finite == sorted(row[m] for m in range(12) if math.isfinite(row[m]))
 
 
 # -- reverse sorted access ------------------------------------------------------------
@@ -320,6 +321,36 @@ def test_rev_stream_top_is_stable():
     assert s.top()[0] == 2
     s.close()
     assert s.pop() is None
+
+
+@pytest.mark.parametrize("fam", [DIST_INV, RANK_INV, REACH, SURV], ids=lambda f: f.kind)
+def test_streams_of_one_problem_share_no_state(fam):
+    # the problem binds its family row once; every stream must still own
+    # its frontier, so interleaved or successive streams cannot interfere
+    inst = random_instances(random.Random(29), 12, 2)
+    problem = GraphProblem(inst, fam, MAX)
+
+    def fresh(j):
+        return drain(rev_sorted_stream(GraphInstanceSet(inst.n, inst.instances), fam, j))
+
+    lengths = []
+    for j in range(inst.n_elements):
+        a, b = problem.rev_stream(j), problem.rev_stream(j)
+        got = []
+        while True:
+            ta = a.pop()
+            b.top()
+            assert b.pop() == ta
+            if ta is None:
+                break
+            got.append(ta)
+        assert got == fresh(j)
+        lengths.append(len(got))
+    assert max(lengths) > 3  # the interleaving ran over several entries
+
+    for j in range(inst.n_elements):
+        drain(problem.rev_stream((j + 1) % inst.n_elements))
+        assert drain(problem.rev_stream(j)) == fresh(j)
 
 
 # -- forward search --------------------------------------------------------------------

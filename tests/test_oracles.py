@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -16,13 +17,17 @@ from infmax import (
     SparseUtilityMatrix,
     StaleStreamError,
     UtilityFamily,
+    add_seed,
     aggregate,
     exact_greedy,
     exact_influence,
+    forward_search,
     lazy_greedy,
+    marg_gain,
     matrix_forward_search,
     matrix_rev_sorted_stream,
     optimal_subset,
+    rev_sorted_stream,
     sequence_items,
 )
 from infmax.oracles import ForwardStream, RevStream
@@ -156,6 +161,50 @@ def test_stream_contract(make):
                 assert c == table[j].marg(u) and c > 0.0
                 yields += 1
     assert yields > 0
+
+
+def two_instance_graph():
+    inst = GraphInstanceSet(2, [[(0, 1, 1.0)], [(1, 0, 1.0)]])  # 2 items, 4 elements
+    return inst, UtilityFamily("distance", Alpha.exponential(1.0))
+
+
+def matrix_id_checks():
+    m = SparseUtilityMatrix(2, 3, [(0, 0, 1.0), (1, 2, 0.5)])
+    problem = MatrixProblem(m, MAX)
+    return (problem, [problem.rev_stream, partial(matrix_rev_sorted_stream, m)],
+            [problem.forward_stream, partial(matrix_forward_search, m)])
+
+
+def graph_id_checks():
+    inst, fam = two_instance_graph()
+    problem = GraphProblem(inst, fam, MAX)
+    return (problem, [problem.rev_stream, partial(rev_sorted_stream, inst, fam)],
+            [problem.forward_stream, partial(forward_search, inst, fam),
+             partial(marg_gain, inst, fam), partial(add_seed, inst, fam)])
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["-1", "n"])
+@pytest.mark.parametrize("make", [matrix_id_checks, graph_id_checks], ids=["matrix", "graph"])
+def test_out_of_range_ids_are_rejected(make, past_end):
+    problem, rev_calls, fwd_calls = make()
+    j = problem.n_elements if past_end else -1
+    i = problem.n_items if past_end else -1
+    table = DigestTable(problem.n_elements, MAX)
+    for call in rev_calls:
+        with pytest.raises(ValueError, match="unknown element"):
+            call(j)
+    for call in fwd_calls:
+        with pytest.raises(ValueError, match="unknown item"):
+            call(i, table)
+    assert table.version == 0 and all(d.marg(1.0) == 1.0 for d in table)
+
+
+def test_add_seed_keeps_the_seed_set_on_a_bad_item():
+    inst, fam = two_instance_graph()
+    seeds = {0}
+    with pytest.raises(ValueError, match="unknown item"):
+        add_seed(inst, fam, 2, DigestTable(inst.n_elements, MAX), seeds)
+    assert seeds == {0}
 
 
 # -- forward search --------------------------------------------------------------

@@ -1,0 +1,67 @@
+"""The paired-run verdict of scripts/pairs.py, on fixed numbers."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "pairs.py")
+_spec = importlib.util.spec_from_file_location("pairs", _PATH)
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+PARENT = [0.150, 0.152, 0.149, 0.155, 0.151, 0.153, 0.150, 0.154, 0.152, 0.151]
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert pairs.quartiles([0.0, 4.0]) == (1.0, 2.0, 3.0)
+    with pytest.raises(ValueError):
+        pairs.quartiles([1.0])
+
+
+def test_clear_gain_is_claimed():
+    change = [p - 0.008 for p in PARENT]
+    v = pairs.verdict(PARENT, change, 0, 0)
+    assert (v["pairs"], v["wins"], v["losses"]) == (10, 10, 0)
+    assert v["median_gap"] == pytest.approx(0.008)
+    assert v["parent_quartile_spread"] == pytest.approx(0.0025)
+    assert v["gain"]
+
+
+def test_nine_of_ten_wins_still_counts():
+    change = [p - 0.008 for p in PARENT]
+    change[3] = PARENT[3] + 0.001
+    v = pairs.verdict(PARENT, change, 0, 0)
+    assert (v["wins"], v["losses"]) == (9, 1) and v["gain"]
+
+
+def test_eight_wins_or_a_tie_is_not_enough():
+    change = [p - 0.008 for p in PARENT]
+    change[3] = PARENT[3] + 0.001
+    change[5] = PARENT[5] + 0.001
+    assert not pairs.verdict(PARENT, change, 0, 0)["gain"]
+    tied = [p - 0.008 for p in PARENT]
+    tied[3] = PARENT[3]
+    tied[5] = PARENT[5] + 0.001
+    v = pairs.verdict(PARENT, tied, 0, 0)
+    assert (v["wins"], v["losses"]) == (8, 1) and not v["gain"]
+
+
+def test_median_gap_inside_the_parent_spread_is_not_a_gain():
+    change = [p - 0.002 for p in PARENT]  # wins every pair, by less than Q3 - Q1
+    v = pairs.verdict(PARENT, change, 0, 0)
+    assert v["wins"] == 10 and not v["gain"]
+
+
+def test_extra_failed_solves_turn_the_gain_off():
+    change = [p - 0.008 for p in PARENT]
+    assert pairs.verdict(PARENT, change, 2, 2)["gain"]
+    v = pairs.verdict(PARENT, change, 0, 1)
+    assert (v["wins"], v["parent_failed"], v["change_failed"]) == (10, 0, 1) and not v["gain"]
+    with pytest.raises(ValueError):
+        pairs.verdict(PARENT, change[:-1], 0, 0)
+
+
+def test_parse_seeds():
+    assert pairs.parse_seeds("2101-2104") == [2101, 2102, 2103, 2104]
