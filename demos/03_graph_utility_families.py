@@ -12,11 +12,10 @@ from infmax import (
     Alpha,
     DigestTable,
     GraphInstanceSet,
+    GraphProblem,
     UtilityFamily,
     add_seed,
-    forward_search,
     pairwise_utility,
-    rev_sorted_stream,
 )
 
 #      0 --2.0--> 1 --1.0--> 2
@@ -40,17 +39,17 @@ for name, fam in families.items():
         row = "".join(f" {pairwise_utility(inst, fam, i, j):>4.2f}" for j in range(4))
         print(f"  i={i}{row}")
 
-fam = families["distance (alpha = 1/x)"]
+problem = GraphProblem(inst, families["distance (alpha = 1/x)"], AggregationSpec.maximum())
 print("\nreverse sorted access for element 2 (items by non-increasing utility):")
-stream = rev_sorted_stream(inst, fam, 2)
+stream = problem.rev_stream(2)
 while (t := stream.pop()) is not None:
     print(f"  item {t[0]} with utility {t[1]:.3f}")
 
 print("\nforward search from node 0 before and after seeding node 1:")
-digests = DigestTable(inst.n_elements, AggregationSpec.maximum())
-print("  before:", [(j, u) for j, u, _ in forward_search(inst, fam, 0, digests)])
-gain = add_seed(inst, fam, 1, digests)
+digests = DigestTable(inst.n_elements, problem.spec)
+print("  before:", [(j, u) for j, u, _ in problem.forward_stream(0, digests)])
+gain = add_seed(problem, 1, digests)
 print(f"  seeding node 1 gains {gain:.3f}")
-stream = forward_search(inst, fam, 0, digests)
+stream = problem.forward_stream(0, digests)
 pairs = [(j, u) for j, u, _ in stream]
 print("  after :", pairs, f"({stream.visited} nodes settled, rest pruned)")

@@ -4,9 +4,11 @@ The library covers three layers:
 
 * aggregation: weighted top-k aggregation functions and per-element
   utility digests answering marginal-gain queries;
-* oracles: reverse sorted access and forward search over explicit
-  matrices or graph instance sets (distance, reverse-rank, reachability
-  and survival-threshold utilities), plus brute-force baselines;
+* oracles: problem bundles over explicit matrices (MatrixProblem) or
+  graph instance sets (GraphProblem: distance, reverse-rank, reachability
+  and survival-threshold utilities), the one way into reverse sorted
+  access and forward search; marg_gain and add_seed over either; and
+  brute-force baselines;
 * maximizers: lazy greedy for explicit matrices and the sketch-based
   sampler (run_skim) that needs only oracle access.
 """
@@ -26,11 +28,7 @@ from .graphs import (
     GraphProblem,
     RankTable,
     UtilityFamily,
-    add_seed,
-    forward_search,
-    marg_gain,
     pairwise_utility,
-    rev_sorted_stream,
     simulate_instances,
     to_utility_matrix,
 )
@@ -38,10 +36,10 @@ from .greedy import GreedySequence, SeedRecord, lazy_greedy, sequence_items
 from .matrix import SparseUtilityMatrix
 from .oracles import (
     MatrixProblem,
+    add_seed,
     exact_greedy,
     exact_influence,
-    matrix_forward_search,
-    matrix_rev_sorted_stream,
+    marg_gain,
     optimal_subset,
 )
 from .skim import SkimRun, default_sample_size, run_skim
@@ -68,14 +66,10 @@ __all__ = [
     "dominates",
     "exact_greedy",
     "exact_influence",
-    "forward_search",
     "lazy_greedy",
     "marg_gain",
-    "matrix_forward_search",
-    "matrix_rev_sorted_stream",
     "optimal_subset",
     "pairwise_utility",
-    "rev_sorted_stream",
     "run_skim",
     "sequence_items",
     "simulate_instances",

@@ -23,9 +23,16 @@ from .graphs import (
     simulate_instances,
     to_utility_matrix,
 )
-from .greedy import GreedySequence, lazy_greedy
+from .greedy import GreedySequence, lazy_greedy, sequence_items
 from .matrix import SparseUtilityMatrix
-from .oracles import MatrixProblem, exact_greedy, exact_influence, optimal_subset
+from .oracles import (
+    MatrixProblem,
+    add_seed,
+    exact_greedy,
+    exact_influence,
+    marg_gain,
+    optimal_subset,
+)
 from .skim import run_skim
 
 ENV_SEED = "INFMAX_SEED"
@@ -214,32 +221,23 @@ def _aggregation(config: RunConfig) -> AggregationSpec:
     return AggregationSpec.maximum()
 
 
-def _verify_report(matrix: SparseUtilityMatrix, spec, sequence: GreedySequence, out) -> None:
+def _verify_report(problem: MatrixProblem, sequence: GreedySequence, out) -> None:
     """Compare each selected seed's gain against the exact per-step maximum."""
-    if matrix.n_items > 1000:
-        raise ConfigError("verify refuses more than 1000 items (greedy baseline)")
-    digests = DigestTable(matrix.n_elements, spec)
-    weights = matrix.element_weights
-    selected = []  # in selection order
+    matrix, spec = problem.matrix, problem.spec
+    digests = DigestTable(problem.n_elements, spec)
     taken = set()
     for rec in sequence:
         if rec.below_cutoff:
             continue
-        best = 0.0
-        for i in range(matrix.n_items):
-            if i in taken:
-                continue
-            gain = sum(weights[j] * digests[j].marg(u) for j, u in matrix.rows[i])
-            best = max(best, gain)
+        rest = (i for i in range(problem.n_items) if i not in taken)
+        best = max((marg_gain(problem, i, digests) for i in rest), default=0.0)
         ratio = 1.0 if best == 0.0 else rec.gain / best
         out.write(
-            f"verify seed {len(selected) + 1} item {rec.item} "
+            f"verify seed {len(taken) + 1} item {rec.item} "
             f"gain {rec.gain:.12g} max {best:.12g} ratio {ratio:.6f}\n"
         )
-        for j, u in matrix.rows[rec.item]:
-            digests[j].update(u)
-        selected.append(rec.item)
-        taken.add(rec.item)
+        add_seed(problem, rec.item, digests, taken)
+    selected = sequence_items(sequence)
     total = exact_influence(matrix, spec, selected)
     final = sequence[-1].cumulative if sequence else 0.0
     out.write(f"verify influence {final:.12g} recomputed {total:.12g}\n")
@@ -279,6 +277,8 @@ def run(config: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown input kind {config.kind!r}")
 
+    if config.verify and problem.n_items > 1000:
+        raise ConfigError("verify refuses more than 1000 items (greedy baseline)")
     needs_matrix = config.verify or config.algorithm in ("lazy", "exact")
     if needs_matrix and matrix is None:
         matrix = to_utility_matrix(problem.instances, problem.family)
@@ -300,7 +300,7 @@ def run(config: RunConfig) -> int:
 
     emit_results(sequence, config.output)
     if config.verify:
-        _verify_report(matrix, spec, sequence, sys.stdout)
+        _verify_report(MatrixProblem(matrix, spec), sequence, sys.stdout)
     return 0
 
 

@@ -19,14 +19,16 @@ best stored seed utility, which provably cannot hide any element where
 the item still has positive marginal utility.
 
 Each oracle is one loop over a row of the family table (_FAMILY_TABLE),
-so a new family is one table row plus one reference branch below.  A
-GraphProblem resolves its family's row once, at construction, so a
-reverse stream is one frontier plus its generator; rev_sorted_stream and
-forward_search go through a one-off GraphProblem.
+so a new family is one table row plus one branch of _reference_row.  A
+GraphProblem resolves its family's row once, at construction, and is the
+only way into the graph oracles: rev_stream(j) is one frontier plus its
+generator, forward_stream(i, digests) one pruned search per instance, and
+oracles.marg_gain/add_seed read it as they read a MatrixProblem.
 
 Reference (brute-force) utilities are computed through scipy.sparse.csgraph
 and a descending threshold sweep, deliberately independent code paths from
-the incremental searches so the two can cross-check each other.
+the incremental searches so the two can cross-check each other;
+pairwise_utility and to_utility_matrix both read _reference_row.
 """
 
 import bisect
@@ -332,12 +334,11 @@ class _WidestFrontier:
     lifetime over paths from the source; nodes settle by decreasing label.
     The source's own label is cap, the instance's longest lifetime."""
 
-    __slots__ = ("adj", "label", "parent", "_seen", "_heap")
+    __slots__ = ("adj", "label", "_seen", "_heap")
 
     def __init__(self, adj, source: int, cap: float):
         self.adj = adj
         self.label: dict[int, float] = {}
-        self.parent: dict[int, int | None] = {source: None}
         self._seen = {source: cap}
         self._heap = [(-cap, source)]
 
@@ -352,13 +353,12 @@ class _WidestFrontier:
         return None
 
     def expand(self, v: int) -> None:
-        label, seen, heap, parent = self.label, self._seen, self._heap, self.parent
+        label, seen, heap = self.label, self._seen, self._heap
         t = label[v]
         for w, weight in self.adj[v]:
             cand = min(t, weight)
             if w not in label and cand > seen.get(w, 0.0):
                 seen[w] = cand
-                parent[w] = v
                 heappush(heap, (-cand, w))
 
 
@@ -454,7 +454,7 @@ class GraphProblem:
     tables.  A reverse stream is then one frontier plus the generator
     _rev_pairs over it, and a forward search reads the same bound state.
     spec is the aggregation the maximizer reads; the oracles ignore it,
-    so the one-off problems of rev_sorted_stream and forward_search pass None.
+    so a problem built only to query them may pass None.
     """
 
     def __init__(self, instances: GraphInstanceSet, family: UtilityFamily, spec):
@@ -529,49 +529,6 @@ class GraphProblem:
                     yield base + node, u, c
 
 
-def rev_sorted_stream(
-    instances: GraphInstanceSet, family: UtilityFamily, j: int
-) -> RevStream:
-    """GraphProblem.rev_stream for a one-off element."""
-    return GraphProblem(instances, family, None).rev_stream(j)
-
-
-def forward_search(
-    instances: GraphInstanceSet, family: UtilityFamily, i: int, digests: DigestTable
-) -> ForwardStream:
-    """GraphProblem.forward_stream for a one-off item."""
-    return GraphProblem(instances, family, None).forward_stream(i, digests)
-
-
-def marg_gain(
-    instances: GraphInstanceSet, family: UtilityFamily, i: int, digests: DigestTable
-) -> float:
-    """Marginal influence of item i against the current digests; no mutation."""
-    return sum(c for _, _, c in forward_search(instances, family, i, digests))
-
-
-def add_seed(
-    instances: GraphInstanceSet,
-    family: UtilityFamily,
-    i: int,
-    digests: DigestTable,
-    seeds: set[int] | None = None,
-) -> float:
-    """Add item i to the seed set: fold its utilities into every digest it
-    still improves and return the marginal gain."""
-    stream = forward_search(instances, family, i, digests)  # checks i first
-    if seeds is not None:
-        if i in seeds:
-            raise ValueError(f"item {i} is already a seed")
-        seeds.add(i)
-    gain = 0.0
-    for j, u, c in stream:
-        gain += c
-        digests[j].update(u)
-    digests.mark_seed_added()
-    return gain
-
-
 # ---------------------------------------------------------------------------
 # reference (brute-force) utilities
 
@@ -610,23 +567,33 @@ def survival_thresholds_brute(
     return tau
 
 
+def _reference_row(
+    instances: GraphInstanceSet, family: UtilityFamily, h: int, src: int
+) -> list[float]:
+    """Reference utilities of one search from node src in instance h: of
+    every item at element node src for reverse rank (ranks come from the
+    element's own distances), else of item src at every element node.
+    The only per-family branch of the references; alpha maps inf to 0."""
+    kind = family.kind
+    if kind == REACHABILITY:
+        dist = _sp_dijkstra(instances.csr(h, unit=True), indices=[src], unweighted=True)[0]
+        return np.isfinite(dist).astype(float).tolist()
+    if kind == SURVIVAL:
+        return survival_thresholds_brute(instances, h, src)
+    x = instances.distances(h, source=src)
+    if kind == REVERSE_RANK:
+        x = ranks_from_distances(x)
+    return [family.alpha(t) for t in x.tolist()]
+
+
 def pairwise_utility(
     instances: GraphInstanceSet, family: UtilityFamily, i: int, j: int
 ) -> float:
     """Reference non-incremental utility of item i to element j."""
     v, h = instances.node_of(j), instances.instance_of(j)
-    kind = family.kind
-    if kind == DISTANCE:
-        d = instances.distances(h, source=i)[v]
-        return 0.0 if math.isinf(d) else family.alpha(d)
-    if kind == REVERSE_RANK:
-        ranks = ranks_from_distances(instances.distances(h, source=v))
-        pi = float(ranks[i])
-        return 0.0 if math.isinf(pi) else family.alpha(pi)
-    if kind == REACHABILITY:
-        d = _sp_dijkstra(instances.csr(h, unit=True), indices=[i], unweighted=True)[0][v]
-        return 0.0 if math.isinf(d) else 1.0
-    return survival_thresholds_brute(instances, h, i)[v]
+    if family.kind == REVERSE_RANK:
+        return _reference_row(instances, family, h, v)[i]
+    return _reference_row(instances, family, h, i)[v]
 
 
 def to_utility_matrix(
@@ -634,37 +601,12 @@ def to_utility_matrix(
 ) -> SparseUtilityMatrix:
     """Materialize the full utility matrix through the reference routines."""
     n = instances.n
+    by_element = family.kind == REVERSE_RANK
     entries = []
     for h in range(instances.count):
         base = h * n
-        kind = family.kind
-        if kind == DISTANCE:
-            dist = instances.distances(h)
-            for i in range(n):
-                for v in range(n):
-                    if math.isfinite(dist[i][v]):
-                        u = family.alpha(dist[i][v])
-                        if u > 0:
-                            entries.append((i, base + v, u))
-        elif kind == REVERSE_RANK:
-            dist = instances.distances(h)
-            for v in range(n):
-                ranks = ranks_from_distances(dist[v])
-                for i in range(n):
-                    if math.isfinite(ranks[i]):
-                        u = family.alpha(ranks[i])
-                        if u > 0:
-                            entries.append((i, base + v, u))
-        elif kind == REACHABILITY:
-            dist = _sp_dijkstra(instances.csr(h, unit=True), unweighted=True)
-            for i in range(n):
-                for v in range(n):
-                    if math.isfinite(dist[i][v]):
-                        entries.append((i, base + v, 1.0))
-        else:
-            for i in range(n):
-                taus = survival_thresholds_brute(instances, h, i)
-                for v in range(n):
-                    if taus[v] > 0:
-                        entries.append((i, base + v, taus[v]))
+        for src in range(n):
+            for x, u in enumerate(_reference_row(instances, family, h, src)):
+                if u > 0.0:
+                    entries.append((x, base + src, u) if by_element else (src, base + x, u))
     return SparseUtilityMatrix(n, instances.n_elements, entries)

@@ -54,12 +54,6 @@ class SparseUtilityMatrix:
     def weight(self, j: int) -> float:
         return self.element_weights[j]
 
-    def utility(self, i: int, j: int) -> float:
-        for jj, u in self.rows[i]:
-            if jj == j:
-                return u
-        return 0.0
-
     def singleton_influence(self, i: int) -> float:
         """Influence of {i} alone: weighted sum of its row."""
         return sum(self.element_weights[j] * u for j, u in self.rows[i])

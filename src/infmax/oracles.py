@@ -1,4 +1,5 @@
-"""Oracle contracts over explicit matrices plus brute-force baselines.
+"""Oracle contracts, the matrix problem bundle, the marginal-gain pair and
+brute-force baselines.
 
 Two access patterns drive the sketch-based maximizer:
 
@@ -8,8 +9,9 @@ Two access patterns drive the sketch-based maximizer:
   has positive marginal utility given the current digests, with the
   utility and that marginal.
 
-One stream pair, RevStream and ForwardStream, serves the matrix oracles
-here and the graph oracles in graphs.py.  The slow, obviously-correct
+A problem bundle (MatrixProblem here, GraphProblem in graphs.py) is the
+only way into its oracles, rev_stream and forward_stream, built on one
+stream pair; marg_gain and add_seed read either.  The slow, obviously-correct
 references (exact influence by enumeration, exact greedy by full
 recomputation, exhaustive optimum) are the test baselines.
 """
@@ -76,30 +78,6 @@ class ForwardStream:
         return next(self._pairs)
 
 
-def matrix_rev_sorted_stream(matrix: SparseUtilityMatrix, j: int) -> RevStream:
-    """Column j by non-increasing utility, ties by ascending item id."""
-    if not 0 <= j < matrix.n_elements:
-        raise ValueError(f"unknown element {j}")
-    return RevStream(iter(matrix.sorted_cols[j]))
-
-
-def matrix_forward_search(
-    matrix: SparseUtilityMatrix, i: int, digests: DigestTable
-) -> ForwardStream:
-    """Entries of row i whose element still gains from the item, with the gain."""
-    if not 0 <= i < matrix.n_items:
-        raise ValueError(f"unknown item {i}")
-
-    def scan(stream):
-        for j, u in matrix.rows[i]:
-            stream.visited += 1
-            c = digests[j].marg(u)
-            if c > 0.0:
-                yield j, u, c
-
-    return ForwardStream(digests, scan)
-
-
 class MatrixProblem:
     """Oracle bundle over an explicit matrix, as consumed by the maximizer."""
 
@@ -113,10 +91,49 @@ class MatrixProblem:
         return self.matrix.weight(j)
 
     def rev_stream(self, j: int) -> RevStream:
-        return matrix_rev_sorted_stream(self.matrix, j)
+        """Column j by non-increasing utility, ties by ascending item id."""
+        if not 0 <= j < self.n_elements:
+            raise ValueError(f"unknown element {j}")
+        return RevStream(iter(self.matrix.sorted_cols[j]))
 
     def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
-        return matrix_forward_search(self.matrix, i, digests)
+        """Entries of row i whose element still gains from the item, with the gain."""
+        if not 0 <= i < self.n_items:
+            raise ValueError(f"unknown item {i}")
+        row = self.matrix.rows[i]
+
+        def scan(stream):
+            for j, u in row:
+                stream.visited += 1
+                c = digests[j].marg(u)
+                if c > 0.0:
+                    yield j, u, c
+
+        return ForwardStream(digests, scan)
+
+
+def marg_gain(problem, i: int, digests: DigestTable) -> float:
+    """Marginal influence of item i against the current digests; no mutation."""
+    weight = problem.weight
+    return sum(weight(j) * c for j, _, c in problem.forward_stream(i, digests))
+
+
+def add_seed(problem, i: int, digests: DigestTable, seeds: set[int] | None = None) -> float:
+    """Add item i to the seed set: fold its utilities into every digest it
+    still improves and return the marginal gain.  A bad or repeated item
+    raises ValueError and leaves seeds and digests as they were."""
+    stream = problem.forward_stream(i, digests)  # checks i first
+    if seeds is not None:
+        if i in seeds:
+            raise ValueError(f"item {i} is already a seed")
+        seeds.add(i)
+    weight = problem.weight
+    gain = 0.0
+    for j, u, c in stream:
+        gain += weight(j) * c
+        digests[j].update(u)
+    digests.mark_seed_added()
+    return gain
 
 
 def exact_influence(

@@ -263,6 +263,34 @@ def test_cli_output_is_pinned(pinned_graph, tmp_path, family, model):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV[(family, model)]
 
 
+# SHA-256 of the CSV followed by the verify lines, for lazy greedy with
+# --verify on pinned_graph; covers the reference utility matrix, lazy greedy
+# and the verify report, none of which the skim pins run
+PINNED_LAZY_VERIFY = {
+    "distance": "79351c5e13f6d93b9a8778c1544b9320a1057864de7a2495c644a3c71ee1d55a",
+    "reverse-rank": "5d2109d15f35d841a9555c45a722158c332c50bbe869dba6988e7a745e6ea7f7",
+    "reachability": "0d26d8d3f216de9da5b1b05f0829bf737f7fa3e918700fdfc0248a6390c6d822",
+    "survival": "b5355b0a5248b0bc7f33b98dac93f2f953ac526cad28c76da75ccd6b1b5eb6e8",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_LAZY_VERIFY))
+def test_cli_lazy_verify_output_is_pinned(pinned_graph, tmp_path, capsys, family):
+    out = tmp_path / "r.csv"
+    argv = [
+        "--input", pinned_graph, "--kind", "graph", "--family", family,
+        "--model", "exponential", "--instances", "2", "--gamma", "1,0.5,0",
+        "--rng-seed", "5", "--algorithm", "lazy", "--verify", "--output", str(out),
+    ]
+    if family in PINNED_ALPHA:
+        argv += ["--alpha", PINNED_ALPHA[family]]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    assert report.count("verify seed") == len(out.read_text().splitlines()) - 1
+    digest = hashlib.sha256(out.read_bytes() + report.encode()).hexdigest()
+    assert digest == PINNED_LAZY_VERIFY[family]
+
+
 def test_ic_model_weights_must_be_probabilities(tmp_path):
     src = write(tmp_path / "g.txt", "2 1\n0 1 1.5\n")
     cfg = RunConfig(
@@ -300,6 +328,17 @@ def test_gamma_and_ell_must_agree():
     cfg = RunConfig(input="x", kind="matrix", gamma=(1.0, 0.5), ell=3)
     with pytest.raises(ConfigError):
         run(cfg)
+
+
+def test_verify_refuses_large_inputs_before_any_work(tmp_path, capsys):
+    src = write(tmp_path / "g.txt", "1001 1\n0 1 0.5\n")
+    out = tmp_path / "r.csv"
+    assert main([
+        "--input", src, "--kind", "graph", "--family", "reachability",
+        "--verify", "--output", str(out),
+    ]) == 2
+    assert "verify refuses more than 1000 items" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_reports_per_seed_ratios(tmp_path, capsys):

@@ -20,10 +20,8 @@ from infmax import (
     UtilityFamily,
     add_seed,
     aggregate,
-    forward_search,
     marg_gain,
     pairwise_utility,
-    rev_sorted_stream,
     simulate_instances,
     to_utility_matrix,
 )
@@ -270,7 +268,7 @@ def test_distance_rev_stream_on_path():
     alpha = Alpha.exponential(1.0)
     fam = UtilityFamily("distance", alpha)
     g = single([(0, 1, 1.0), (1, 2, 1.0)], 3)  # a -> b -> c
-    got = drain(rev_sorted_stream(g, fam, 2))
+    got = drain(GraphProblem(g, fam, None).rev_stream(2))
     assert got == [
         (2, alpha(0.0)),
         (1, pytest.approx(alpha(1.0))),
@@ -281,13 +279,13 @@ def test_distance_rev_stream_on_path():
 def test_rev_stream_isolated_node():
     g = single([(0, 1, 1.0)], 3)
     for fam in (DIST_INV, SURV, REACH, RANK_INV):
-        got = drain(rev_sorted_stream(g, fam, 2))
+        got = drain(GraphProblem(g, fam, None).rev_stream(2))
         assert [i for i, _ in got] == [2]
 
 
 def test_survival_rev_stream_parallel_edges():
     g = single([(0, 1, 2.0), (0, 1, 4.0)], 2)
-    got = drain(rev_sorted_stream(g, SURV, 1))
+    got = drain(GraphProblem(g, SURV, None).rev_stream(1))
     assert got[0][0] == 1  # the element's own node comes first
     assert got[1] == (0, 4.0)  # best parallel edge wins
 
@@ -306,7 +304,7 @@ def test_rev_streams_match_reference_columns():
         for fam in fams:
             ref = to_utility_matrix(inst, fam)
             for j in rng.sample(range(inst.n_elements), 6):
-                got = drain(rev_sorted_stream(inst, fam, j))
+                got = drain(GraphProblem(inst, fam, None).rev_stream(j))
                 utilities = [u for _, u in got]
                 assert all(a >= b - 1e-12 for a, b in zip(utilities, utilities[1:]))
                 assert sorted(got) == sorted(ref.cols[j])
@@ -314,7 +312,7 @@ def test_rev_streams_match_reference_columns():
 
 def test_rev_stream_top_is_stable():
     g = single([(0, 1, 1.0), (2, 1, 3.0)], 3)
-    s = rev_sorted_stream(g, SURV, 1)
+    s = GraphProblem(g, SURV, None).rev_stream(1)
     assert s.top() == s.top()
     first = s.pop()
     assert first[0] == 1
@@ -331,7 +329,8 @@ def test_streams_of_one_problem_share_no_state(fam):
     problem = GraphProblem(inst, fam, MAX)
 
     def fresh(j):
-        return drain(rev_sorted_stream(GraphInstanceSet(inst.n, inst.instances), fam, j))
+        rebuilt = GraphInstanceSet(inst.n, inst.instances)
+        return drain(GraphProblem(rebuilt, fam, None).rev_stream(j))
 
     lengths = []
     for j in range(inst.n_elements):
@@ -361,7 +360,7 @@ def test_forward_search_empty_seed_set_reaches_everything():
     fam = UtilityFamily("distance", alpha)
     g = single([(0, 1, 1.0), (1, 2, 1.0)], 3)
     table = DigestTable(3, MAX)
-    got = [(j, u) for j, u, _ in forward_search(g, fam, 0, table)]
+    got = [(j, u) for j, u, _ in GraphProblem(g, fam, None).forward_stream(0, table)]
     assert got == [(0, 1.0), (1, pytest.approx(alpha(1.0))), (2, pytest.approx(alpha(2.0)))]
 
 
@@ -370,8 +369,9 @@ def test_forward_search_prunes_at_covered_node():
     fam = UtilityFamily("distance", alpha)
     g = single([(0, 1, 1.0), (1, 2, 1.0)], 3)
     table = DigestTable(3, MAX)
-    add_seed(g, fam, 1, table)  # seed b covers b and c
-    stream = forward_search(g, fam, 0, table)
+    problem = GraphProblem(g, fam, None)
+    add_seed(problem, 1, table)  # seed b covers b and c
+    stream = problem.forward_stream(0, table)
     got = [(j, u) for j, u, _ in stream]
     assert got == [(0, 1.0)]  # only a's own element still gains
     assert stream.visited == 2  # a and b settled, never reaches c
@@ -381,9 +381,10 @@ def test_forward_search_stale_after_add_seed():
     fam = UtilityFamily("distance", Alpha.exponential(1.0))
     g = single([(0, 1, 1.0), (1, 0, 1.0)], 2)
     table = DigestTable(2, MAX)
-    stream = forward_search(g, fam, 0, table)
+    problem = GraphProblem(g, fam, None)
+    stream = problem.forward_stream(0, table)
     next(stream)
-    add_seed(g, fam, 1, table)
+    add_seed(problem, 1, table)
     with pytest.raises(StaleStreamError):
         next(stream)
 
@@ -409,7 +410,7 @@ def test_pruned_search_equals_brute_force_sets():
                 for i in range(inst.n):
                     if i in seeds:
                         continue
-                    got = {j for j, _, _ in forward_search(inst, fam, i, table)}
+                    got = {j for j, _, _ in GraphProblem(inst, fam, None).forward_stream(i, table)}
                     want = set()
                     for j in range(ref.n_elements):
                         base = ref.column_utilities(j, seeds)
@@ -429,7 +430,7 @@ def test_marg_gain_empty_set_is_singleton_influence():
     ref = to_utility_matrix(inst, fam)
     table = DigestTable(inst.n_elements, HALF)
     for i in range(inst.n):
-        assert marg_gain(inst, fam, i, table) == pytest.approx(
+        assert marg_gain(GraphProblem(inst, fam, None), i, table) == pytest.approx(
             ref.singleton_influence(i)
         )
 
@@ -437,8 +438,9 @@ def test_marg_gain_empty_set_is_singleton_influence():
 def test_marg_gain_of_dominated_item_is_zero():
     g = single([(0, 1, 1.0)], 2)
     table = DigestTable(2, MAX)
-    add_seed(g, REACH, 0, table)
-    assert marg_gain(g, REACH, 1, table) == 0.0
+    problem = GraphProblem(g, REACH, None)
+    add_seed(problem, 0, table)
+    assert marg_gain(problem, 1, table) == 0.0
 
 
 def test_marg_gain_matches_brute_force_difference():
@@ -447,6 +449,7 @@ def test_marg_gain_matches_brute_force_difference():
 
     inst = random_instances(rng, 12, 2)
     for fam in (SURV, REACH, UtilityFamily("distance", Alpha.exponential(1.2))):
+        problem = GraphProblem(inst, fam, None)
         ref = to_utility_matrix(inst, fam)
         for size in (0, 2, 4):
             seeds = rng.sample(range(inst.n), size)
@@ -456,7 +459,7 @@ def test_marg_gain_matches_brute_force_difference():
                 if i in seeds:
                     continue
                 want = exact_influence(ref, HALF, seeds + [i]) - base
-                assert marg_gain(inst, fam, i, table) == pytest.approx(want, abs=1e-9)
+                assert marg_gain(problem, i, table) == pytest.approx(want, abs=1e-9)
 
 
 def test_add_seed_returns_the_prior_marg_gain():
@@ -464,19 +467,21 @@ def test_add_seed_returns_the_prior_marg_gain():
     inst = random_instances(rng, 10, 2)
     fam = UtilityFamily("distance", Alpha.exponential(1.0))
     table = DigestTable(inst.n_elements, HALF)
+    problem = GraphProblem(inst, fam, None)
     seeds = set()
     for i in (3, 1, 7):
-        before = marg_gain(inst, fam, i, table)
-        assert add_seed(inst, fam, i, table, seeds) == pytest.approx(before)
+        before = marg_gain(problem, i, table)
+        assert add_seed(problem, i, table, seeds) == pytest.approx(before)
 
 
 def test_add_seed_rejects_double_add():
     g = single([(0, 1, 1.0)], 2)
     table = DigestTable(2, MAX)
     seeds = set()
-    add_seed(g, REACH, 0, table, seeds)
+    problem = GraphProblem(g, REACH, None)
+    add_seed(problem, 0, table, seeds)
     with pytest.raises(ValueError):
-        add_seed(g, REACH, 0, table, seeds)
+        add_seed(problem, 0, table, seeds)
 
 
 def test_add_seed_final_state_is_order_independent():
@@ -490,7 +495,7 @@ def test_add_seed_final_state_is_order_independent():
     for order in ([0, 1, 2, 3, 4, 5, 6, 7, 8], [8, 2, 5, 0, 7, 1, 3, 6, 4]):
         table = DigestTable(inst.n_elements, HALF)
         for i in order:
-            add_seed(inst, fam, i, table)
+            add_seed(GraphProblem(inst, fam, None), i, table)
         totals.append(table.total_value())
     want = exact_influence(ref, HALF, range(9))
     assert totals[0] == pytest.approx(totals[1], abs=1e-9)
@@ -503,24 +508,25 @@ def test_add_seed_final_state_is_order_independent():
 def test_survival_tree_paths_carry_the_threshold():
     rng = random.Random(61)
     inst = random_instances(rng, 15, 1)
-    best_edge = {}
-    for s, d, w in inst.instances[0]:
-        best_edge[(s, d)] = max(w, best_edge.get((s, d), 0.0))
+    edges = inst.instances[0]
     for src in range(0, 15, 4):
         frontier = _WidestFrontier(inst.adj[0], src, inst.caps[0])
         while (step := frontier.next()) is not None:
             frontier.expand(step[0])
-        for node, label in frontier.label.items():
-            assert label == pairwise_utility(inst, SURV, src, node)
+        label = frontier.label
+        order = {v: k for k, v in enumerate(label)}  # settle order
+        assert order[src] == 0
+        for node, t in label.items():
+            assert t == pairwise_utility(inst, SURV, src, node)
             if node == src:
                 continue
-            path_min = math.inf
-            cur = node
-            while cur != src:
-                parent = frontier.parent[cur]
-                path_min = min(path_min, best_edge[(parent, cur)])
-                cur = parent
-            assert path_min == label  # min lifetime along the tree path
+            # an earlier-settled in-neighbour passes its label on through
+            # one edge, so by induction on settle order some path from the
+            # source has minimum lifetime exactly t
+            assert any(
+                d == node and order.get(p, math.inf) < order[node] and min(label[p], w) == t
+                for p, d, w in edges
+            )
 
 
 def test_reachability_equals_unit_survival():
@@ -538,19 +544,20 @@ def test_reachability_equals_unit_survival():
             )
     seqs = []
     for fam in (REACH, SURV):
+        problem = GraphProblem(inst, fam, None)
         table = DigestTable(inst.n_elements, MAX)
         seeds: set[int] = set()
         seq = []
         for _ in range(5):
             gains = [
-                (marg_gain(inst, fam, i, table), -i)
+                (marg_gain(problem, i, table), -i)
                 for i in range(12)
                 if i not in seeds
             ]
             g, neg_i = max(gains)
             if g <= 0:
                 break
-            add_seed(inst, fam, -neg_i, table, seeds)
+            add_seed(problem, -neg_i, table, seeds)
             seq.append(-neg_i)
         seqs.append(seq)
     assert seqs[0] == seqs[1]
@@ -639,7 +646,7 @@ def test_rev_streams_match_networkx(name, inst):
     family = NX_FAMILIES[name]
     ref = nx_utilities(inst, family)
     for j in range(inst.n_elements):
-        got = drain(rev_sorted_stream(inst, family, j))
+        got = drain(GraphProblem(inst, family, None).rev_stream(j))
         utilities = [u for _, u in got]
         assert utilities == sorted(utilities, reverse=True)
         assert sorted(got) == sorted((i, u) for (i, e), u in ref.items() if e == j)
@@ -655,5 +662,5 @@ def test_unpruned_forward_searches_match_networkx(name, inst):
     ref = nx_utilities(inst, family)
     for i in range(inst.n):
         table = DigestTable(inst.n_elements, MAX)
-        got = [(j, u) for j, u, _ in forward_search(inst, family, i, table)]
+        got = [(j, u) for j, u, _ in GraphProblem(inst, family, None).forward_stream(i, table)]
         assert sorted(got) == sorted((e, u) for (s, e), u in ref.items() if s == i)

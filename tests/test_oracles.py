@@ -21,13 +21,9 @@ from infmax import (
     aggregate,
     exact_greedy,
     exact_influence,
-    forward_search,
     lazy_greedy,
     marg_gain,
-    matrix_forward_search,
-    matrix_rev_sorted_stream,
     optimal_subset,
-    rev_sorted_stream,
     sequence_items,
 )
 from infmax.oracles import ForwardStream, RevStream
@@ -61,7 +57,7 @@ def digests_for(matrix, spec, seeds):
 
 def test_rev_stream_orders_by_utility():
     m = SparseUtilityMatrix(2, 1, [(0, 0, 0.2), (1, 0, 0.9)])
-    s = matrix_rev_sorted_stream(m, 0)
+    s = MatrixProblem(m, MAX).rev_stream(0)
     assert s.pop() == (1, 0.9)
     assert s.pop() == (0, 0.2)
     assert s.pop() is None
@@ -70,21 +66,21 @@ def test_rev_stream_orders_by_utility():
 
 def test_rev_stream_empty_column():
     m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0)])
-    s = matrix_rev_sorted_stream(m, 1)
+    s = MatrixProblem(m, MAX).rev_stream(1)
     assert s.top() is None
     assert s.pop() is None
 
 
 def test_rev_stream_ties_by_ascending_item():
     m = SparseUtilityMatrix(3, 1, [(0, 0, 0.5), (2, 0, 0.5)])
-    s = matrix_rev_sorted_stream(m, 0)
+    s = MatrixProblem(m, MAX).rev_stream(0)
     assert s.pop() == (0, 0.5)
     assert s.pop() == (2, 0.5)
 
 
 def test_rev_stream_top_does_not_advance():
     m = SparseUtilityMatrix(2, 1, [(0, 0, 0.2), (1, 0, 0.9)])
-    s = matrix_rev_sorted_stream(m, 0)
+    s = MatrixProblem(m, MAX).rev_stream(0)
     assert s.top() == s.top() == (1, 0.9)
     s.close()
     assert s.pop() is None
@@ -93,7 +89,7 @@ def test_rev_stream_top_does_not_advance():
 def test_rev_stream_unknown_element():
     m = SparseUtilityMatrix(2, 1, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
-        matrix_rev_sorted_stream(m, 5)
+        MatrixProblem(m, MAX).rev_stream(5)
 
 
 def test_rev_stream_matches_sorted_column_on_random_matrices():
@@ -102,7 +98,7 @@ def test_rev_stream_matches_sorted_column_on_random_matrices():
         m = random_matrix(rng, 8, 10, density=0.5)
         j = rng.randrange(m.n_elements)
         drained = []
-        s = matrix_rev_sorted_stream(m, j)
+        s = MatrixProblem(m, MAX).rev_stream(j)
         while (t := s.pop()) is not None:
             drained.append(t)
         utilities = [u for _, u in drained]
@@ -168,31 +164,26 @@ def two_instance_graph():
     return inst, UtilityFamily("distance", Alpha.exponential(1.0))
 
 
-def matrix_id_checks():
+def matrix_id_problem():
     m = SparseUtilityMatrix(2, 3, [(0, 0, 1.0), (1, 2, 0.5)])
-    problem = MatrixProblem(m, MAX)
-    return (problem, [problem.rev_stream, partial(matrix_rev_sorted_stream, m)],
-            [problem.forward_stream, partial(matrix_forward_search, m)])
+    return MatrixProblem(m, MAX)
 
 
-def graph_id_checks():
+def graph_id_problem():
     inst, fam = two_instance_graph()
-    problem = GraphProblem(inst, fam, MAX)
-    return (problem, [problem.rev_stream, partial(rev_sorted_stream, inst, fam)],
-            [problem.forward_stream, partial(forward_search, inst, fam),
-             partial(marg_gain, inst, fam), partial(add_seed, inst, fam)])
+    return GraphProblem(inst, fam, MAX)
 
 
 @pytest.mark.parametrize("past_end", [False, True], ids=["-1", "n"])
-@pytest.mark.parametrize("make", [matrix_id_checks, graph_id_checks], ids=["matrix", "graph"])
+@pytest.mark.parametrize("make", [matrix_id_problem, graph_id_problem], ids=["matrix", "graph"])
 def test_out_of_range_ids_are_rejected(make, past_end):
-    problem, rev_calls, fwd_calls = make()
+    problem = make()
     j = problem.n_elements if past_end else -1
     i = problem.n_items if past_end else -1
     table = DigestTable(problem.n_elements, MAX)
-    for call in rev_calls:
-        with pytest.raises(ValueError, match="unknown element"):
-            call(j)
+    with pytest.raises(ValueError, match="unknown element"):
+        problem.rev_stream(j)
+    fwd_calls = [problem.forward_stream, partial(marg_gain, problem), partial(add_seed, problem)]
     for call in fwd_calls:
         with pytest.raises(ValueError, match="unknown item"):
             call(i, table)
@@ -203,7 +194,7 @@ def test_add_seed_keeps_the_seed_set_on_a_bad_item():
     inst, fam = two_instance_graph()
     seeds = {0}
     with pytest.raises(ValueError, match="unknown item"):
-        add_seed(inst, fam, 2, DigestTable(inst.n_elements, MAX), seeds)
+        add_seed(GraphProblem(inst, fam, MAX), 2, DigestTable(inst.n_elements, MAX), seeds)
     assert seeds == {0}
 
 
@@ -213,14 +204,14 @@ def test_add_seed_keeps_the_seed_set_on_a_bad_item():
 def test_forward_search_empty_seed_set_yields_row():
     m = SparseUtilityMatrix(2, 3, [(0, 0, 1.0), (0, 2, 0.5), (1, 1, 0.7)])
     table = DigestTable(3, MAX)
-    got = [(j, u) for j, u, _ in matrix_forward_search(m, 0, table)]
+    got = [(j, u) for j, u, _ in MatrixProblem(m, MAX).forward_stream(0, table)]
     assert got == [(0, 1.0), (2, 0.5)]
 
 
 def test_forward_search_saturated_elements_yield_nothing():
     m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (0, 1, 0.5), (1, 0, 2.0), (1, 1, 3.0)])
     table = digests_for(m, MAX, [1])
-    assert list(matrix_forward_search(m, 0, table)) == []
+    assert list(MatrixProblem(m, MAX).forward_stream(0, table)) == []
 
 
 def test_forward_search_filters_by_marginal_gain():
@@ -228,13 +219,13 @@ def test_forward_search_filters_by_marginal_gain():
     table = DigestTable(2, MAX)
     table[0].update(3.0)
     table[1].update(0.5)
-    assert [(j, u) for j, u, _ in matrix_forward_search(m, 0, table)] == [(1, 1.0)]
+    assert [(j, u) for j, u, _ in MatrixProblem(m, MAX).forward_stream(0, table)] == [(1, 1.0)]
 
 
 def test_forward_search_goes_stale_after_seed_commit():
     m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 0.5)])
     table = DigestTable(2, MAX)
-    stream = matrix_forward_search(m, 0, table)
+    stream = MatrixProblem(m, MAX).forward_stream(0, table)
     next(stream)
     table.mark_seed_added()
     with pytest.raises(StaleStreamError):
@@ -251,7 +242,7 @@ def test_forward_search_equals_brute_force_set():
         for i in range(8):
             if i in seeds:
                 continue
-            got = {j for j, _, _ in matrix_forward_search(m, i, table)}
+            got = {j for j, _, _ in MatrixProblem(m, spec).forward_stream(i, table)}
             assert got == brute_positive_set(m, spec, seeds, i)
 
 

@@ -11,7 +11,6 @@ from conftest import random_instances, random_matrix
 from infmax import (
     AggregationSpec,
     Alpha,
-    DigestTable,
     GraphInstanceSet,
     GraphProblem,
     MatrixProblem,
