@@ -17,6 +17,11 @@ The verdict claims a gain only when the change wins at least nine in ten
 pairs (a tie counts for neither side), its median beats the parent's by
 more than the parent's own quartile spread (Q3 - Q1), and it fails no
 more solves than the parent.
+
+"regressions" lists every end-to-end metric of BENCHMARK.json whose
+change median is worse than the parent's by more than the metric's bound,
+read as a fraction of the parent's median, in the direction its "better"
+names; an empty list means no metric regressed in this run.
 """
 
 import argparse
@@ -65,6 +70,20 @@ def verdict(parent: list[float], change: list[float], parent_failed: int, change
     }
 
 
+def regressions(end_to_end: list[dict], parent: dict, change: dict) -> list[dict]:
+    """The metrics of `end_to_end` (BENCHMARK.json entries) whose change
+    median is worse than the parent median by more than bound * |parent|.
+    `parent` and `change` map each metric name to that side's median."""
+    out = []
+    for m in end_to_end:
+        name, p, c = m["name"], parent[m["name"]], change[m["name"]]
+        worse = c - p if m["better"] == "lower" else p - c
+        if worse > m["bound"] * abs(p):
+            out.append({"metric": name, "parent_median": p, "change_median": c,
+                        "relative_worse": worse / abs(p) if p else None, "bound": m["bound"]})
+    return out
+
+
 def parse_seeds(text: str) -> list[int]:
     """'2101-2110' as the list of seeds from 2101 to 2110."""
     lo, hi = map(int, text.split("-"))
@@ -95,7 +114,8 @@ def main(argv=None) -> int:
     if len(args.seeds) < 2:
         p.error("at least two seeds are needed for quartiles")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
+        end_to_end = json.load(fh)["end_to_end"]
+    metrics = [m["name"] for m in end_to_end]
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
     pairs = []
     for k, seed in enumerate(args.seeds):
@@ -110,15 +130,19 @@ def main(argv=None) -> int:
         pairs.append(pair)
         print(f"seed {seed}: {METRIC} parent {pair['parent'][METRIC]:.6g}, "
               f"change {pair['change'][METRIC]:.6g}", file=sys.stderr)
+    summaries = {
+        side: {name: summary([pr[side][name] for pr in pairs]) for name in metrics}
+        for side in ("parent", "change")
+    }
+    medians = {side: {name: q["median"] for name, q in summaries[side].items()}
+               for side in ("parent", "change")}
     doc = {
         "workload": args.workload,
         "seconds": args.seconds,
         "metric": METRIC,
         "pairs": pairs,
-        "summary": {
-            side: {name: summary([pr[side][name] for pr in pairs]) for name in metrics}
-            for side in ("parent", "change")
-        },
+        "summary": summaries,
+        "regressions": regressions(end_to_end, medians["parent"], medians["change"]),
         "verdict": verdict([pr["parent"][METRIC] for pr in pairs],
                            [pr["change"][METRIC] for pr in pairs],
                            sum(pr["parent"]["failed"] for pr in pairs),

@@ -6,6 +6,7 @@ finite weights (default 1) that scale their contribution to influence.
 """
 
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -46,10 +47,14 @@ class SparseUtilityMatrix:
             if not all(0.0 < w < math.inf for w in element_weights):
                 raise ValueError("element weights must be positive and finite")
             self.element_weights = [float(w) for w in element_weights]
-        # columns pre-sorted for reverse sorted access: utility desc, id asc
-        self.sorted_cols = [
-            sorted(col, key=lambda t: (-t[1], t[0])) for col in self.cols
-        ]
+
+    @cached_property
+    def sorted_cols(self) -> list[list[tuple[int, float]]]:
+        """Columns for reverse sorted access: utility desc, id asc.
+
+        Sorted on first use; lazy greedy never reads them.
+        """
+        return [sorted(col, key=lambda t: (-t[1], t[0])) for col in self.cols]
 
     def weight(self, j: int) -> float:
         return self.element_weights[j]

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEMO_SHA256 = {
     "01_aggregation_and_digests.py": "461e908a6a2b248538d998b89bedbb97c2a7888746449f0559f54bf064ee8b61",
-    "02_lazy_greedy_on_a_matrix.py": "9d2099a9ac29800ba054fc244103389d87e1093d49ba6279d7103642714e7265",
+    "02_lazy_greedy_on_a_matrix.py": "ecf48ce76f6140287b824697ae45f5241332e2a94129ae2c633122367bd30b0b",
     "03_graph_utility_families.py": "d17b3300e3b0d344b69b94455780e5e91727bdce1389d57bfe313d79152ca994",
     "04_sketch_sampler_vs_exact.py": "c66e9ceed18a724b6ce63e2ccd390b8c5b62d0b60df832700250492dcf217264",
 }

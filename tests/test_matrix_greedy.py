@@ -1,13 +1,18 @@
 """Sparse matrices and the lazy greedy maximizer."""
 
+import dataclasses
+import heapq
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_matrix
 from infmax import (
     AggregationSpec,
+    SeedRecord,
     SparseUtilityMatrix,
     exact_greedy,
     exact_influence,
@@ -15,6 +20,7 @@ from infmax import (
     optimal_subset,
     sequence_items,
 )
+from infmax.aggregation import UtilityDigest
 
 MAX = AggregationSpec.maximum()
 HALF = AggregationSpec((1.0, 0.5))
@@ -65,6 +71,14 @@ def test_matrix_rejects_bad_weights():
 def test_sorted_columns_break_ties_by_item():
     m = SparseUtilityMatrix(3, 1, [(0, 0, 0.5), (2, 0, 0.5), (1, 0, 0.9)])
     assert m.sorted_cols[0] == [(1, 0.9), (0, 0.5), (2, 0.5)]
+
+
+def test_columns_are_sorted_on_first_use_only():
+    m = SparseUtilityMatrix(2, 2, [(0, 0, 0.5), (1, 0, 0.9), (1, 1, 0.3)])
+    assert "sorted_cols" not in vars(m)
+    lazy_greedy(m, HALF, 0.0)
+    assert "sorted_cols" not in vars(m)  # lazy greedy never reads them
+    assert m.sorted_cols is m.sorted_cols
 
 
 # -- lazy greedy behaviour -------------------------------------------------------
@@ -181,3 +195,117 @@ def test_element_weights_scale_influence():
     assert sequence_items(seq) == [0, 1]
     assert seq[0].gain == pytest.approx(3.0)
     assert exact_influence(m, MAX, [0, 1]) == pytest.approx(4.0)
+
+
+# -- lazy greedy against a full re-evaluation ------------------------------------
+
+
+def full_reevaluation_lazy_greedy(matrix, spec, epsilon, stats):
+    """Reference: the lazy greedy loop that re-prices every row entry of
+    each popped item against the current digests."""
+    if matrix.m == 0:
+        return []
+    digests = [UtilityDigest(spec) for _ in range(matrix.n_elements)]
+    weights = matrix.element_weights
+    heap = []
+    max_single = 0.0
+    for i in range(matrix.n_items):
+        p = matrix.singleton_influence(i)
+        max_single = max(max_single, p)
+        heapq.heappush(heap, (-p, i))
+    cutoff = max_single / (matrix.n_items ** 2)
+    seq, dropped = [], []
+    cumulative = 0.0
+    pops = 0
+    while heap:
+        neg_p, i = heapq.heappop(heap)
+        priority = -neg_p
+        pops += 1
+        row = matrix.rows[i]
+        gain = sum(weights[j] * digests[j].marg(u) for j, u in row)
+        if gain >= (1.0 - epsilon) * priority:
+            for j, u in row:
+                digests[j].update(u)
+            cumulative += gain
+            seq.append(SeedRecord(i, priority, gain, cumulative))
+        elif gain > cutoff:
+            heapq.heappush(heap, (-gain, i))
+        else:
+            dropped.append(SeedRecord(i, priority, gain, cumulative, below_cutoff=True))
+    for rec in dropped:
+        rec.cumulative = cumulative
+    stats["pops"] = pops
+    return seq + dropped
+
+
+SPECS = [
+    AggregationSpec((1.0,)),
+    AggregationSpec((1.0, 0.5)),
+    AggregationSpec((1.0, 0.5, 0.25)),
+    AggregationSpec((1.0, 1.0, 1.0)),
+    AggregationSpec((1.0, 0.5, 0.0)),  # trailing zero
+    AggregationSpec((1.0, 0.0, 0.0)),
+    AggregationSpec((1.0, 1e-300)),
+]
+# tied values, the smallest subnormal and values near the ends of the range
+UTILITIES = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 5e-324, 1e-300, 1e300]),
+    st.floats(min_value=1e-3, max_value=10.0),
+)
+
+
+@st.composite
+def utility_matrices(draw):
+    n_items = draw(st.integers(1, 8))
+    n_elements = draw(st.integers(1, 10))
+    cells = draw(st.sets(st.tuples(st.integers(0, n_items - 1), st.integers(0, n_elements - 1)),
+                         max_size=40))
+    cells = draw(st.permutations(sorted(cells)))  # rows in any element order
+    entries = [(i, j, draw(UTILITIES)) for i, j in cells]
+    weights = draw(st.none() | st.lists(
+        st.sampled_from([0.1, 0.5, 1.0, 3.0]) | st.floats(min_value=0.01, max_value=4.0),
+        min_size=n_elements, max_size=n_elements))
+    return SparseUtilityMatrix(n_items, n_elements, entries, weights)
+
+
+@settings(max_examples=400)
+@given(utility_matrices(), st.sampled_from(SPECS), st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+# item 2's marginal at element 0 rounds to 0.0 against [1e16] and is 2.0
+# again once item 1 adds 2.0 there: a zero term must be priced again
+@example(SparseUtilityMatrix(3, 3, [(0, 0, 1e16), (1, 0, 2.0), (1, 1, 2e15), (2, 0, 1.0),
+                                    (2, 2, 2e15 + 1.5)]), AggregationSpec((1.0, 1.0, 1.0)), 0.0)
+# item 1 adds a value whose marginal rounds to 0.0, which still moves
+# item 2's marginal at element 0 from 2.0 to 4.0: every update counts
+@example(SparseUtilityMatrix(3, 3, [(0, 0, 1e16), (1, 0, 1.0), (1, 1, 5e15), (2, 0, 2.0),
+                                    (2, 2, 2e15)]), AggregationSpec((1.0, 1.0, 1.0)), 0.0)
+def test_lazy_greedy_equals_full_reevaluation_bit_for_bit(m, spec, eps):
+    got_stats, want_stats = {}, {}
+    got = lazy_greedy(m, spec, eps, stats=got_stats)
+    want = full_reevaluation_lazy_greedy(m, spec, eps, want_stats)
+
+    def fields(seq):
+        return [(dataclasses.astuple(r), type(r.gain), type(r.estimate)) for r in seq]
+
+    assert fields(got) == fields(want)
+    assert got_stats.get("pops") == want_stats.get("pops")
+
+
+def test_digest_ops_counts_the_calls_digests_receive(monkeypatch):
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(self, x):
+            calls[0] += 1
+            return fn(self, x)
+        return wrapper
+
+    monkeypatch.setattr(UtilityDigest, "marg", counted(UtilityDigest.marg))
+    monkeypatch.setattr(UtilityDigest, "update", counted(UtilityDigest.update))
+    rng = random.Random(61)
+    for spec in (MAX, HALF, AggregationSpec((1.0, 0.5, 0.0))):
+        for eps in (0.0, 0.1, 0.5):
+            m = random_matrix(rng, 15, 30, density=0.4)
+            calls[0] = 0
+            stats = {}
+            lazy_greedy(m, spec, eps, stats=stats)
+            assert stats["digest_ops"] == calls[0] > 0

@@ -65,3 +65,36 @@ def test_extra_failed_solves_turn_the_gain_off():
 
 def test_parse_seeds():
     assert pairs.parse_seeds("2101-2104") == [2101, 2102, 2103, 2104]
+
+
+END_TO_END = [
+    {"name": "solve_s", "better": "lower", "bound": 0.2},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    {"name": "quality_s50", "better": "higher", "bound": 0.02},
+]
+
+
+def test_regressions_list_metrics_worse_than_their_relative_bound():
+    parent = {"solve_s": 0.150, "peak_rss_mb": 160.0, "quality_s50": 0.99}
+    change = {"solve_s": 0.175, "peak_rss_mb": 177.0, "quality_s50": 0.96}
+    got = pairs.regressions(END_TO_END, parent, change)
+    assert [r["metric"] for r in got] == ["peak_rss_mb", "quality_s50"]
+    assert got[0]["relative_worse"] == pytest.approx(17.0 / 160.0)
+    assert got[1]["relative_worse"] == pytest.approx(0.03 / 0.99)
+    assert (got[1]["parent_median"], got[1]["change_median"], got[1]["bound"]) == (0.99, 0.96, 0.02)
+
+
+def test_better_or_within_the_bound_is_not_a_regression():
+    parent = {"solve_s": 0.150, "peak_rss_mb": 160.0, "quality_s50": 0.99}
+    # faster, leaner and higher quality, each well past its bound
+    better = {"solve_s": 0.100, "peak_rss_mb": 120.0, "quality_s50": 1.00}
+    assert pairs.regressions(END_TO_END, parent, better) == []
+    # worse in each direction, by just under the bound
+    within = {"solve_s": 0.179, "peak_rss_mb": 175.9, "quality_s50": 0.971}
+    assert pairs.regressions(END_TO_END, parent, within) == []
+
+
+def test_a_zero_parent_median_tolerates_no_worsening():
+    got = pairs.regressions(END_TO_END[:1], {"solve_s": 0.0}, {"solve_s": 0.001})
+    assert [(r["metric"], r["relative_worse"]) for r in got] == [("solve_s", None)]
+    assert pairs.regressions(END_TO_END[:1], {"solve_s": 0.0}, {"solve_s": 0.0}) == []
