@@ -26,7 +26,8 @@ print("incremental digest under gamma =", spec.gamma)
 for x in (0.5, 1.0, 0.2, 0.8):
     gain = digest.marg(x)
     digest.update(x)
-    print(f"  update({x}): marginal gain {gain:.3f}, value {digest.val:.3f}, "
+    value = aggregate(spec, digest.top)
+    print(f"  update({x}): marginal gain {gain:.3f}, value {value:.3f}, "
           f"stored top {digest.top}")
 print()
 print("threshold to improve further:", digest.thresh())

@@ -9,7 +9,10 @@ anything in between (e.g. (1, 1/2, 1/3)) discounts lower-ranked seeds.
 A UtilityDigest summarizes the utilities of the current seed set at one
 element just well enough to answer marginal-gain queries in O(k); the
 maximization algorithms keep one digest per element instead of the full
-utility multiset.
+utility multiset.  A gain is summed from non-negative differences of the
+stored values, never as a difference of two totals, so it is zero
+exactly when the exact gain is and otherwise within a few units of
+rounding of it.
 """
 
 from dataclasses import dataclass
@@ -45,6 +48,8 @@ class AggregationSpec:
             if prev is not None and g > prev:
                 raise ValueError("gamma coefficients must be non-increasing")
             prev = g
+        # float coefficients make every gain a float, whatever the utilities
+        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
 
     @cached_property
     def ell(self) -> int:
@@ -89,24 +94,38 @@ def aggregate(spec: AggregationSpec, values: Iterable[float]) -> float:
 class UtilityDigest:
     """Top-k summary of one element's seed utilities.
 
-    Stores the ell largest positive utilities seen so far (descending),
-    the aggregated value and the two order statistics the searches test
-    against; update() refreshes all three and is the only method that
-    builds a list.  All queries are answered exactly because the
-    aggregation never looks past the ell largest values.  marg() merges
-    its probe value into the stored ones on the fly (the probe goes after
-    its equals) and sums left to right, term for term as val is summed, so
-    a quoted gain equals the growth of val bit for bit.
+    Stores the ell largest positive utilities seen so far (descending) and
+    the two order statistics the searches test against; update() inserts
+    a value, trims the list and refreshes both, and is the only method
+    that builds a list.  The aggregated value itself is never stored:
+    aggregate(spec, digest.top) computes it when wanted.
+
+    marg(x) prices x as a sum of differences.  With v_0 >= v_1 >= ... the
+    stored values (v_k = 0 past them) and p the place x takes (after its
+    equals), the gain is
+
+        gamma_p * (x - v_p) + sum_{p < k < ell} gamma_k * (v_{k-1} - v_k),
+
+    since x takes slot p and each later value moves one slot down.  Every
+    term is non-negative, and a difference of two ordered floats has the
+    sign of the exact one, so marg(x) == 0.0 exactly when the true gain is
+    zero.  No value is subtracted from a larger sum, so nothing cancels.
+    With m <= ell terms, a term passes through at most m + 1 roundings
+    (its difference, its product and at most m - 1 additions), each of
+    relative size at most u = 2**-53.  As all terms are non-negative, the
+    quoted gain is within a relative (m + 1) * u / (1 - (m + 1) * u) of the
+    exact rational gain of the stored floats and coefficients, barring
+    underflow of a product (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 3-4).
     """
 
-    __slots__ = ("spec", "gamma", "ell", "top", "val", "_thresh", "_prune")
+    __slots__ = ("gamma", "ell", "eff", "top", "_thresh", "_prune")
 
     def __init__(self, spec: AggregationSpec):
-        self.spec = spec
         self.gamma = spec.gamma
         self.ell = spec.ell
+        self.eff = spec.effective_ell
         self.top: list[float] = []
-        self.val = 0.0
         self._thresh = 0.0
         self._prune = 0.0
 
@@ -124,48 +143,48 @@ class UtilityDigest:
 
     def marg(self, x: float) -> float:
         """Gain of adding one seed with utility x, without mutating."""
-        if x < 0:
-            raise ValueError("utility must be non-negative")
-        if x == 0.0 or x < self._thresh:
+        if not x > self._thresh:  # NaN lands here too
+            if not x >= 0:
+                raise ValueError("utility must be a non-negative number")
             return 0.0
-        gamma, top = self.gamma, self.top
-        s = 0
-        k = 0  # x's place: after every stored value >= x
+        top = self.top
+        p = 0  # x's place: after every stored value >= x
         for v in top:
             if v < x:
                 break
-            s += gamma[k] * v
+            p += 1
+        # x > thresh puts p before the last positive coefficient, eff - 1;
+        # the terms past it are zero and are left out
+        gamma, n, eff = self.gamma, len(top), self.eff
+        if p == n:
+            return gamma[p] * x
+        c = gamma[p] * (x - top[p])
+        k = p + 1
+        stop = n if n < eff else eff
+        while k < stop:
+            c += gamma[k] * (top[k - 1] - top[k])
             k += 1
-        ell = self.ell
-        if k == ell:
-            return 0.0  # x falls past the ell-th place
-        s += gamma[k] * x
-        k += 1
-        n = len(top)
-        while k < ell and k <= n:  # the values after x move one place down
-            s += gamma[k] * top[k - 1]
-            k += 1
-        return s - self.val
+        if n < eff:
+            c += gamma[n] * top[n - 1]  # the last stored value moves past v_n = 0
+        return c
 
     def update(self, x: float) -> None:
         """Fold a new seed utility into the digest; zero is never stored."""
-        if x < 0:
-            raise ValueError("utility must be non-negative")
-        if x == 0.0:
+        if not x > self._prune:  # zero, NaN, or past the ell-th place
+            if not x >= 0:
+                raise ValueError("utility must be a non-negative number")
             return
-        top, ell = self.top, self.ell
+        top = self.top
         pos = 0
-        while pos < len(top) and top[pos] >= x:
+        for v in top:
+            if v < x:
+                break
             pos += 1
-        if pos == ell:
-            return  # x falls past the ell-th place
         top.insert(pos, x)
-        del top[ell:]
-        val = 0
-        for g, v in zip(self.gamma, top):
-            val += g * v
-        self.val = val
-        n, eff = len(top), self.spec.effective_ell
+        ell = self.ell
+        if len(top) > ell:
+            top.pop()
+        n, eff = len(top), self.eff
         self._thresh = top[eff - 1] if n >= eff else 0.0
         self._prune = top[ell - 1] if n == ell else 0.0
 
@@ -194,8 +213,3 @@ class DigestTable:
     def mark_seed_added(self) -> None:
         """Commit the current seed addition; outstanding forward streams go stale."""
         self.version += 1
-
-    def total_value(self, weights=None) -> float:
-        if weights is None:
-            return sum(d.val for d in self.digests)
-        return sum(w * d.val for w, d in zip(weights, self.digests))

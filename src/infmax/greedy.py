@@ -3,8 +3,13 @@
 CELF-style lazy evaluation: items sit in a max heap keyed by their
 marginal influence when last evaluated.  Since marginal influence only
 shrinks as seeds are added, a popped item whose fresh gain is within
-(1 - epsilon) of its stale priority is guaranteed to be an approximate
-argmax and is selected on the spot.
+(1 - epsilon) of its stale priority is an approximate argmax and is
+selected on the spot.  Computed gains carry rounding: a gain sums one
+w * marg(u) per row entry, whose marg is within the digest's bound, so
+with t = ell + r + 1 for rows of at most r entries and u = 2**-53 it is
+within a relative delta = t * u / (1 - t * u) of the exact gain.  A stale
+priority therefore upper-bounds an item's current gain only up to delta,
+not exactly.
 
 Re-evaluating a popped item re-prices only the row entries whose element
 digest was updated since the item was last priced; the other entries keep
@@ -47,11 +52,14 @@ def lazy_greedy(
 ) -> GreedySequence:
     """Compute the full greedy sequence with lazily re-evaluated priorities.
 
-    Every selected item has exact marginal influence at least
-    (1 - epsilon) times its heap priority, which upper-bounds the true
-    maximum; ties pop by ascending item id.  Items whose gain falls to at
-    most max_single/n_items^2 are dropped from the heap and appended at
-    the end flagged below_cutoff, so the result is a full permutation.
+    Every selected item's computed gain is at least (1 - epsilon) times
+    its heap priority.  A priority upper-bounds the item's current gain
+    up to the rounding delta of the module docstring, so at epsilon = 0
+    the pick's exact gain is within a relative 2 * delta of the exact
+    maximum over the items still in the heap.  Ties pop by ascending
+    item id.  Items whose gain falls to at most max_single/n_items^2 are
+    dropped from the heap and appended at the end flagged below_cutoff,
+    so the result is a full permutation.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")

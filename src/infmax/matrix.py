@@ -23,7 +23,6 @@ class SparseUtilityMatrix:
         self.n_items = n_items
         self.n_elements = n_elements
         self.rows: list[list[tuple[int, float]]] = [[] for _ in range(n_items)]
-        self.cols: list[list[tuple[int, float]]] = [[] for _ in range(n_elements)]
         seen = set()
         m = 0
         inf = math.inf
@@ -36,7 +35,6 @@ class SparseUtilityMatrix:
                 raise ValueError(f"duplicate entry ({i}, {j})")
             seen.add((i, j))
             self.rows[i].append((j, float(u)))
-            self.cols[j].append((i, float(u)))
             m += 1
         self.m = m
         if element_weights is None:
@@ -47,6 +45,18 @@ class SparseUtilityMatrix:
             if not all(0.0 < w < math.inf for w in element_weights):
                 raise ValueError("element weights must be positive and finite")
             self.element_weights = [float(w) for w in element_weights]
+
+    @cached_property
+    def cols(self) -> list[list[tuple[int, float]]]:
+        """(item, utility) pairs of each element, in ascending item id.
+
+        Built from the rows on first use; lazy greedy never reads them.
+        """
+        cols: list[list[tuple[int, float]]] = [[] for _ in range(self.n_elements)]
+        for i, row in enumerate(self.rows):
+            for j, u in row:
+                cols[j].append((i, u))
+        return cols
 
     @cached_property
     def sorted_cols(self) -> list[list[tuple[int, float]]]:

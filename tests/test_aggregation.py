@@ -2,9 +2,10 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infmax import AggregationSpec, UtilityDigest, aggregate, dominates
@@ -151,7 +152,7 @@ def test_aggregate_rejects_negative():
 
 def test_digest_init_state():
     d = UtilityDigest(HALF)
-    assert d.val == 0.0
+    assert d.top == []
     assert d.thresh() == 0.0
     x = 0.7
     assert d.marg(x) == x  # single seed is worth its utility
@@ -207,14 +208,14 @@ def test_digest_update_examples():
     d = UtilityDigest(HALF)
     d.update(0.5)
     assert d.top == [0.5]
-    assert d.val == 0.5
+    assert aggregate(HALF, d.top) == 0.5
 
     d = UtilityDigest(HALF)
     d.update(1.0)
     d.update(0.5)
     d.update(0.8)
     assert d.top == [1.0, 0.8]
-    assert d.val == pytest.approx(1.4, abs=1e-12)
+    assert aggregate(HALF, d.top) == pytest.approx(1.4, abs=1e-12)
 
 
 def test_digest_update_zero_is_noop():
@@ -229,12 +230,12 @@ def test_digest_weighted_sequence_value():
     d = UtilityDigest(HALF)
     for x in (1.0, 0.5, 0.2):
         d.update(x)
-    assert d.val == pytest.approx(1.25, abs=0)
+    assert aggregate(HALF, d.top) == pytest.approx(1.25, abs=0)
 
     m = UtilityDigest(MAX)
     for x in (1.0, 0.5, 0.2):
         m.update(x)
-    assert m.val == 1.0
+    assert aggregate(MAX, m.top) == 1.0
 
 
 # -- digest properties against the brute-force evaluation ---------------------
@@ -252,12 +253,13 @@ def test_digest_matches_brute_force_on_random_updates():
             expected_marg = brute_value(spec, seen + [probe]) - brute_value(spec, seen)
             assert abs(d.marg(probe) - expected_marg) < 1e-12
             gain = d.marg(x)
-            before = d.val
+            before = aggregate(spec, d.top)
             d.update(x)
             seen.append(x)
-            assert abs(d.val - brute_value(spec, seen)) < 1e-12
-            assert abs(d.val - before - gain) < 1e-12  # val grows by the quoted gain
-            assert d.val >= before  # monotone
+            after = aggregate(spec, d.top)
+            assert abs(after - brute_value(spec, seen)) < 1e-12
+            assert abs(after - before - gain) < 1e-12  # the value grows by the quoted gain
+            assert after >= before  # monotone
 
 
 def test_insertion_has_diminishing_returns():
@@ -295,20 +297,25 @@ def test_digest_never_stores_more_than_ell():
         assert all(v > 0 for v in d.top)
 
 
-# -- bit-exact digest kernel ---------------------------------------------------
+# -- digest kernel against exact rationals ------------------------------------
 
-# tie-prone grid values mixed with arbitrary floats
+# tie-prone grid values, ordinary floats, and values spread log-uniformly
+# over 1e-8 ... 1e16, where a gain summed as a difference of totals
+# cancels; nothing subnormal, whose products the rounding bound excludes
 utilities = st.one_of(
-    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
-    st.floats(min_value=0.0, max_value=3.0),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 1e-8, 1e16]),
+    st.floats(min_value=1e-8, max_value=3.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-8, 15)),
 )
 
 
 @st.composite
 def specs(draw):
+    # factors stay at or above 1e-3 (or are 0.0), so no product of a
+    # coefficient and a utility difference underflows
     gamma = [1.0]
     for _ in range(draw(st.integers(0, 3))):
-        factor = draw(st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats(0.0, 1.0)))
+        factor = draw(st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats(1e-3, 1.0)))
         gamma.append(gamma[-1] * factor)  # a 0.0 factor makes the rest trailing zeros
     return AggregationSpec(tuple(gamma))
 
@@ -317,32 +324,68 @@ def order_statistic(ordered, i):
     return ordered[i - 1] if i <= len(ordered) else 0.0
 
 
+def exact_value(spec, values):
+    """The aggregation of values in exact rationals."""
+    ordered = sorted(values, reverse=True)
+    return sum((Fraction(g) * Fraction(v) for g, v in zip(spec.gamma, ordered)), Fraction(0))
+
+
+def rounding_bound(spec):
+    """Relative error bound of marg(): (m + 1) * u / (1 - (m + 1) * u) with
+    u = 2**-53 and m <= ell terms, as derived in the UtilityDigest docstring."""
+    return Fraction(spec.ell + 1, 2**53 - (spec.ell + 1))
+
+
+def assert_prices_exactly(spec, d, x):
+    """d.marg(x) has the exact gain's sign and lies within rounding_bound of it."""
+    gain = d.marg(x)
+    exact = exact_value(spec, d.top + [x]) - exact_value(spec, d.top)
+    assert type(gain) is float
+    assert (gain > 0.0) == (exact > 0) and gain >= 0.0
+    assert abs(Fraction(gain) - exact) <= rounding_bound(spec) * exact
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     spec=specs(),
     updates=st.lists(utilities, max_size=10),
     probes=st.lists(st.tuples(utilities, utilities), min_size=1, max_size=4),
 )
-def test_digest_is_bit_exact_against_brute_force(spec, updates, probes):
+# a total of 1e16 + 1 rounds back to 1e16, so a difference of totals
+# prices 1.0 at 0.0; the difference sum prices it at exactly 1.0
+@example(spec=AggregationSpec((1.0, 1.0, 1.0)), updates=[1e16], probes=[(2.0, 1.0)])
+def test_digest_is_within_rounding_of_exact_rationals(spec, updates, probes):
     d = UtilityDigest(spec)
     seen = []
     for step in range(len(updates) + 1):
         top = list(d.top)
         ordered = sorted((u for u in seen if u > 0.0), reverse=True)
         assert top == ordered[: spec.ell]
-        assert d.val == brute_value(spec, top)
         assert d.thresh() == order_statistic(ordered, spec.effective_ell)
         assert d.prune_level() == order_statistic(ordered, spec.ell)
         for y, x in probes:
-            assert d.marg(x) == brute_value(spec, top + [x]) - brute_value(spec, top)
+            assert_prices_exactly(spec, d, x)
             # the gain of x once y is folded in, as move_down prices it
-            gain = digest_of(spec, top + [y]).marg(x)
-            assert type(gain) is float
-            assert gain == brute_value(spec, top + [y, x]) - brute_value(spec, top + [y])
+            assert_prices_exactly(spec, digest_of(spec, top + [y]), x)
         if step == len(updates):
             break
         x = updates[step]
-        gain, before = d.marg(x), d.val
+        assert_prices_exactly(spec, d, x)
         d.update(x)
         seen.append(x)
-        assert d.val - before == gain  # val grows by exactly the quoted gain
+
+
+def test_gains_are_floats_for_integer_gamma_and_utilities():
+    d = UtilityDigest(AggregationSpec((1, 1)))
+    d.update(3)
+    assert type(d.marg(5)) is float and d.marg(5) == 5.0
+    assert type(d.marg(2)) is float and d.marg(2) == 2.0
+
+
+@pytest.mark.parametrize("x", [-1.0, math.nan])
+def test_digest_rejects_negative_and_nan_utilities(x):
+    d = digest_of(HALF, [1.0, 0.5])
+    with pytest.raises(ValueError):
+        d.marg(x)
+    with pytest.raises(ValueError):
+        d.update(x)

@@ -221,10 +221,10 @@ def test_skim_runs_are_byte_identical(tmp_path):
 # SHA-256 of the CSV for each (family, model) on the graph built by
 # pinned_graph; any change to an oracle that alters a byte of output shows here
 PINNED_CSV = {
-    ("distance", "ic"): "e8b7e11598c9fc203e50ad175b9a91bd13f7be82432a7a595563ae56f482271f",
+    ("distance", "ic"): "1dbc23a0fb73ee3f444b641948700baf870b16a9e17f3f0e5b9ee41c75de22aa",
     ("distance", "exponential"): "ae381521309239b7da7f00f90383338ff63617615ff1893524d991322df70914",
-    ("reverse-rank", "ic"): "41210315fe801a7d9502a83819a258c37d17407b37f3e4f8e5fcf3c9e0d3a624",
-    ("reverse-rank", "exponential"): "86d2b31d4996c1390ca4b884798b72b21d218248c3479f7097526430831b18f8",
+    ("reverse-rank", "ic"): "4eeb495f1ae76fd7979a2d95bcfb7f865f10d8a400608a6c486fde64b2e6b36a",
+    ("reverse-rank", "exponential"): "f20f35b1020a9c4080af998aa9a3a180de0f74b80dc75486ea578b88669e85a0",
     ("reachability", "ic"): "61a31cd2a112166b0e6a15458c04066b08d8b3f6640386a19d789b91931fe97d",
     ("reachability", "exponential"): "4675b267088df2b89e1a1aced74ffdc6bfba9ae85290dbb4e2a08fd041abd2c1",
     ("survival", "ic"): "61a31cd2a112166b0e6a15458c04066b08d8b3f6640386a19d789b91931fe97d",
@@ -268,7 +268,7 @@ def test_cli_output_is_pinned(pinned_graph, tmp_path, family, model):
 # and the verify report, none of which the skim pins run
 PINNED_LAZY_VERIFY = {
     "distance": "79351c5e13f6d93b9a8778c1544b9320a1057864de7a2495c644a3c71ee1d55a",
-    "reverse-rank": "5d2109d15f35d841a9555c45a722158c332c50bbe869dba6988e7a745e6ea7f7",
+    "reverse-rank": "4b0abd56611d34b48ec613e944df0ae90cca027bae2a048f45aaf3a0f4bd3138",
     "reachability": "0d26d8d3f216de9da5b1b05f0829bf737f7fa3e918700fdfc0248a6390c6d822",
     "survival": "b5355b0a5248b0bc7f33b98dac93f2f953ac526cad28c76da75ccd6b1b5eb6e8",
 }

@@ -4,6 +4,7 @@ import dataclasses
 import heapq
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -74,10 +75,13 @@ def test_sorted_columns_break_ties_by_item():
 
 
 def test_columns_are_sorted_on_first_use_only():
-    m = SparseUtilityMatrix(2, 2, [(0, 0, 0.5), (1, 0, 0.9), (1, 1, 0.3)])
-    assert "sorted_cols" not in vars(m)
+    m = SparseUtilityMatrix(2, 2, [(1, 0, 0.9), (0, 0, 0.5), (1, 1, 0.3)])
+    assert "cols" not in vars(m) and "sorted_cols" not in vars(m)
     lazy_greedy(m, HALF, 0.0)
-    assert "sorted_cols" not in vars(m)  # lazy greedy never reads them
+    # lazy greedy reads neither
+    assert "cols" not in vars(m) and "sorted_cols" not in vars(m)
+    assert m.cols == [[(0, 0.5), (1, 0.9)], [(1, 0.3)]]
+    assert m.cols is m.cols
     assert m.sorted_cols is m.sorted_cols
 
 
@@ -270,12 +274,13 @@ def utility_matrices(draw):
 
 @settings(max_examples=400)
 @given(utility_matrices(), st.sampled_from(SPECS), st.sampled_from([0.0, 0.1, 0.5, 0.9]))
-# item 2's marginal at element 0 rounds to 0.0 against [1e16] and is 2.0
-# again once item 1 adds 2.0 there: a zero term must be priced again
+# utilities 16 orders of magnitude apart at element 0, where a gain taken
+# as a difference of totals rounds to 0.0 and grows again after an update:
+# every entry whose element was updated must be priced again
 @example(SparseUtilityMatrix(3, 3, [(0, 0, 1e16), (1, 0, 2.0), (1, 1, 2e15), (2, 0, 1.0),
                                     (2, 2, 2e15 + 1.5)]), AggregationSpec((1.0, 1.0, 1.0)), 0.0)
-# item 1 adds a value whose marginal rounds to 0.0, which still moves
-# item 2's marginal at element 0 from 2.0 to 4.0: every update counts
+# item 1 adds a value that is tiny next to element 0's total but still
+# moves item 2's marginal there: every update counts
 @example(SparseUtilityMatrix(3, 3, [(0, 0, 1e16), (1, 0, 1.0), (1, 1, 5e15), (2, 0, 2.0),
                                     (2, 2, 2e15)]), AggregationSpec((1.0, 1.0, 1.0)), 0.0)
 def test_lazy_greedy_equals_full_reevaluation_bit_for_bit(m, spec, eps):
@@ -288,6 +293,84 @@ def test_lazy_greedy_equals_full_reevaluation_bit_for_bit(m, spec, eps):
 
     assert fields(got) == fields(want)
     assert got_stats.get("pops") == want_stats.get("pops")
+
+
+# -- lazy greedy at epsilon 0 against exact rationals ----------------------------
+
+
+def exact_value(spec, values):
+    ordered = sorted(values, reverse=True)
+    return sum((Fraction(g) * Fraction(v) for g, v in zip(spec.gamma, ordered)), Fraction(0))
+
+
+def exact_gain(matrix, spec, seen, i):
+    """Item i's marginal influence in exact rationals, where seen[j] lists
+    the utilities the selected items offer element j."""
+    return sum(
+        (Fraction(matrix.element_weights[j])
+         * (exact_value(spec, seen[j] + [u]) - exact_value(spec, seen[j]))
+         for j, u in matrix.rows[i]),
+        Fraction(0),
+    )
+
+
+# no subnormal utility and no coefficient below 1e-3, so no product
+# underflows; the digest's rounding bound excludes underflow
+EXACT_SPECS = [s for s in SPECS if min(g for g in s.gamma if g > 0.0) >= 1e-3]
+EXACT_UTILITIES = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 1e-8, 1e16]),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-8, 15)),
+)
+
+
+@st.composite
+def small_matrices(draw):
+    n_items = draw(st.integers(1, 6))
+    n_elements = draw(st.integers(1, 5))
+    cells = draw(st.sets(st.tuples(st.integers(0, n_items - 1), st.integers(0, n_elements - 1)),
+                         max_size=20))
+    entries = [(i, j, draw(EXACT_UTILITIES)) for i, j in sorted(cells)]
+    weights = draw(st.none() | st.lists(
+        st.sampled_from([0.5, 1.0, 3.0]) | st.floats(min_value=0.01, max_value=4.0),
+        min_size=n_elements, max_size=n_elements))
+    return SparseUtilityMatrix(n_items, n_elements, entries, weights)
+
+
+@settings(max_examples=300)
+@given(small_matrices(), st.sampled_from(EXACT_SPECS))
+# after item 0, item 1 exactly gains 1e13 + 3 and item 2 gains 1e13 + 3.5;
+# a gain taken as a difference of totals prices item 1's 0.5 * 6.0 at
+# element 0 as (1e16 + 3) - 1e16, which rounds to 4, and picks item 1
+@example(SparseUtilityMatrix(50, 3, [(0, 0, 1e16), (1, 0, 6.0), (1, 1, 1e13),
+                                     (2, 2, 1e13 + 3.5)]), HALF)
+def test_lazy_greedy_at_zero_epsilon_picks_an_exact_argmax_up_to_rounding(m, spec):
+    # A computed item gain sums one w * marg(u) per row entry: each term
+    # passes through at most ell + 1 roundings in marg, one in the weight
+    # product and r - 1 in the row sum, so a gain is within a relative
+    # delta = (ell + r + 1) u / (1 - (ell + r + 1) u) of the exact one.  A
+    # priority is an earlier computed gain, and exact gains only shrink,
+    # so the picked item's exact gain g and the exact maximum g* satisfy
+    # (1 + delta) g >= (1 - delta) g*, i.e. g* - g <= 2 delta g*.
+    r = max(len(row) for row in m.rows)
+    t = spec.ell + r + 1
+    delta = Fraction(t, 2**53 - t)
+    seen = [[] for _ in range(m.n_elements)]
+    remaining = set(range(m.n_items))
+    cutoff = max(exact_gain(m, spec, seen, i) for i in remaining) / m.n_items**2
+    for rec in lazy_greedy(m, spec, 0.0):
+        if rec.below_cutoff:
+            break
+        gains = {i: exact_gain(m, spec, seen, i) for i in remaining}
+        best = max(gains.values())
+        if best <= 2 * cutoff:
+            break  # the drop cutoff governs the tail from here on
+        picked = gains[rec.item]
+        assert best - picked <= 2 * delta * best
+        assert abs(Fraction(rec.gain) - picked) <= delta * picked
+        remaining.remove(rec.item)
+        for j, u in m.rows[rec.item]:
+            seen[j].append(u)
 
 
 def test_digest_ops_counts_the_calls_digests_receive(monkeypatch):
