@@ -1,6 +1,7 @@
 """Shared generators for randomized fixtures (all explicitly seeded)."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import settings
 
@@ -60,3 +61,9 @@ def random_instances(
     for _ in range(count):
         sets.append(list(random_graph(rng, n, avg_degree).edges))
     return GraphInstanceSet(n, sets)
+
+
+def exact_value(spec, values) -> Fraction:
+    """The aggregation of values in exact rationals."""
+    ordered = sorted(values, reverse=True)
+    return sum((Fraction(g) * Fraction(v) for g, v in zip(spec.gamma, ordered)), Fraction(0))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_value
 from infmax import AggregationSpec, UtilityDigest, aggregate, dominates
 
 MAX = AggregationSpec.maximum()
@@ -322,12 +323,6 @@ def specs(draw):
 
 def order_statistic(ordered, i):
     return ordered[i - 1] if i <= len(ordered) else 0.0
-
-
-def exact_value(spec, values):
-    """The aggregation of values in exact rationals."""
-    ordered = sorted(values, reverse=True)
-    return sum((Fraction(g) * Fraction(v) for g, v in zip(spec.gamma, ordered)), Fraction(0))
 
 
 def rounding_bound(spec):

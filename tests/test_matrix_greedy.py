@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix
+from conftest import exact_value, random_matrix
 from infmax import (
     AggregationSpec,
     SeedRecord,
@@ -296,11 +296,6 @@ def test_lazy_greedy_equals_full_reevaluation_bit_for_bit(m, spec, eps):
 
 
 # -- lazy greedy at epsilon 0 against exact rationals ----------------------------
-
-
-def exact_value(spec, values):
-    ordered = sorted(values, reverse=True)
-    return sum((Fraction(g) * Fraction(v) for g, v in zip(spec.gamma, ordered)), Fraction(0))
 
 
 def exact_gain(matrix, spec, seen, i):
