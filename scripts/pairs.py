@@ -4,14 +4,15 @@ Run from the repository root, with a clean copy of the parent commit
 (for example from `git archive`) at PARENT:
 
     python3 scripts/pairs.py --parent PARENT --workload skim-reach-ic \\
-        --seeds 2101-2110 --seconds 20 --out BENCH_pairs.json
+        --seeds 2101-2110 --seconds 20 --out BENCH_pairs.json [--metric setup_s]
 
 For each seed it runs `perfbench/run.py --trace 0` once in each tree,
 alternating which side goes first (parent first on the first seed).
 Each tree's run.py imports that tree's own sources.  It prints one JSON
 object, and writes it to --out when given: every pair's end-to-end
 values, each side's median and quartiles per metric, and the verdict on
-solve_s (lower is better), the metric speed claims are made on.
+--metric, a lower-is-better end-to-end metric of BENCHMARK.json: solve_s
+by default, the metric speed claims are made on.
 
 The verdict claims a gain only when the change wins at least nine in ten
 pairs (a tie counts for neither side), its median beats the parent's by
@@ -32,7 +33,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-METRIC = "solve_s"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -110,12 +110,17 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 2101-2110")
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--out", help="also write the JSON object here")
+    p.add_argument("--metric", default="solve_s", help="metric of the verdict (default solve_s)")
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("at least two seeds are needed for quartiles")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
     metrics = [m["name"] for m in end_to_end]
+    lower = [m["name"] for m in end_to_end if m["better"] == "lower"]
+    metric = args.metric
+    if metric not in lower:
+        p.error(f"--metric must be one of {', '.join(lower)}")
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
     pairs = []
     for k, seed in enumerate(args.seeds):
@@ -128,8 +133,8 @@ def main(argv=None) -> int:
             pair[side]["failed"] = r["failed"]
             pair[side]["attempted"] = r["attempted"]
         pairs.append(pair)
-        print(f"seed {seed}: {METRIC} parent {pair['parent'][METRIC]:.6g}, "
-              f"change {pair['change'][METRIC]:.6g}", file=sys.stderr)
+        print(f"seed {seed}: {metric} parent {pair['parent'][metric]:.6g}, "
+              f"change {pair['change'][metric]:.6g}", file=sys.stderr)
     summaries = {
         side: {name: summary([pr[side][name] for pr in pairs]) for name in metrics}
         for side in ("parent", "change")
@@ -139,12 +144,12 @@ def main(argv=None) -> int:
     doc = {
         "workload": args.workload,
         "seconds": args.seconds,
-        "metric": METRIC,
+        "metric": metric,
         "pairs": pairs,
         "summary": summaries,
         "regressions": regressions(end_to_end, medians["parent"], medians["change"]),
-        "verdict": verdict([pr["parent"][METRIC] for pr in pairs],
-                           [pr["change"][METRIC] for pr in pairs],
+        "verdict": verdict([pr["parent"][metric] for pr in pairs],
+                           [pr["change"][metric] for pr in pairs],
                            sum(pr["parent"]["failed"] for pr in pairs),
                            sum(pr["change"]["failed"] for pr in pairs)),
     }

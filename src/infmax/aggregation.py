@@ -197,7 +197,6 @@ class DigestTable:
     """
 
     def __init__(self, n_elements: int, spec: AggregationSpec):
-        self.spec = spec
         self.digests = [UtilityDigest(spec) for _ in range(n_elements)]
         self.version = 0
 

@@ -158,15 +158,42 @@ class RankTable:
 
     tables[h][src][dst] counts the nodes src reaches at least as cheaply
     as it reaches dst in instance h (weak inequality, so equidistant nodes
-    share a rank); unreachable pairs get inf.
+    share a rank); unreachable pairs get inf.  Each table is an n x n
+    float64 array: instance h's all-pairs distance matrix, ranked in place.
     """
 
     def __init__(self, tables: list[np.ndarray]):
         self.tables = tables
 
 
+# rows of a distance matrix ranked at once by _rank_rows_in_place; bounds
+# the temporaries to a few arrays of _RANK_BLOCK x n
+_RANK_BLOCK = 32
+
+
+def _rank_rows_in_place(dist: np.ndarray) -> None:
+    """Overwrite each row of dist with its weak-inequality ranks (inf stays
+    inf), one block of rows at a time.  In a row sorted ascending, every
+    member of a run of equal finite distances gets the 1-based position
+    of the run's last member: the least run end at or after it."""
+    n = dist.shape[1]
+    positions = np.arange(1.0, n + 1.0)
+    for start in range(0, dist.shape[0], _RANK_BLOCK):
+        block = dist[start:start + _RANK_BLOCK]
+        order = np.argsort(block, axis=1)
+        ordered = np.take_along_axis(block, order, axis=1)
+        run_end = np.empty(ordered.shape, dtype=bool)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_end[:, :-1])
+        run_end[:, -1] = True
+        run_end &= np.isfinite(ordered)
+        ends = np.where(run_end, positions, np.inf)
+        ranks = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        np.put_along_axis(block, order, ranks, axis=1)
+
+
 def ranks_from_distances(dist_row: np.ndarray) -> np.ndarray:
-    """Weak-inequality ranks of one source's distance vector."""
+    """Weak-inequality ranks of one source's distance vector; the
+    references' own routine, independent of rank_table's."""
     finite = np.sort(dist_row[np.isfinite(dist_row)])
     ranks = np.searchsorted(finite, dist_row, side="right").astype(float)
     ranks[~np.isfinite(dist_row)] = np.inf
@@ -215,9 +242,6 @@ class GraphInstanceSet:
     def n_elements(self) -> int:
         return self.n * self.count
 
-    def element_id(self, v: int, h: int) -> int:
-        return h * self.n + v
-
     def node_of(self, e: int) -> int:
         return e % self.n
 
@@ -246,11 +270,15 @@ class GraphInstanceSet:
         return _sp_dijkstra(mat, indices=[source])[0]
 
     def rank_table(self) -> RankTable:
+        """Every instance's ranks, built on first use: each all-pairs
+        distance matrix is ranked in place, so a table costs its n x n
+        array plus a few block-sized temporaries."""
         if self._rank_table is None:
             tables = []
             for h in range(self.count):
                 dist = self.distances(h)
-                tables.append(np.vstack([ranks_from_distances(row) for row in dist]))
+                _rank_rows_in_place(dist)
+                tables.append(dist)
             self._rank_table = RankTable(tables)
         return self._rank_table
 
@@ -282,8 +310,10 @@ def simulate_instances(
                 [(s, d, 1.0) for (s, d, w), x in zip(base.edges, draws) if x < w]
             )
     elif name == "exponential":
+        # one draw per edge, in edge order
+        scales = 1.0 / np.array([w for _, _, w in base.edges], dtype=float)
         for _ in range(count):
-            lengths = [rng.exponential(1.0 / w) for _, _, w in base.edges]
+            lengths = rng.exponential(scales).tolist()
             instances.append(
                 [(s, d, ln) for (s, d, _), ln in zip(base.edges, lengths)]
             )

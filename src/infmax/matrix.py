@@ -11,6 +11,15 @@ from typing import Iterable, Sequence
 
 
 class SparseUtilityMatrix:
+    """Utilities stored by item: rows[i] lists item i's (element, utility)
+    pairs in entry order, and m counts them.
+
+    Each entry is checked in turn for an id out of range, then a utility
+    that is not positive and finite, then an (item, element) pair seen
+    before; the first failure raises ValueError.  The rows are all lazy
+    greedy reads; cols and sorted_cols are derived from them on first use.
+    """
+
     def __init__(
         self,
         n_items: int,
@@ -22,7 +31,10 @@ class SparseUtilityMatrix:
             raise ValueError("matrix dimensions must be positive")
         self.n_items = n_items
         self.n_elements = n_elements
-        self.rows: list[list[tuple[int, float]]] = [[] for _ in range(n_items)]
+        rows: list[list[tuple[int, float]]] = [[] for _ in range(n_items)]
+        # duplicates are keyed on the int i * n_elements + j: an (i, j) key
+        # tuple shares the row tuples' allocator size class, so one made
+        # between each two of them would spread a row's tuples apart
         seen = set()
         m = 0
         inf = math.inf
@@ -31,11 +43,13 @@ class SparseUtilityMatrix:
                 raise ValueError(f"entry ({i}, {j}) out of range")
             if not 0.0 < u < inf:  # also rejects NaN
                 raise ValueError(f"utility for ({i}, {j}) must be positive and finite")
-            if (i, j) in seen:
+            key = i * n_elements + j
+            if key in seen:
                 raise ValueError(f"duplicate entry ({i}, {j})")
-            seen.add((i, j))
-            self.rows[i].append((j, float(u)))
+            seen.add(key)
+            rows[i].append((j, float(u)))
             m += 1
+        self.rows = rows
         self.m = m
         if element_weights is None:
             self.element_weights = [1.0] * n_elements
@@ -68,10 +82,6 @@ class SparseUtilityMatrix:
 
     def weight(self, j: int) -> float:
         return self.element_weights[j]
-
-    def singleton_influence(self, i: int) -> float:
-        """Influence of {i} alone: weighted sum of its row."""
-        return sum(self.element_weights[j] * u for j, u in self.rows[i])
 
     def column_utilities(self, j: int, items: Iterable[int]) -> list[float]:
         """Utilities of the given items at element j (zeros dropped)."""

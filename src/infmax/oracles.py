@@ -152,22 +152,27 @@ def exact_influence(
 def exact_greedy(matrix: SparseUtilityMatrix, spec: AggregationSpec) -> GreedySequence:
     """Greedy sequence by full recomputation each step; ties by ascending id.
 
+    Every remaining item is priced with marg_gain against the digests of
+    the items selected so far, and the best one is committed with
+    add_seed.  A gain is a sum of digest marginals, never a difference of
+    two influence totals, which would cancel when the totals dwarf it.
     Quadratic reference used to validate the lazy implementation.
     """
+    problem = MatrixProblem(matrix, spec)
+    digests = DigestTable(matrix.n_elements, spec)
     remaining = list(range(matrix.n_items))
     seq: GreedySequence = []
-    selected: list[int] = []
     current = 0.0
     while remaining:
         best_i, best_gain = None, None
         for i in remaining:
-            gain = exact_influence(matrix, spec, selected + [i]) - current
+            gain = marg_gain(problem, i, digests)
             if best_gain is None or gain > best_gain:
                 best_i, best_gain = i, gain
-        selected.append(best_i)
         remaining.remove(best_i)
-        current += best_gain
-        seq.append(SeedRecord(best_i, None, best_gain, current))
+        gain = add_seed(problem, best_i, digests)
+        current += gain
+        seq.append(SeedRecord(best_i, None, gain, current))
     return seq
 
 

@@ -63,6 +63,11 @@ def random_instances(
     return GraphInstanceSet(n, sets)
 
 
+def singleton_influence(matrix: SparseUtilityMatrix, i: int) -> float:
+    """Influence of {i} alone: the weighted sum of its row, in row order."""
+    return sum(matrix.element_weights[j] * u for j, u in matrix.rows[i])
+
+
 def exact_value(spec, values) -> Fraction:
     """The aggregation of values in exact rationals."""
     ordered = sorted(values, reverse=True)

@@ -1,14 +1,17 @@
 """Graph instance sets, the four utility families, and their oracles."""
 
+import hashlib
 import math
 import random
+from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instances
+from conftest import random_instances, singleton_influence
 from infmax import (
     AggregationSpec,
     Alpha,
@@ -25,6 +28,7 @@ from infmax import (
     simulate_instances,
     to_utility_matrix,
 )
+from infmax import graphs
 from infmax.graphs import _WidestFrontier, ranks_from_distances
 
 MAX = AggregationSpec.maximum()
@@ -149,8 +153,9 @@ def test_element_ids_enumerate_node_instance_pairs():
     g = single([(0, 1, 1.0)], 3)
     gg = GraphInstanceSet(3, [[(0, 1, 1.0)], [(1, 2, 1.0)]])
     assert g.n_elements == 3 and gg.n_elements == 6
-    assert gg.element_id(2, 1) == 5
     assert gg.node_of(5) == 2 and gg.instance_of(5) == 1
+    pairs = [(gg.node_of(e), gg.instance_of(e)) for e in range(gg.n_elements)]
+    assert pairs == [(v, h) for h in range(2) for v in range(3)]  # e = h * n + v
 
 
 # -- simulation -------------------------------------------------------------------
@@ -201,6 +206,43 @@ def test_exponential_lengths_are_positive():
         assert all(w > 0 for _, _, w in edges)
 
 
+def pin_graph(seed, n, m, parallel=False):
+    """Random base graph with non-dyadic rates in [0.05, 3]."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(m):
+        s, d = rng.randrange(n), rng.randrange(n)
+        if s != d:
+            edges.append((s, d, rng.uniform(0.05, 3.0)))
+    if parallel:
+        edges.append(edges[0][:2] + (0.1,))
+    return DirectedGraph(n, tuple(edges))
+
+
+# SHA-256 of repr(simulate_instances(graph, "exponential", count, seed).instances):
+# each instance takes one exponential draw per edge, in edge order
+EXPONENTIAL_PINS = {
+    "n7-parallel": (pin_graph(1, 7, 14, parallel=True), 2, 0,
+                    "ad549128e25c6a35dc12bfa32638c2648339759691d201dbb33259ce06c35cba"),
+    "n40": (pin_graph(2, 40, 160), 3, 11,
+            "fd866d6a4edcd9fd892f189cbf7cbaa7abc556fd71e269facfda9ea54344d4d1"),
+    "n300": (pin_graph(3, 300, 1200), 2, 2024,
+             "044c1ad0f0ccc99fa5d122954340efe0b20f3acb0cdbf33ff6c1261f10f9b065"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENTIAL_PINS))
+def test_exponential_lengths_are_pinned(name):
+    base, count, seed, expected = EXPONENTIAL_PINS[name]
+    inst = simulate_instances(base, "exponential", count, seed)
+    assert hashlib.sha256(repr(inst.instances).encode()).hexdigest() == expected
+
+
+def test_exponential_model_of_an_edgeless_graph():
+    inst = simulate_instances(DirectedGraph(3, ()), "exponential", 2, rng_seed=0)
+    assert inst.instances == [[], []]
+
+
 # -- pairwise utilities (toy-graph fixtures) -----------------------------------------
 
 
@@ -246,6 +288,28 @@ def test_reachability_includes_self():
     g = single([(0, 1, 1.0)], 2)
     assert pairwise_utility(g, REACH, 0, 0) == 1.0
     assert pairwise_utility(g, REACH, 0, 1) == 1.0
+
+
+@st.composite
+def tied_instance_sets(draw):
+    """Up to two small instances with few distinct edge weights, so equal
+    distances are common, and sparse enough to leave nodes unreachable."""
+    n = draw(st.integers(1, 9))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+    instances = draw(st.lists(st.lists(edge, max_size=2 * n), min_size=1, max_size=2))
+    return GraphInstanceSet(n, instances)
+
+
+@given(tied_instance_sets())
+def test_rank_table_equals_per_row_reference_ranks_bit_for_bit(inst):
+    with mock.patch.object(graphs, "_RANK_BLOCK", 2):  # several blocks per table
+        tables = inst.rank_table().tables
+    for h, table in enumerate(tables):
+        dist = inst.distances(h)
+        want = np.vstack([ranks_from_distances(row) for row in dist])
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
 
 
 def test_rank_table_diagonal_and_reference_agreement():
@@ -431,7 +495,7 @@ def test_marg_gain_empty_set_is_singleton_influence():
     table = DigestTable(inst.n_elements, HALF)
     for i in range(inst.n):
         assert marg_gain(GraphProblem(inst, fam, None), i, table) == pytest.approx(
-            ref.singleton_influence(i)
+            singleton_influence(ref, i)
         )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_value, random_matrix
+from conftest import exact_value, random_matrix, singleton_influence
 from infmax import (
     AggregationSpec,
     SeedRecord,
@@ -67,6 +67,50 @@ def test_matrix_rejects_bad_weights():
         SparseUtilityMatrix(1, 2, [(0, 0, 1.0)], element_weights=[1.0])
     with pytest.raises(ValueError):
         SparseUtilityMatrix(1, 2, [(0, 0, 1.0)], element_weights=[1.0, 0.0])
+
+
+def tuple_keyed_rows(n_items, n_elements, entries):
+    """Reference constructor: the same checks in the same order, with the
+    duplicate check keyed on (i, j) tuples."""
+    rows = [[] for _ in range(n_items)]
+    seen = set()
+    for i, j, u in entries:
+        if not (0 <= i < n_items) or not (0 <= j < n_elements):
+            raise ValueError(f"entry ({i}, {j}) out of range")
+        if not 0.0 < u < math.inf:
+            raise ValueError(f"utility for ({i}, {j}) must be positive and finite")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate entry ({i}, {j})")
+        seen.add((i, j))
+        rows[i].append((j, float(u)))
+    return rows
+
+
+def outcome(build, *args):
+    try:
+        return "rows", build(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4), st.integers(1, 4), st.lists(st.tuples(
+    st.integers(-1, 4), st.integers(-1, 4),
+    st.sampled_from([1.0, 0.5, 2.5, 3, 0.0, -1.0, math.nan, math.inf])), max_size=12))
+# every cell once: a key that is not one-to-one in range reports a duplicate
+@example(3, 4, [(i, j, 1.0 + j) for i in range(3) for j in range(4)])
+@example(4, 3, [(i, j, 1.0 + i) for j in range(3) for i in range(4)])
+# ids that agree under i * n_elements + j only when j is out of range
+@example(2, 2, [(0, 2, 1.0), (1, 0, 1.0)])
+# the first failing check decides the message
+@example(2, 2, [(0, 0, 1.0), (0, 0, math.nan)])
+@example(2, 2, [(2, 0, 0.0)])
+def test_matrix_rows_and_errors_match_a_tuple_keyed_reference(n_items, n_elements, entries):
+    got = outcome(lambda *a: SparseUtilityMatrix(*a).rows, n_items, n_elements, entries)
+    assert got == outcome(tuple_keyed_rows, n_items, n_elements, entries)
+    if got[0] == "rows":
+        assert SparseUtilityMatrix(n_items, n_elements, entries).m == len(entries)
+        assert all(type(u) is float for row in got[1] for _, u in row)
 
 
 def test_sorted_columns_break_ties_by_item():
@@ -214,7 +258,7 @@ def full_reevaluation_lazy_greedy(matrix, spec, epsilon, stats):
     heap = []
     max_single = 0.0
     for i in range(matrix.n_items):
-        p = matrix.singleton_influence(i)
+        p = singleton_influence(matrix, i)
         max_single = max(max_single, p)
         heapq.heappush(heap, (-p, i))
     cutoff = max_single / (matrix.n_items ** 2)
@@ -332,28 +376,31 @@ def small_matrices(draw):
     return SparseUtilityMatrix(n_items, n_elements, entries, weights)
 
 
-@settings(max_examples=300)
-@given(small_matrices(), st.sampled_from(EXACT_SPECS))
 # after item 0, item 1 exactly gains 1e13 + 3 and item 2 gains 1e13 + 3.5;
 # a gain taken as a difference of totals prices item 1's 0.5 * 6.0 at
 # element 0 as (1e16 + 3) - 1e16, which rounds to 4, and picks item 1
-@example(SparseUtilityMatrix(50, 3, [(0, 0, 1e16), (1, 0, 6.0), (1, 1, 1e13),
-                                     (2, 2, 1e13 + 3.5)]), HALF)
-def test_lazy_greedy_at_zero_epsilon_picks_an_exact_argmax_up_to_rounding(m, spec):
-    # A computed item gain sums one w * marg(u) per row entry: each term
-    # passes through at most ell + 1 roundings in marg, one in the weight
-    # product and r - 1 in the row sum, so a gain is within a relative
-    # delta = (ell + r + 1) u / (1 - (ell + r + 1) u) of the exact one.  A
-    # priority is an earlier computed gain, and exact gains only shrink,
-    # so the picked item's exact gain g and the exact maximum g* satisfy
-    # (1 + delta) g >= (1 - delta) g*, i.e. g* - g <= 2 delta g*.
+CANCELLING = SparseUtilityMatrix(50, 3, [(0, 0, 1e16), (1, 0, 6.0), (1, 1, 1e13),
+                                         (2, 2, 1e13 + 3.5)])
+
+
+def assert_picks_exact_argmax_up_to_rounding(m, spec, seq):
+    """Each selected record of seq is an exact argmax up to rounding.
+
+    A computed item gain sums one w * marg(u) per row entry: each term
+    passes through at most ell + 1 roundings in marg, one in the weight
+    product and r - 1 in the row sum, so a gain is within a relative
+    delta = (ell + r + 1) u / (1 - (ell + r + 1) u) of the exact one.  A
+    lazy priority is an earlier computed gain, and exact gains only
+    shrink, so the picked item's exact gain g and the exact maximum g*
+    satisfy (1 + delta) g >= (1 - delta) g*, i.e. g* - g <= 2 delta g*.
+    """
     r = max(len(row) for row in m.rows)
     t = spec.ell + r + 1
     delta = Fraction(t, 2**53 - t)
     seen = [[] for _ in range(m.n_elements)]
     remaining = set(range(m.n_items))
     cutoff = max(exact_gain(m, spec, seen, i) for i in remaining) / m.n_items**2
-    for rec in lazy_greedy(m, spec, 0.0):
+    for rec in seq:
         if rec.below_cutoff:
             break
         gains = {i: exact_gain(m, spec, seen, i) for i in remaining}
@@ -366,6 +413,26 @@ def test_lazy_greedy_at_zero_epsilon_picks_an_exact_argmax_up_to_rounding(m, spe
         remaining.remove(rec.item)
         for j, u in m.rows[rec.item]:
             seen[j].append(u)
+
+
+@settings(max_examples=300)
+@given(small_matrices(), st.sampled_from(EXACT_SPECS))
+@example(CANCELLING, HALF)
+def test_lazy_greedy_at_zero_epsilon_picks_an_exact_argmax_up_to_rounding(m, spec):
+    assert_picks_exact_argmax_up_to_rounding(m, spec, lazy_greedy(m, spec, 0.0))
+
+
+@settings(max_examples=300)
+@given(small_matrices(), st.sampled_from(EXACT_SPECS))
+@example(CANCELLING, HALF)
+def test_exact_greedy_picks_an_exact_argmax_up_to_rounding(m, spec):
+    assert_picks_exact_argmax_up_to_rounding(m, spec, exact_greedy(m, spec))
+
+
+def test_exact_greedy_prices_gains_without_cancellation():
+    for seq in (exact_greedy(CANCELLING, HALF), lazy_greedy(CANCELLING, HALF, 0.0)):
+        assert [(r.item, r.gain) for r in seq[:3]] == [
+            (0, 1e16), (2, 10000000000003.5), (1, 10000000000003.0)]
 
 
 def test_digest_ops_counts_the_calls_digests_receive(monkeypatch):

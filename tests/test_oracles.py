@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from conftest import random_matrix
+from conftest import random_matrix, singleton_influence
 from infmax import (
     AggregationSpec,
     Alpha,
@@ -281,7 +281,7 @@ def test_exact_influence_singleton_is_row_sum():
     m = random_matrix(rng, 5, 9, density=0.6)
     for i in range(5):
         assert exact_influence(m, HALF, [i]) == pytest.approx(
-            m.singleton_influence(i)
+            singleton_influence(m, i)
         )
 
 

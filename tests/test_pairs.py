@@ -1,6 +1,7 @@
 """The paired-run verdict of scripts/pairs.py, on fixed numbers."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -98,3 +99,45 @@ def test_a_zero_parent_median_tolerates_no_worsening():
     got = pairs.regressions(END_TO_END[:1], {"solve_s": 0.0}, {"solve_s": 0.001})
     assert [(r["metric"], r["relative_worse"]) for r in got] == [("solve_s", None)]
     assert pairs.regressions(END_TO_END[:1], {"solve_s": 0.0}, {"solve_s": 0.0}) == []
+
+
+def fake_run_once(values):
+    """run_once replaced by fixed end-to-end values per (tree, seed)."""
+    def run_once(tree, workload, seed, seconds):
+        setup_s, solve_s = values[(os.path.basename(tree), seed)]
+        metrics = {"setup_s": setup_s, "solve_s": solve_s, "peak_rss_mb": 100.0,
+                   "quality_s50": 1.0, "pass_ratio": 1.0}
+        return {"failed": 0, "attempted": 4,
+                "metrics": {k: {"value": v} for k, v in metrics.items()}}
+    return run_once
+
+
+def test_metric_flag_picks_the_verdict_metric(monkeypatch, tmp_path, capsys):
+    # set-up halves on every seed while solve_s barely moves
+    change = os.path.basename(pairs.ROOT)
+    values = {}
+    for k, seed in enumerate(range(11, 21)):
+        values[("parent", seed)] = (0.020 + 0.0002 * k, PARENT[k])
+        values[(change, seed)] = (0.010 + 0.0002 * k, PARENT[k] - 0.0001)
+    monkeypatch.setattr(pairs, "run_once", fake_run_once(values))
+    parent = str(tmp_path / "parent")
+    args = ["--parent", parent, "--workload", "lazy-matrix", "--seeds", "11-20", "--seconds", "1"]
+
+    def doc(extra):
+        out = tmp_path / "pairs.json"
+        assert pairs.main(args + extra + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        return json.loads(out.read_text())
+
+    solve = doc([])
+    assert solve["metric"] == "solve_s"
+    assert solve["verdict"]["wins"] == 10 and not solve["verdict"]["gain"]
+    setup = doc(["--metric", "setup_s"])
+    assert setup["metric"] == "setup_s"
+    v = setup["verdict"]
+    assert (v["wins"], v["losses"], v["gain"]) == (10, 0, True)
+    assert v["parent_median"] == pytest.approx(0.0209) and v["change_median"] == pytest.approx(0.0109)
+    assert v["parent_quartile_spread"] == pytest.approx(0.0009)
+    assert setup["pairs"] == solve["pairs"] and setup["regressions"] == []
+    with pytest.raises(SystemExit):
+        pairs.main(args + ["--metric", "quality_s50"])  # higher is better: no verdict
