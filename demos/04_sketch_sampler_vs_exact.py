@@ -32,9 +32,8 @@ inst = GraphInstanceSet(n, [edges, edges[::2]])
 family = UtilityFamily("distance", Alpha.exponential(1.0))
 spec = AggregationSpec.maximum()
 
-trace, stats = [], {}
-seq = run_skim(GraphProblem(inst, family, spec), k=32, rng_seed=3,
-               trace=trace, stats=stats)
+stats = {}
+seq = run_skim(GraphProblem(inst, family, spec), k=32, rng_seed=3, stats=stats)
 
 ref = to_utility_matrix(inst, family)
 dense = np.zeros((ref.n_items, ref.n_elements))
@@ -48,7 +47,8 @@ print(f"forward-search yields: {stats['forward_yields']}, "
 print()
 print("step  tau      item  estimate  exact gain  vs step max")
 covered = np.zeros(ref.n_elements)
-for step, (tau, item, est, gain) in enumerate(trace[:12]):
+for step, (tau, rec) in enumerate(zip(stats["tau"][:12], seq)):
+    item, est, gain = rec.item, rec.estimate, rec.gain
     best = np.maximum(dense - covered, 0.0).sum(axis=1).max()
     print(f"{step + 1:>4}  {tau:7.4f} {item:>5} {est:>9.3f} {gain:>11.3f}"
           f" {gain / best:>11.3f}")

@@ -1,0 +1,88 @@
+"""Full-record fingerprints of benchmark solves, a parent checkout against this tree.
+
+Run from the repository root, with a clean copy of the parent commit
+(for example from `git archive`) at PARENT:
+
+    python3 scripts/fingerprints.py --parent PARENT --workload lazy-matrix \\
+        --seeds 0-39 [--scale 1.0]
+
+For each seed s it builds `perfbench/workloads.build(workload, s, scale)`,
+sets it up, solves it once and hashes the sequence with SHA-256: the
+full-precision repr of (item, estimate, gain, cumulative, below_cutoff)
+of every record.  Unlike the benchmark's own fingerprint this covers
+the estimate.  Each tree is solved in a child process that imports that
+tree's own sources.  It prints one JSON object and exits 1 when any seed
+hashes differently in the two trees.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def sequence_hash(seq) -> str:
+    text = repr([(r.item, r.estimate, r.gain, r.cumulative, r.below_cutoff) for r in seq])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'0-39' as the list of seeds from 0 to 39."""
+    lo, hi = map(int, text.split("-"))
+    return list(range(lo, hi + 1))
+
+
+def tree_hashes(tree: str, workload: str, seeds: list[int], scale: float) -> list[str]:
+    """Hashes of `tree`'s solves, one per seed, from a child process."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--tree", tree, "--workload", workload,
+           "--seeds", f"{seeds[0]}-{seeds[-1]}", "--scale", str(scale)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
+    return json.loads(out)
+
+
+def solve_hashes(tree: str, workload: str, seeds: list[int], scale: float) -> list[str]:
+    """Hashes of the solves, with `tree`'s sources imported in this process."""
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+    import infmax
+    import workloads
+
+    src = os.path.join(os.path.abspath(tree), "src")
+    if not os.path.abspath(infmax.__file__).startswith(src + os.sep):
+        raise SystemExit(f"imported infmax from {infmax.__file__}, not {src}")
+    hashes = []
+    for seed in seeds:
+        wl = workloads.build(workload, seed, scale)
+        hashes.append(sequence_hash(wl.solve(wl.setup(), {})))
+    return hashes
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", help="checkout of the parent commit")
+    p.add_argument("--tree", help=argparse.SUPPRESS)  # child: hash this tree only
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 0-39")
+    p.add_argument("--scale", type=float, default=1.0)
+    args = p.parse_args(argv)
+    if args.tree is not None:
+        print(json.dumps(solve_hashes(args.tree, args.workload, args.seeds, args.scale)))
+        return 0
+    if args.parent is None:
+        p.error("--parent is required")
+    parent = tree_hashes(os.path.abspath(args.parent), args.workload, args.seeds, args.scale)
+    change = tree_hashes(ROOT, args.workload, args.seeds, args.scale)
+    mismatches = [{"seed": s, "parent": a, "change": b}
+                  for s, a, b in zip(args.seeds, parent, change) if a != b]
+    print(json.dumps({"workload": args.workload, "scale": args.scale,
+                      "seeds": [args.seeds[0], args.seeds[-1]], "inputs": len(args.seeds),
+                      "mismatches": mismatches}, indent=1))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,12 @@ their stored weighted marginal.  This is exact, because marg() is a pure
 function of the digest's state and a digest changes only when a seed is
 committed.  The gain is the sum of the same terms in row order, so every
 gain and priority equals a full re-evaluation's bit for bit.
+
+One stopping rule serves lazy greedy, oracles.exact_greedy and SKIM: the
+first record is selected if its gain is positive, a later one only if its
+gain exceeds first gain / n_items**2 (selection_cutoff).  Flagged records
+carry the final cumulative: lazy and exact greedy flag every item left,
+SKIM flags one validated seed and stops.  Gains are always floats.
 """
 
 import heapq
@@ -34,14 +40,19 @@ class SeedRecord:
     estimate: float | None  # priority/estimate at selection time, None if exact
     gain: float  # exact marginal influence when selected
     cumulative: float
-    below_cutoff: bool = False
+    below_cutoff: bool = False  # not selected, by the rule of the module docstring
 
 
 GreedySequence = list[SeedRecord]
 
 
-def sequence_items(seq: GreedySequence, selected_only: bool = True) -> list[int]:
-    return [r.item for r in seq if not (selected_only and r.below_cutoff)]
+def sequence_items(seq: GreedySequence) -> list[int]:
+    return [r.item for r in seq if not r.below_cutoff]
+
+
+def selection_cutoff(selected: GreedySequence, n_items: int) -> float:
+    """The gain the next record must exceed to be selected."""
+    return selected[0].gain / n_items ** 2 if selected else 0.0
 
 
 def lazy_greedy(
@@ -57,13 +68,15 @@ def lazy_greedy(
     up to the rounding delta of the module docstring, so at epsilon = 0
     the pick's exact gain is within a relative 2 * delta of the exact
     maximum over the items still in the heap.  Ties pop by ascending
-    item id.  Items whose gain falls to at most max_single/n_items^2 are
-    dropped from the heap and appended at the end flagged below_cutoff,
-    so the result is a full permutation.
+    item id.  A popped item faces the stopping rule before the accept
+    test.  stats gets "digest_ops", "pops" and "stop": "cutoff" if an
+    item was flagged, else "exhausted".
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
     if matrix.m == 0:
+        if stats is not None:
+            stats["stop"] = "exhausted"
         return []
     digests = [UtilityDigest(spec) for _ in range(matrix.n_elements)]
     weights = matrix.element_weights
@@ -75,17 +88,12 @@ def lazy_greedy(
     terms = [[weights[j] * u for j, u in row] for row in rows]
     priced = [0] * matrix.n_items
     updated = [0] * matrix.n_elements
-
-    heap = []  # (-priority, item)
-    max_single = 0.0
-    for i, t in enumerate(terms):
-        p = sum(t)  # singleton influence
-        max_single = max(max_single, p)
-        heapq.heappush(heap, (-p, i))
-    cutoff = max_single / (matrix.n_items ** 2)
+    heap = [(-sum(t, 0.0), i) for i, t in enumerate(terms)]  # keys distinct: order is fixed
+    heapq.heapify(heap)
 
     seq: GreedySequence = []
     dropped: GreedySequence = []
+    cutoff = selection_cutoff(seq, matrix.n_items)
     cumulative = 0.0
     n_seeds = 0
     pops = 0
@@ -101,8 +109,10 @@ def lazy_greedy(
                     t[k] = weights[j] * digests[j].marg(u)
                     digest_ops += 1
             priced[i] = n_seeds
-        gain = sum(t)
-        if gain >= (1.0 - epsilon) * priority:
+        gain = sum(t, 0.0)
+        if gain <= cutoff:
+            dropped.append(SeedRecord(i, priority, gain, cumulative, below_cutoff=True))
+        elif gain >= (1.0 - epsilon) * priority:
             n_seeds += 1
             for j, u in row:
                 digests[j].update(u)
@@ -110,13 +120,13 @@ def lazy_greedy(
             digest_ops += len(row)
             cumulative += gain
             seq.append(SeedRecord(i, priority, gain, cumulative))
-        elif gain > cutoff:
-            heapq.heappush(heap, (-gain, i))
+            cutoff = selection_cutoff(seq, matrix.n_items)
         else:
-            dropped.append(SeedRecord(i, priority, gain, cumulative, below_cutoff=True))
+            heapq.heappush(heap, (-gain, i))
     for rec in dropped:
         rec.cumulative = cumulative
     if stats is not None:
         stats["digest_ops"] = digest_ops
         stats["pops"] = pops
+        stats["stop"] = "cutoff" if dropped else "exhausted"
     return seq + dropped

@@ -20,7 +20,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from .aggregation import AggregationSpec, DigestTable, StaleStreamError, aggregate
-from .greedy import GreedySequence, SeedRecord
+from .greedy import GreedySequence, SeedRecord, selection_cutoff
 from .matrix import SparseUtilityMatrix
 
 
@@ -59,8 +59,8 @@ class ForwardStream:
     once by the search's yield test.
 
     search(stream) generates the triples and counts the entries or nodes it
-    examines in stream.visited.  Iterating after another seed has been
-    committed to the digest table raises StaleStreamError.
+    examines in stream.visited (the benchmark reads it as fwd_settles).
+    Iterating after another seed was added raises StaleStreamError.
     """
 
     def __init__(self, digests: DigestTable, search):
@@ -115,7 +115,7 @@ class MatrixProblem:
 def marg_gain(problem, i: int, digests: DigestTable) -> float:
     """Marginal influence of item i against the current digests; no mutation."""
     weight = problem.weight
-    return sum(weight(j) * c for j, _, c in problem.forward_stream(i, digests))
+    return sum((weight(j) * c for j, _, c in problem.forward_stream(i, digests)), 0.0)
 
 
 def add_seed(problem, i: int, digests: DigestTable, seeds: set[int] | None = None) -> float:
@@ -156,23 +156,26 @@ def exact_greedy(matrix: SparseUtilityMatrix, spec: AggregationSpec) -> GreedySe
     the items selected so far, and the best one is committed with
     add_seed.  A gain is a sum of digest marginals, never a difference of
     two influence totals, which would cancel when the totals dwarf it.
-    Quadratic reference used to validate the lazy implementation.
+    Ends by greedy.py's stopping rule: once a step's best gain fails it,
+    the items left are flagged in ascending id with the gains just
+    computed.  Quadratic reference used to validate the lazy greedy.
     """
     problem = MatrixProblem(matrix, spec)
     digests = DigestTable(matrix.n_elements, spec)
-    remaining = list(range(matrix.n_items))
+    remaining = list(range(matrix.n_items)) if matrix.m else []  # no entries: []
     seq: GreedySequence = []
     current = 0.0
     while remaining:
-        best_i, best_gain = None, None
-        for i in remaining:
-            gain = marg_gain(problem, i, digests)
-            if best_gain is None or gain > best_gain:
-                best_i, best_gain = i, gain
-        remaining.remove(best_i)
-        gain = add_seed(problem, best_i, digests)
+        cutoff = selection_cutoff(seq, matrix.n_items)
+        gains = [marg_gain(problem, i, digests) for i in remaining]
+        best = max(range(len(remaining)), key=gains.__getitem__)  # first of equals
+        if gains[best] <= cutoff:
+            seq += [SeedRecord(i, None, g, current, True) for i, g in zip(remaining, gains)]
+            break
+        i = remaining.pop(best)
+        gain = add_seed(problem, i, digests)
         current += gain
-        seq.append(SeedRecord(best_i, None, gain, current))
+        seq.append(SeedRecord(i, None, gain, current))
     return seq
 
 

@@ -60,7 +60,7 @@ import math
 import numpy as np
 
 from .aggregation import DigestTable, StaleStreamError
-from .greedy import GreedySequence, SeedRecord
+from .greedy import GreedySequence, SeedRecord, selection_cutoff
 
 H, M, L = 2, 1, 0  # segment classes, ordered so that the prefix cap is a min
 
@@ -121,9 +121,7 @@ class SkimRun:
         epsilon: float = 0.2,
         rng_seed: int = 0,
         rank_mode: str = "uniform",
-        trace: list | None = None,
         stats: dict | None = None,
-        audit=None,
     ):
         if k is None:
             k = default_sample_size(epsilon, problem.n_items, problem.n_elements)
@@ -135,13 +133,11 @@ class SkimRun:
         self.spec = problem.spec
         self.k = k
         self.lam = lam
-        self.epsilon = epsilon
-        self.trace = trace
-        self.audit = audit
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("forward_yields", 0)
         self.stats.setdefault("rev_pops", 0)
         self.stats.setdefault("exact_evals", 0)
+        self.stats["tau"] = []  # tau at each committed seed
 
         rng = np.random.default_rng(rng_seed)
         n_el = problem.n_elements
@@ -302,8 +298,6 @@ class SkimRun:
         estimate fails its exact-gain validation (its priority is then
         replaced by the exact gain and sampling continues).
         """
-        if self.audit is not None:
-            self.audit(self)
         k_tau = self.k * self.tau
         accept = 1.0 - 1.0 / math.sqrt(self.k)
         q = self.qitems
@@ -369,8 +363,7 @@ class SkimRun:
         self._flush()
         self.coverage += gain
         self.records.append(SeedRecord(i, est, gain, self.coverage))
-        if self.trace is not None:
-            self.trace.append((self.tau, i, est, gain))
+        self.stats["tau"].append(self.tau)
         return gain
 
     # -- segment maintenance ---------------------------------------------------
@@ -500,23 +493,31 @@ class SkimRun:
     # -- driver ----------------------------------------------------------------
 
     def run(self) -> GreedySequence:
-        if self.tau is None:
-            return self.records  # no positive utilities at all
+        """Select seeds until greedy.py's stopping rule flags a validated
+        one, uncommitted ("cutoff"), nothing is left ("exhausted") or tau
+        underflows ("tau underflow"); stats["stop"] names which."""
         n = self.problem.n_items
-        while len(self.seeds) < n:
+        stop = "exhausted"
+        while self.tau is not None and len(self.seeds) < n:  # tau is None: no utility
             res = self.next_seed()
             if res is not None:
-                if self._process_seed(*res) < self.records[0].gain / n ** 2:
+                gain = self._validated[2]
+                if gain <= selection_cutoff(self.records, n):
+                    self.records.append(SeedRecord(*res, gain, self.coverage, below_cutoff=True))
+                    stop = "cutoff"
                     break
+                self._process_seed(*res)
                 continue
             if self.qelements.peek() is None and self._fresh_max() <= 0.0:
                 break  # nothing left to sample or select
             if self.tau == 0.0:
-                break  # threshold underflowed, nothing viable
+                stop = "tau underflow"
+                break
             self.tau *= self.lam
             self.move_up()
             self._drain()
         self.stats["tau_final"] = self.tau
+        self.stats["stop"] = stop
         return self.records
 
 
@@ -527,17 +528,16 @@ def run_skim(
     epsilon: float = 0.2,
     rng_seed: int = 0,
     rank_mode: str = "uniform",
-    trace: list | None = None,
     stats: dict | None = None,
-    audit=None,
 ) -> GreedySequence:
     """Approximate greedy sequence using only oracle access.
 
     problem is an oracle bundle (MatrixProblem or GraphProblem): it
     exposes n_items, n_elements, spec, per-element weights, reverse
     sorted access streams and forward searches.  Deterministic for fixed
-    arguments.  trace, when given a list, receives one
-    (tau, item, estimate, exact_gain) tuple per selection.
+    arguments; ends as SkimRun.run says.  stats gets the counters
+    "forward_yields", "rev_pops", "exact_evals", the tau of each selected
+    seed in order as "tau", "tau_final" and the stop reason "stop".
     """
     return SkimRun(
         problem,
@@ -546,8 +546,5 @@ def run_skim(
         epsilon=epsilon,
         rng_seed=rng_seed,
         rank_mode=rank_mode,
-        trace=trace,
         stats=stats,
-        audit=audit,
     ).run()
-

@@ -320,7 +320,8 @@ def test_gamma_flag_builds_weighted_aggregation(tmp_path):
     )
     run(cfg)
     rows = out.read_text().splitlines()[1:]
-    assert [r.split(",")[1] for r in rows] == ["0", "1", "2"]
+    # item 2 gains 0.0 under gamma=(1, 0.5): flagged by the stopping rule
+    assert [r.split(",")[1] for r in rows] == ["0", "1"]
     assert float(rows[-1].split(",")[4]) == pytest.approx(1.25)
 
 

@@ -1,0 +1,33 @@
+"""The full-record fingerprints of scripts/fingerprints.py."""
+
+import importlib.util
+import json
+import os
+
+from infmax import SeedRecord
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "fingerprints.py")
+_spec = importlib.util.spec_from_file_location("fingerprints", _PATH)
+fingerprints = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fingerprints)
+
+RECORDS = [
+    SeedRecord(3, 2.5, 2.25, 2.25),
+    SeedRecord(1, 1.0, 0.75, 3.0),
+    SeedRecord(0, 0.5, 0.0, 3.0, below_cutoff=True),
+]
+
+
+def test_hash_covers_the_estimate():
+    moved = [SeedRecord(3, 2.5, 2.25, 2.25), SeedRecord(1, 1.0 + 2 ** -52, 0.75, 3.0), RECORDS[2]]
+    assert fingerprints.sequence_hash(RECORDS) == fingerprints.sequence_hash(list(RECORDS))
+    assert fingerprints.sequence_hash(moved) != fingerprints.sequence_hash(RECORDS)
+
+
+def test_tree_against_itself_has_no_mismatch(capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(_PATH)))
+    code = fingerprints.main(["--parent", root, "--workload", "lazy-matrix",
+                              "--seeds", "0-1", "--scale", "0.02"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (doc["inputs"], doc["mismatches"]) == (2, [])

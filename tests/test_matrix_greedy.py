@@ -258,10 +258,10 @@ def full_reevaluation_lazy_greedy(matrix, spec, epsilon, stats):
     heap = []
     max_single = 0.0
     for i in range(matrix.n_items):
-        p = singleton_influence(matrix, i)
+        p = float(singleton_influence(matrix, i))  # gains are floats
         max_single = max(max_single, p)
         heapq.heappush(heap, (-p, i))
-    cutoff = max_single / (matrix.n_items ** 2)
+    cutoff = 0.0  # the first selection need only gain
     seq, dropped = [], []
     cumulative = 0.0
     pops = 0
@@ -270,16 +270,17 @@ def full_reevaluation_lazy_greedy(matrix, spec, epsilon, stats):
         priority = -neg_p
         pops += 1
         row = matrix.rows[i]
-        gain = sum(weights[j] * digests[j].marg(u) for j, u in row)
-        if gain >= (1.0 - epsilon) * priority:
+        gain = sum((weights[j] * digests[j].marg(u) for j, u in row), 0.0)
+        if gain <= cutoff:
+            dropped.append(SeedRecord(i, priority, gain, cumulative, below_cutoff=True))
+        elif gain >= (1.0 - epsilon) * priority:
+            cutoff = max_single / (matrix.n_items ** 2)
             for j, u in row:
                 digests[j].update(u)
             cumulative += gain
             seq.append(SeedRecord(i, priority, gain, cumulative))
-        elif gain > cutoff:
-            heapq.heappush(heap, (-gain, i))
         else:
-            dropped.append(SeedRecord(i, priority, gain, cumulative, below_cutoff=True))
+            heapq.heappush(heap, (-gain, i))
     for rec in dropped:
         rec.cumulative = cumulative
     stats["pops"] = pops

@@ -84,6 +84,17 @@ def validate_state(run):
             assert estimate >= run.k * run.tau - 1e-9
 
 
+class AuditedRun(SkimRun):
+    """A SkimRun that checks validate_state at every next_seed entry."""
+
+    audits = 0
+
+    def next_seed(self):
+        validate_state(self)
+        self.audits += 1
+        return super().next_seed()
+
+
 def make_run(matrix, spec=MAX, **kw):
     return SkimRun(MatrixProblem(matrix, spec), **kw)
 
@@ -460,11 +471,9 @@ def test_state_invariants_hold_during_matrix_runs(rank_mode):
     for trial in range(4):
         spec = [MAX, HALF, AggregationSpec((1.0, 1.0))][trial % 3]
         m = random_matrix(rng, 12, 30, density=0.4)
-        run = SkimRun(
-            MatrixProblem(m, spec), k=8, rng_seed=trial, rank_mode=rank_mode,
-            audit=validate_state,
-        )
+        run = AuditedRun(MatrixProblem(m, spec), k=8, rng_seed=trial, rank_mode=rank_mode)
         run.run()
+        assert run.audits > 0
 
 
 def weighted_matrix():
@@ -477,8 +486,9 @@ def weighted_matrix():
 
 def test_state_invariants_hold_with_element_weights():
     m = weighted_matrix()
-    run = SkimRun(MatrixProblem(m, HALF), k=8, rng_seed=1, audit=validate_state)
+    run = AuditedRun(MatrixProblem(m, HALF), k=8, rng_seed=1)
     seq = run.run()
+    assert run.audits > 0
     items = sequence_items(seq)
     assert seq[-1].cumulative == pytest.approx(
         exact_influence(m, HALF, items), abs=1e-9
@@ -514,9 +524,10 @@ def test_state_invariants_hold_during_graph_runs(family, rank_mode, gamma):
     # marginals right on class boundaries, where a move_up priority priced
     # on a stale digest leaves an entry in the wrong segment
     problem = fixture_problem(family, gamma)
-    run = SkimRun(problem, k=8, rng_seed=3, rank_mode=rank_mode, audit=validate_state)
+    run = AuditedRun(problem, k=8, rng_seed=3, rank_mode=rank_mode)
     seq = run.run()
     assert seq  # the run actually selected something
+    assert run.audits > 0
 
 
 # SHA-256 of the full-precision repr of (item, estimate, gain, cumulative)
@@ -659,7 +670,7 @@ def test_each_commit_prices_only_the_surviving_entries(source, monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
 def test_items_are_pushed_once_per_pass(family):
-    run = SkimRun(fixture_problem(family, "top3"), k=8, rng_seed=3, rank_mode="permutation", audit=validate_state)
+    run = AuditedRun(fixture_problem(family, "top3"), k=8, rng_seed=3, rank_mode="permutation")
     pushed = []
     push = run.qitems.push
 
@@ -689,6 +700,7 @@ def test_items_are_pushed_once_per_pass(family):
         one_push_per_item(name)
     assert run.run()
     assert {"_drain", "_process_seed"} <= {name for name, n in passes if n > 0}
+    assert run.audits > 0
 
 
 # -- estimator ---------------------------------------------------------------------------
@@ -778,14 +790,14 @@ def test_runs_are_deterministic():
     rng = random.Random(91)
     m = random_matrix(rng, 10, 20, density=0.5)
     problem = MatrixProblem(m, HALF)
-    t1, t2 = [], []
-    a = run_skim(problem, k=8, rng_seed=42, trace=t1)
-    b = run_skim(problem, k=8, rng_seed=42, trace=t2)
+    s1, s2 = {}, {}
+    a = run_skim(problem, k=8, rng_seed=42, stats=s1)
+    b = run_skim(problem, k=8, rng_seed=42, stats=s2)
     assert [(r.item, r.estimate, r.gain) for r in a] == [
         (r.item, r.estimate, r.gain) for r in b
     ]
-    assert t1 == t2
-    assert all(len(t) == 4 for t in t1)  # (tau, item, estimate, gain)
+    assert s1["tau"] == s2["tau"]
+    assert len(s1["tau"]) == len(sequence_items(a))  # one tau per selected seed
     c = run_skim(problem, k=8, rng_seed=43)
     assert a != c or sequence_items(a) == sequence_items(c)
 
