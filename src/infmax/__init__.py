@@ -26,7 +26,6 @@ from .graphs import (
     DirectedGraph,
     GraphInstanceSet,
     GraphProblem,
-    RankTable,
     UtilityFamily,
     pairwise_utility,
     simulate_instances,
@@ -53,7 +52,6 @@ __all__ = [
     "GraphProblem",
     "GreedySequence",
     "MatrixProblem",
-    "RankTable",
     "SeedRecord",
     "SkimRun",
     "SparseUtilityMatrix",

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .aggregation import AggregationSpec, DigestTable
 from .graphs import (
@@ -33,18 +32,9 @@ from .oracles import (
     marg_gain,
     optimal_subset,
 )
-from .skim import run_skim
+from .skim import default_sample_size, run_skim
 
 ENV_SEED = "INFMAX_SEED"
-
-FAMILY_NAMES = {
-    "distance": "distance",
-    "reverse-rank": "reverse_rank",
-    "reverse_rank": "reverse_rank",
-    "reachability": "reachability",
-    "survival": "survival",
-    "survival-threshold": "survival",
-}
 
 
 class ParseError(ValueError):
@@ -53,25 +43,6 @@ class ParseError(ValueError):
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    input: str
-    kind: str  # matrix | graph
-    algorithm: str = "skim"  # skim | lazy | exact
-    family: str | None = None
-    alpha: str | None = None
-    gamma: tuple[float, ...] | None = None
-    ell: int | None = None
-    model: str = "fixed"
-    instances: int = 1
-    rng_seed: int = 0
-    epsilon: float = 0.1
-    k: int | None = None
-    lam: float = 0.5
-    output: str = "-"
-    verify: bool = False
 
 
 def _tokens(line: str, n: int, path: str, lineno: int) -> list[str]:
@@ -106,65 +77,47 @@ def _read_lines(path: str) -> list[str]:
         raise ParseError(f"{path}: cannot read: {e.strerror}") from None
 
 
-def parse_input(path: str, kind: str) -> SparseUtilityMatrix | DirectedGraph:
-    """Read and strictly validate a matrix or graph file."""
+def _read_triples(path: str, graph: bool) -> tuple[int, int, list]:
+    """The two header integers and the "int int positive-number" lines of a
+    matrix or graph file.  A graph header's second integer promises the
+    number of lines; a matrix file names a blank line as such."""
     lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}:1: empty file")
-    if kind == "matrix":
-        n_items, n_elements = (
-            _to_int(t, path, 1) for t in _tokens(lines[0], 2, path, 1)
-        )
-        entries = []
-        for off, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                raise ParseError(f"{path}:{off}: blank line")
-            i_tok, j_tok, u_tok = _tokens(line, 3, path, off)
-            i = _to_int(i_tok, path, off)
-            j = _to_int(j_tok, path, off)
-            u = _to_float(u_tok, path, off)
-            if u <= 0:
-                raise ParseError(f"{path}:{off}: utility must be positive")
-            entries.append((i, j, u))
-        try:
-            return SparseUtilityMatrix(n_items, n_elements, entries)
-        except ValueError as e:
-            raise ParseError(f"{path}: {e}") from None
-    if kind == "graph":
-        n, m = (_to_int(t, path, 1) for t in _tokens(lines[0], 2, path, 1))
-        if len(lines) - 1 != m:
-            raise ParseError(
-                f"{path}: header promises {m} edges, found {len(lines) - 1} lines"
-            )
-        edges = []
-        for off, line in enumerate(lines[1:], start=2):
-            s_tok, d_tok, w_tok = _tokens(line, 3, path, off)
-            s = _to_int(s_tok, path, off)
-            d = _to_int(d_tok, path, off)
-            w = _to_float(w_tok, path, off)
-            if w <= 0:
-                raise ParseError(f"{path}:{off}: edge weight must be positive")
-            edges.append((s, d, w))
-        try:
-            return DirectedGraph(n, tuple(edges))
-        except ValueError as e:
-            raise ParseError(f"{path}: {e}") from None
-    raise ConfigError(f"unknown input kind {kind!r}")
+    a, b = (_to_int(t, path, 1) for t in _tokens(lines[0], 2, path, 1))
+    if graph and len(lines) - 1 != b:
+        raise ParseError(f"{path}: header promises {b} edges, found {len(lines) - 1} lines")
+    what = "edge weight" if graph else "utility"
+    triples = []
+    for off, line in enumerate(lines[1:], start=2):
+        if not graph and not line.strip():
+            raise ParseError(f"{path}:{off}: blank line")
+        x_tok, y_tok, w_tok = _tokens(line, 3, path, off)
+        x = _to_int(x_tok, path, off)
+        y = _to_int(y_tok, path, off)
+        w = _to_float(w_tok, path, off)
+        if w <= 0:
+            raise ParseError(f"{path}:{off}: {what} must be positive")
+        triples.append((x, y, w))
+    return a, b, triples
 
 
-def write_graph(path: str, graph: DirectedGraph) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{graph.n} {len(graph.edges)}\n")
-        for s, d, w in graph.edges:
-            fh.write(f"{s} {d} {float(w)!r}\n")  # repr round-trips exactly
+def read_matrix(path: str) -> SparseUtilityMatrix:
+    """Read and strictly validate a matrix file."""
+    n_items, n_elements, entries = _read_triples(path, graph=False)
+    try:
+        return SparseUtilityMatrix(n_items, n_elements, entries)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
-def write_matrix(path: str, matrix: SparseUtilityMatrix) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{matrix.n_items} {matrix.n_elements}\n")
-        for i, row in enumerate(matrix.rows):
-            for j, u in row:
-                fh.write(f"{i} {j} {float(u)!r}\n")
+def read_graph(path: str) -> DirectedGraph:
+    """Read and strictly validate a graph file."""
+    n, _, edges = _read_triples(path, graph=True)
+    try:
+        return DirectedGraph(n, tuple(edges))
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def emit_results(sequence: GreedySequence, path: str) -> None:
@@ -211,13 +164,14 @@ def parse_alpha(spec: str) -> Alpha:
     raise ConfigError(f"cannot parse alpha spec {spec!r}")
 
 
-def _aggregation(config: RunConfig) -> AggregationSpec:
-    if config.gamma is not None:
-        if config.ell is not None and config.ell != len(config.gamma):
+def _aggregation(args: argparse.Namespace) -> AggregationSpec:
+    if args.gamma is not None:
+        gamma = tuple(float(t) for t in args.gamma.split(","))
+        if args.ell is not None and args.ell != len(gamma):
             raise ConfigError("ell disagrees with the length of gamma")
-        return AggregationSpec(tuple(config.gamma))
-    if config.ell is not None:
-        return AggregationSpec.top(config.ell)
+        return AggregationSpec(gamma)
+    if args.ell is not None:
+        return AggregationSpec.top(args.ell)
     return AggregationSpec.maximum()
 
 
@@ -252,54 +206,44 @@ def _verify_report(problem: MatrixProblem, sequence: GreedySequence, out) -> Non
             )
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured maximization run; returns the exit status."""
-    spec = _aggregation(config)
-    if config.kind == "matrix":
-        if config.family is not None or config.alpha is not None:
+def run(args: argparse.Namespace) -> int:
+    """Execute the run the parsed arguments describe; returns the exit status."""
+    seed = args.rng_seed
+    if seed is None:
+        seed = int(os.environ.get(ENV_SEED, "0"))
+    spec = _aggregation(args)
+    matrix = None
+    if args.kind == "matrix":
+        if args.family is not None or args.alpha is not None:
             raise ConfigError("utility families apply only to graph inputs")
-        matrix = parse_input(config.input, "matrix")
+        matrix = read_matrix(args.input)
         problem = MatrixProblem(matrix, spec)
-    elif config.kind == "graph":
-        if config.family is None:
-            raise ConfigError("graph inputs need --family")
-        kind = FAMILY_NAMES.get(config.family)
-        if kind is None:
-            raise ConfigError(f"unknown utility family {config.family!r}")
-        alpha = parse_alpha(config.alpha) if config.alpha is not None else None
-        family = UtilityFamily(kind, alpha)
-        base = parse_input(config.input, "graph")
-        instances = simulate_instances(
-            base, config.model, config.instances, config.rng_seed
-        )
-        matrix = None
-        problem = GraphProblem(instances, family, spec)
     else:
-        raise ConfigError(f"unknown input kind {config.kind!r}")
+        if args.family is None:
+            raise ConfigError("graph inputs need --family")
+        alpha = parse_alpha(args.alpha) if args.alpha is not None else None
+        family = UtilityFamily(args.family.replace("-", "_"), alpha)
+        instances = simulate_instances(read_graph(args.input), args.model, args.instances, seed)
+        problem = GraphProblem(instances, family, spec)
 
-    if config.verify and problem.n_items > 1000:
+    if args.verify and problem.n_items > 1000:
         raise ConfigError("verify refuses more than 1000 items (greedy baseline)")
-    needs_matrix = config.verify or config.algorithm in ("lazy", "exact")
+    needs_matrix = args.verify or args.algorithm in ("lazy", "exact")
     if needs_matrix and matrix is None:
         matrix = to_utility_matrix(problem.instances, problem.family)
 
-    if config.algorithm == "skim":
-        sequence = run_skim(
-            problem,
-            k=config.k,
-            lam=config.lam,
-            epsilon=config.epsilon,
-            rng_seed=config.rng_seed,
-        )
-    elif config.algorithm == "lazy":
-        sequence = lazy_greedy(matrix, spec, config.epsilon)
-    elif config.algorithm == "exact":
-        sequence = exact_greedy(matrix, spec)
+    if args.algorithm == "skim":
+        k = args.k
+        if k is None:
+            k = default_sample_size(args.epsilon, problem.n_items, problem.n_elements)
+        sequence = run_skim(problem, k, lam=args.lam, rng_seed=seed)
+    elif args.algorithm == "lazy":
+        sequence = lazy_greedy(matrix, spec, args.epsilon)
     else:
-        raise ConfigError(f"unknown algorithm {config.algorithm!r}")
+        sequence = exact_greedy(matrix, spec)
 
-    emit_results(sequence, config.output)
-    if config.verify:
+    emit_results(sequence, args.output)
+    if args.verify:
         _verify_report(MatrixProblem(matrix, spec), sequence, sys.stdout)
     return 0
 
@@ -317,7 +261,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "the full utility matrix, which graph input builds first (quadratic in "
         "the node count), and exact recomputes every gain at every step",
     )
-    p.add_argument("--family", help="distance | reverse-rank | reachability | survival")
+    p.add_argument("--family", choices=["distance", "reverse-rank", "reachability", "survival"])
     p.add_argument("--alpha", help="threshold:T | inverse | exp:sigma | table:path")
     p.add_argument("--gamma", help="comma-separated aggregation weights, e.g. 1,0.5")
     p.add_argument("--ell", type=int, help="use the unweighted top-ell aggregation")
@@ -327,10 +271,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilon", type=float, default=0.1,
         help="lazy greedy's acceptance slack, and what sets SKIM's sample size "
-        "when --k is absent (default 0.1; run_skim's own default is 0.2, kept "
-        "apart so that CSVs written without --k do not change)",
+        "when --k is absent (default 0.1)",
     )
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="SKIM's sample size")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--output", default="-")
     p.add_argument(
@@ -341,36 +284,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.rng_seed
-    if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
-    gamma = None
-    if args.gamma is not None:
-        gamma = tuple(float(t) for t in args.gamma.split(","))
-    return RunConfig(
-        input=args.input,
-        kind=args.kind,
-        algorithm=args.algorithm,
-        family=args.family,
-        alpha=args.alpha,
-        gamma=gamma,
-        ell=args.ell,
-        model=args.model,
-        instances=args.instances,
-        rng_seed=seed,
-        epsilon=args.epsilon,
-        k=args.k,
-        lam=args.lam,
-        output=args.output,
-        verify=args.verify,
-    )
-
-
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return run(args)
     except (ParseError, ConfigError, ValueError) as e:
         print(f"infmax: {e}", file=sys.stderr)
         return 2

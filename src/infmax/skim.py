@@ -116,15 +116,12 @@ class SkimRun:
     def __init__(
         self,
         problem,
-        k: int | None = None,
+        k: int,
         lam: float = 0.5,
-        epsilon: float = 0.2,
         rng_seed: int = 0,
         rank_mode: str = "uniform",
         stats: dict | None = None,
     ):
-        if k is None:
-            k = default_sample_size(epsilon, problem.n_items, problem.n_elements)
         if k < 2:
             raise ValueError("sample-size parameter k must be at least 2")
         if not 0.0 < lam < 1.0:
@@ -179,7 +176,8 @@ class SkimRun:
                 _, u = t
                 self.qelements.push(j, problem.weight(j) * u / self.rank[j])
         top = self.qelements.peek()
-        self.tau = top[0] / (2.0 * k) if top is not None else None
+        # a first tau that underflows still gets its pass, as a decayed one does
+        self.tau = (top[0] / (2.0 * k) or math.ulp(0.0)) if top is not None else None
 
     # -- estimate bookkeeping ------------------------------------------------
 
@@ -190,7 +188,8 @@ class SkimRun:
         """Push every item touched in this pass at its final estimate.
 
         Valid entries pop by priority, ties by key, so the order of the
-        pushes cannot change which item pops.
+        pushes cannot change which item pops.  A seed is never pushed and
+        _process_seed removes it, so qitems holds no seed.
         """
         for i in self.dirty:
             if i not in self.seeds:
@@ -200,8 +199,7 @@ class SkimRun:
     def _fresh_max(self) -> float:
         best = 0.0
         for i in self.qitems.keys():
-            if i not in self.seeds:
-                best = max(best, self._estimate(i))
+            best = max(best, self._estimate(i))
         return best
 
     # -- sampling ------------------------------------------------------------
@@ -306,14 +304,12 @@ class SkimRun:
             if top is None or top[0] < k_tau:
                 return None
             _, i = q.pop()
-            if i in self.seeds:
-                continue
             est = self._estimate(i)
             runner = q.peek()
             runner_p = None
             if runner is not None:
                 rp, ri = runner
-                rfresh = 0.0 if ri in self.seeds else self._estimate(ri)
+                rfresh = self._estimate(ri)
                 if rfresh != rp:
                     q.push(ri, rfresh)  # revalidate the runner-up once
                 runner_p = rfresh
@@ -494,8 +490,9 @@ class SkimRun:
 
     def run(self) -> GreedySequence:
         """Select seeds until greedy.py's stopping rule flags a validated
-        one, uncommitted ("cutoff"), nothing is left ("exhausted") or tau
-        underflows ("tau underflow"); stats["stop"] names which."""
+        one, uncommitted ("cutoff"), nothing is left to sample, revive or
+        select ("exhausted") or tau underflows ("tau underflow");
+        stats["stop"] names which."""
         n = self.problem.n_items
         stop = "exhausted"
         while self.tau is not None and len(self.seeds) < n:  # tau is None: no utility
@@ -508,8 +505,9 @@ class SkimRun:
                     break
                 self._process_seed(*res)
                 continue
-            if self.qelements.peek() is None and self._fresh_max() <= 0.0:
-                break  # nothing left to sample or select
+            if (self.qelements.peek() is None and self.qhml.peek() is None
+                    and self._fresh_max() <= 0.0):
+                break  # nothing left to sample, revive or select
             if self.tau == 0.0:
                 stop = "tau underflow"
                 break
@@ -523,9 +521,8 @@ class SkimRun:
 
 def run_skim(
     problem,
-    k: int | None = None,
+    k: int,
     lam: float = 0.5,
-    epsilon: float = 0.2,
     rng_seed: int = 0,
     rank_mode: str = "uniform",
     stats: dict | None = None,
@@ -534,8 +531,11 @@ def run_skim(
 
     problem is an oracle bundle (MatrixProblem or GraphProblem): it
     exposes n_items, n_elements, spec, per-element weights, reverse
-    sorted access streams and forward searches.  Deterministic for fixed
-    arguments; ends as SkimRun.run says.  stats gets the counters
+    sorted access streams and forward searches.  k is the sample size:
+    estimates have relative error about 1/sqrt(k), and
+    default_sample_size(epsilon, n_items, n_elements) gives the k for a
+    target epsilon.  Deterministic for fixed arguments; ends as
+    SkimRun.run says.  stats gets the counters
     "forward_yields", "rev_pops", "exact_evals", the tau of each selected
     seed in order as "tau", "tau_final" and the stop reason "stop".
     """
@@ -543,7 +543,6 @@ def run_skim(
         problem,
         k=k,
         lam=lam,
-        epsilon=epsilon,
         rng_seed=rng_seed,
         rank_mode=rank_mode,
         stats=stats,

@@ -12,14 +12,13 @@ from infmax import DirectedGraph, SeedRecord, SparseUtilityMatrix
 from infmax.cli import (
     ConfigError,
     ParseError,
-    RunConfig,
+    build_arg_parser,
     emit_results,
     main,
     parse_alpha,
-    parse_input,
+    read_graph,
+    read_matrix,
     run,
-    write_graph,
-    write_matrix,
 )
 
 
@@ -28,52 +27,71 @@ def write(path, text):
     return str(path)
 
 
+def cli_args(*argv):
+    return build_arg_parser().parse_args(argv)
+
+
+def write_graph(path: str, graph: DirectedGraph) -> None:
+    with open(path, "w") as fh:
+        fh.write(f"{graph.n} {len(graph.edges)}\n")
+        for s, d, w in graph.edges:
+            fh.write(f"{s} {d} {float(w)!r}\n")  # repr round-trips exactly
+
+
+def write_matrix(path: str, matrix: SparseUtilityMatrix) -> None:
+    with open(path, "w") as fh:
+        fh.write(f"{matrix.n_items} {matrix.n_elements}\n")
+        for i, row in enumerate(matrix.rows):
+            for j, u in row:
+                fh.write(f"{i} {j} {float(u)!r}\n")
+
+
 # -- parsing ---------------------------------------------------------------------
 
 
 def test_parse_matrix(tmp_path):
     p = write(tmp_path / "m.txt", "2 2\n0 0 2.0\n1 0 1.0\n1 1 1.0\n")
-    m = parse_input(p, "matrix")
+    m = read_matrix(p)
     assert m.n_items == 2 and m.n_elements == 2 and m.m == 3
 
 
 def test_parse_matrix_reports_line_numbers(tmp_path):
     p = write(tmp_path / "m.txt", "2 2\n0 0 2.0\n1 0\n")
     with pytest.raises(ParseError, match=r":3"):
-        parse_input(p, "matrix")
+        read_matrix(p)
 
 
 def test_parse_matrix_rejects_duplicates(tmp_path):
     p = write(tmp_path / "m.txt", "2 2\n0 0 2.0\n0 0 1.0\n")
     with pytest.raises(ParseError, match="duplicate"):
-        parse_input(p, "matrix")
+        read_matrix(p)
 
 
 def test_parse_matrix_rejects_nonpositive_utility(tmp_path):
     p = write(tmp_path / "m.txt", "2 2\n0 0 0\n")
     with pytest.raises(ParseError, match=r":2"):
-        parse_input(p, "matrix")
+        read_matrix(p)
 
 
 def test_parse_graph(tmp_path):
     p = write(tmp_path / "g.txt", "2 2\n0 1 1.5\n1 0 0.5\n")
-    g = parse_input(p, "graph")
+    g = read_graph(p)
     assert g.n == 2 and len(g.edges) == 2
 
 
 def test_parse_graph_checks_edge_count(tmp_path):
     p = write(tmp_path / "g.txt", "2 3\n0 1 1.0\n")
     with pytest.raises(ParseError, match="promises 3"):
-        parse_input(p, "graph")
+        read_graph(p)
 
 
 def test_parse_graph_rejects_bad_weight(tmp_path):
     p = write(tmp_path / "g.txt", "2 1\n0 1 -2\n")
     with pytest.raises(ParseError, match=r":2"):
-        parse_input(p, "graph")
+        read_graph(p)
     p2 = write(tmp_path / "g2.txt", "2 1\n0 1 inf\n")
     with pytest.raises(ParseError):
-        parse_input(p2, "graph")
+        read_graph(p2)
 
 
 def test_graph_round_trip(tmp_path):
@@ -83,21 +101,21 @@ def test_graph_round_trip(tmp_path):
     g = DirectedGraph(g.n, g.edges + ((0, 1, 0.1 + 0.2), (1, 2, np.float64(1.0) / 3.0)))
     p = tmp_path / "g.txt"
     write_graph(str(p), g)
-    back = parse_input(str(p), "graph")
+    back = read_graph(str(p))
     assert back.n == g.n
     assert list(back.edges) == list(g.edges)
 
 
 def test_matrix_round_trip(tmp_path):
     p = write(tmp_path / "m.txt", "3 2\n0 0 0.25\n2 1 1.75\n1 0 0.5\n")
-    m = parse_input(p, "matrix")
+    m = read_matrix(p)
     # a utility not exact in 12 digits, and a numpy scalar
     entries = [(i, j, u) for i, row in enumerate(m.rows) for j, u in row]
     entries += [(0, 1, 0.1 + 0.2), (1, 1, np.float64(2.0) / 3.0)]
     m = SparseUtilityMatrix(m.n_items, m.n_elements, entries)
     q = tmp_path / "m2.txt"
     write_matrix(str(q), m)
-    back = parse_input(str(q), "matrix")
+    back = read_matrix(str(q))
     assert back.rows == m.rows and back.n_items == m.n_items
 
 
@@ -185,7 +203,8 @@ def test_emit_uses_12_significant_digits(tmp_path):
 def test_exact_run_on_fixture(tmp_path):
     src = write(tmp_path / "m.txt", "2 2\n0 0 2.0\n1 0 1.0\n1 1 1.0\n")
     out = tmp_path / "r.csv"
-    status = run(RunConfig(input=src, kind="matrix", algorithm="exact", output=str(out)))
+    status = run(cli_args("--input", src, "--kind", "matrix", "--algorithm", "exact",
+                          "--output", str(out)))
     assert status == 0
     lines = out.read_text().splitlines()
     assert lines[1].startswith("1,0,")
@@ -201,19 +220,12 @@ def test_skim_runs_are_byte_identical(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        cfg = RunConfig(
-            input=str(src),
-            kind="graph",
-            algorithm="skim",
-            family="distance",
-            alpha="exp:1.0",
-            model="ic",
-            instances=2,
-            rng_seed=11,
-            k=8,
-            output=str(out),
+        args = cli_args(
+            "--input", str(src), "--kind", "graph", "--algorithm", "skim",
+            "--family", "distance", "--alpha", "exp:1.0", "--model", "ic",
+            "--instances", "2", "--rng-seed", "11", "--k", "8", "--output", str(out),
         )
-        assert run(cfg) == 0
+        assert run(args) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -291,34 +303,156 @@ def test_cli_lazy_verify_output_is_pinned(pinned_graph, tmp_path, capsys, family
     assert digest == PINNED_LAZY_VERIFY[family]
 
 
+# SHA-256 of the CSV for each algorithm on the matrix built by pinned_matrix;
+# skim runs without --k, so its sample size comes from --epsilon
+PINNED_MATRIX_CSV = {
+    "exact": "25d4e7b66ba1374056416eafec87bbe8582ddc471e76087913e4a48636bc3f5e",
+    "lazy": "98acddbbecba1e53b2a99d3096f1f859932f728f369e066a439d79def1376336",
+    "skim": "ad8196b6c55733acd702ec84738515c4648c42d36ee185a412ee4413fbd7e485",
+    "skim-epsilon": "547e38fb2c839fee1de41f793d7a6a154564784974751b3507ca1fe9990bd995",
+}
+MATRIX_FLAGS = {
+    "exact": ["--algorithm", "exact"],
+    "lazy": ["--algorithm", "lazy"],
+    "skim": ["--algorithm", "skim"],
+    "skim-epsilon": ["--algorithm", "skim", "--epsilon", "0.3"],
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_matrix(tmp_path_factory):
+    # dyadic utilities, so write_matrix's file reads back exactly
+    rng = random.Random(2014)
+    cells = sorted(rng.sample(range(24 * 40), 200))
+    entries = [(c // 40, c % 40, rng.randrange(1, 65) / 16.0) for c in cells]
+    path = tmp_path_factory.mktemp("pinned") / "m.txt"
+    write_matrix(str(path), SparseUtilityMatrix(24, 40, entries))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MATRIX_CSV))
+def test_cli_matrix_output_is_pinned(pinned_matrix, tmp_path, name):
+    out = tmp_path / "r.csv"
+    argv = [
+        "--input", pinned_matrix, "--kind", "matrix", "--gamma", "1,0.5",
+        "--rng-seed", "5", "--output", str(out),
+    ]
+    assert main(argv + MATRIX_FLAGS[name]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_MATRIX_CSV[name]
+
+
+# SHA-256 of the CSV followed by the verify lines, for exact greedy with
+# --verify on pinned_graph
+PINNED_EXACT_VERIFY = {
+    "distance": "39f92924d4a7aec756971b1dcb1bec3c553b75b72e8b9294194991253c9e5adf",
+    "reverse-rank": "78fe36b39b5f4fd76f3b45ecbfdfa9f0ed4e2f32bb9a30fa3a210eb65047c971",
+    "reachability": "8eb1e184d6866ac5a432432d547d433b623e6c6b3d6cb12188ab9723cd9f02e3",
+    "survival": "fa4ba5256bc722e4a382ef951669b8e27d855f40f4609842fd3850299a73b42e",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_EXACT_VERIFY))
+def test_cli_exact_verify_output_is_pinned(pinned_graph, tmp_path, capsys, family):
+    out = tmp_path / "r.csv"
+    argv = [
+        "--input", pinned_graph, "--kind", "graph", "--family", family,
+        "--model", "exponential", "--instances", "2", "--gamma", "1,0.5,0",
+        "--rng-seed", "5", "--algorithm", "exact", "--verify", "--output", str(out),
+    ]
+    if family in PINNED_ALPHA:
+        argv += ["--alpha", PINNED_ALPHA[family]]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    digest = hashlib.sha256(out.read_bytes() + report.encode()).hexdigest()
+    assert digest == PINNED_EXACT_VERIFY[family]
+
+
+# every reader and configuration error: (kind, file text, extra flags,
+# INFMAX_SEED, the one stderr line with {path} for the input file); each
+# exits 2 and writes no output
+M_OK = "2 2\n0 0 2.0\n1 0 1.0\n"
+G_OK = "2 1\n0 1 0.5\n"
+ERRORS = {
+    "empty-file": ("matrix", "", [], None, "{path}:1: empty file"),
+    "bad-integer": ("matrix", "2 x\n", [], None, "{path}:1: 'x' is not an integer"),
+    "bad-number": ("matrix", "2 2\n0 0 abc\n", [], None, "{path}:2: 'abc' is not a number"),
+    "field-count": ("matrix", "2 2\n0 0 2.0\n1 0\n", [], None, "{path}:3: expected 3 fields, got 2"),
+    "header-field-count": ("graph", "2\n", ["--family", "reachability"], None,
+                           "{path}:1: expected 2 fields, got 1"),
+    "blank-matrix-line": ("matrix", "2 2\n0 0 2.0\n\n1 0 1.0\n", [], None, "{path}:3: blank line"),
+    "blank-graph-line": ("graph", "2 2\n0 1 0.5\n\n", ["--family", "reachability"], None,
+                         "{path}:3: expected 3 fields, got 0"),
+    "zero-utility": ("matrix", "2 2\n0 0 0\n", [], None, "{path}:2: utility must be positive"),
+    "negative-weight": ("graph", "2 1\n0 1 -2\n", ["--family", "reachability"], None,
+                        "{path}:2: edge weight must be positive"),
+    "nan-utility": ("matrix", "2 2\n0 0 nan\n", [], None, "{path}:2: 'nan' is not finite"),
+    "inf-weight": ("graph", "2 1\n0 1 inf\n", ["--family", "reachability"], None,
+                   "{path}:2: 'inf' is not finite"),
+    "edge-count": ("graph", "2 3\n0 1 1.0\n", ["--family", "reachability"], None,
+                   "{path}: header promises 3 edges, found 1 lines"),
+    "duplicate": ("matrix", "2 2\n0 0 2.0\n0 0 1.0\n", [], None, "{path}: duplicate entry (0, 0)"),
+    "item-out-of-range": ("matrix", "2 2\n5 0 1.0\n", [], None, "{path}: entry (5, 0) out of range"),
+    "node-out-of-range": ("graph", "2 1\n0 7 1.0\n", ["--family", "reachability"], None,
+                          "{path}: edge (0, 7) out of range"),
+    "bad-alpha": ("graph", G_OK, ["--family", "distance", "--alpha", "log:2"], None,
+                  "cannot parse alpha spec 'log:2'"),
+    "bad-gamma": ("matrix", M_OK, ["--gamma", "1,x"], None, "could not convert string to float: 'x'"),
+    "gamma-ell": ("matrix", M_OK, ["--gamma", "1,0.5", "--ell", "3"], None,
+                  "ell disagrees with the length of gamma"),
+    "matrix-family": ("matrix", M_OK, ["--family", "distance"], None,
+                      "utility families apply only to graph inputs"),
+    "graph-no-family": ("graph", G_OK, [], None, "graph inputs need --family"),
+    "verify-too-large": ("graph", "1001 1\n0 1 0.5\n", ["--family", "reachability", "--verify"], None,
+                         "verify refuses more than 1000 items (greedy baseline)"),
+    "bad-env-seed": ("matrix", M_OK, [], "x1", "invalid literal for int() with base 10: 'x1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    kind, text, flags, env_seed, message = ERRORS[case]
+    src = write(tmp_path / "in.txt", text)
+    if env_seed is None:
+        monkeypatch.delenv("INFMAX_SEED", raising=False)
+    else:
+        monkeypatch.setenv("INFMAX_SEED", env_seed)
+    out = tmp_path / "r.csv"
+    assert main(["--input", src, "--kind", kind, "--output", str(out)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "infmax: " + message.format(path=src) + "\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_ic_model_weights_must_be_probabilities(tmp_path):
     src = write(tmp_path / "g.txt", "2 1\n0 1 1.5\n")
-    cfg = RunConfig(
-        input=src, kind="graph", algorithm="skim", family="reachability", model="ic"
+    args = cli_args(
+        "--input", src, "--kind", "graph", "--algorithm", "skim",
+        "--family", "reachability", "--model", "ic",
     )
     with pytest.raises(ValueError):
-        run(cfg)
+        run(args)
 
 
 def test_matrix_kind_rejects_family():
-    cfg = RunConfig(input="x", kind="matrix", family="distance")
+    args = cli_args("--input", "x", "--kind", "matrix", "--family", "distance")
     with pytest.raises(ConfigError):
-        run(cfg)
+        run(args)
 
 
 def test_graph_kind_requires_family(tmp_path):
     src = write(tmp_path / "g.txt", "2 1\n0 1 1.0\n")
     with pytest.raises(ConfigError):
-        run(RunConfig(input=src, kind="graph"))
+        run(cli_args("--input", src, "--kind", "graph"))
 
 
 def test_gamma_flag_builds_weighted_aggregation(tmp_path):
     src = write(tmp_path / "m.txt", "3 1\n0 0 1.0\n1 0 0.5\n2 0 0.2\n")
     out = tmp_path / "r.csv"
-    cfg = RunConfig(
-        input=src, kind="matrix", algorithm="exact", gamma=(1.0, 0.5), output=str(out)
+    args = cli_args(
+        "--input", src, "--kind", "matrix", "--algorithm", "exact",
+        "--gamma", "1,0.5", "--output", str(out),
     )
-    run(cfg)
+    run(args)
     rows = out.read_text().splitlines()[1:]
     # item 2 gains 0.0 under gamma=(1, 0.5): flagged by the stopping rule
     assert [r.split(",")[1] for r in rows] == ["0", "1"]
@@ -326,9 +460,9 @@ def test_gamma_flag_builds_weighted_aggregation(tmp_path):
 
 
 def test_gamma_and_ell_must_agree():
-    cfg = RunConfig(input="x", kind="matrix", gamma=(1.0, 0.5), ell=3)
+    args = cli_args("--input", "x", "--kind", "matrix", "--gamma", "1,0.5", "--ell", "3")
     with pytest.raises(ConfigError):
-        run(cfg)
+        run(args)
 
 
 def test_verify_refuses_large_inputs_before_any_work(tmp_path, capsys):
@@ -347,19 +481,12 @@ def test_verify_reports_per_seed_ratios(tmp_path, capsys):
     g = random_graph(rng, 30)
     src = tmp_path / "g.txt"
     write_graph(str(src), g)
-    cfg = RunConfig(
-        input=str(src),
-        kind="graph",
-        algorithm="skim",
-        family="distance",
-        alpha="exp:1.0",
-        rng_seed=5,
-        epsilon=0.1,
-        k=64,
-        output=str(tmp_path / "r.csv"),
-        verify=True,
+    args = cli_args(
+        "--input", str(src), "--kind", "graph", "--algorithm", "skim",
+        "--family", "distance", "--alpha", "exp:1.0", "--rng-seed", "5",
+        "--epsilon", "0.1", "--k", "64", "--output", str(tmp_path / "r.csv"), "--verify",
     )
-    assert run(cfg) == 0
+    assert run(args) == 0
     report = capsys.readouterr().out
     ratios = [
         float(line.split("ratio ")[1])
@@ -368,7 +495,7 @@ def test_verify_reports_per_seed_ratios(tmp_path, capsys):
     ]
     assert ratios
     slack = 0.25
-    assert all(r >= 1.0 - cfg.epsilon - slack for r in ratios)
+    assert all(r >= 1.0 - args.epsilon - slack for r in ratios)
     influence_lines = [l for l in report.splitlines() if l.startswith("verify influence")]
     assert len(influence_lines) == 1
     reported, recomputed = influence_lines[0].split()[2::2]

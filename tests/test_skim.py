@@ -35,9 +35,11 @@ def validate_state(run):
     Checks, at every next_seed entry: utilities are non-increasing along
     each element's list, each entry's stored marginal equals a fresh one
     bit for bit, segment markers agree with the value-based
-    classification, est components match their definitional sums, and any
-    item holding >= k live samples has estimate >= k*tau.
+    classification, est components match their definitional sums, any
+    item holding >= k live samples has estimate >= k*tau, and no seed is
+    a live key of the item queue.
     """
+    assert not run.seeds.intersection(run.qitems.keys())
     est_h = [0.0] * run.problem.n_items
     est_m = [0] * run.problem.n_items
     h_count = [0] * run.problem.n_items
@@ -452,12 +454,18 @@ def test_commit_needs_a_current_validation():
 
 
 def test_next_seed_skips_seed_items():
+    # a seed leaves the item queue on commit and _flush never pushes it
+    # back, even when the seed is touched again, so next_seed cannot pop it
     run = fixture_run()
     run.tau = 0.1
-    run.seeds.add(0)
     run.qitems.push(0, 5.0)
     run.qitems.push(1, 0.6)
     run.est_h = [5.0, 0.6]
+    run.seeds.add(0)
+    run.qitems.remove(0)  # as _process_seed does
+    run.dirty.update({0, 1})
+    run._flush()
+    assert run.qitems.keys() == [1]
     got = run.next_seed()
     assert got is not None and got[0] == 1
 

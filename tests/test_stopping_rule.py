@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from infmax import (
     AggregationSpec,
+    DigestTable,
     MatrixProblem,
     SparseUtilityMatrix,
+    add_seed,
     exact_greedy,
     lazy_greedy,
+    marg_gain,
     run_skim,
     sequence_items,
 )
@@ -70,7 +73,8 @@ def test_cli_csvs_agree_but_for_the_estimate(tmp_path, capsys):
 
 
 # a commit that gains no more than first / n^2 is flagged and ends SKIM's run;
-# a smallest-subnormal utility puts SKIM's first tau, top / 2k, at 0.0
+# a smallest-subnormal utility puts SKIM's first tau, top / 2k, at 0.0, which
+# is raised to the smallest subnormal so that the item is still sampled
 TWO_ITEMS = SparseUtilityMatrix(2, 3, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 0.5), (1, 2, 0.25)])
 DISJOINT = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (1, 1, 0.5)])
 SUBNORMAL = SparseUtilityMatrix(1, 1, [(0, 0, 5e-324)])
@@ -81,7 +85,7 @@ SUBNORMAL = SparseUtilityMatrix(1, 1, [(0, 0, 5e-324)])
     ("lazy", DISJOINT, [0, 1], "exhausted"),
     ("skim", TWO_ITEMS, [0], "cutoff"),
     ("skim", DISJOINT, [0, 1], "exhausted"),
-    ("skim", SUBNORMAL, [], "tau underflow"),
+    ("skim", SUBNORMAL, [0], "exhausted"),
 ], ids=["lazy-cutoff", "lazy-exhausted", "skim-cutoff", "skim-exhausted", "skim-tau-underflow"])
 def test_stop_reason(name, matrix, items, stop):
     stats = {}
@@ -114,3 +118,34 @@ def test_every_maximizer_keeps_the_rule(matrix, gamma, epsilon):
         check_rule(seq, matrix.n_items)
         if matrix.n_items == 1 and matrix.m:
             assert sequence_items(seq) == [0]
+
+
+def test_skim_is_not_exhausted_while_a_lapsed_entry_can_revive():
+    # item 3's entry is L after item 1 is selected and waits in qhml for a
+    # lower tau; qelements is empty and no estimate is positive at that point
+    matrix = SparseUtilityMatrix(7, 1, [(1, 0, 1.0), (3, 0, 0.235)])
+    spec = AggregationSpec((1.0, 0.5))
+    stats = {}
+    seq = run_skim(MatrixProblem(matrix, spec), k=2, rng_seed=4409, stats=stats)
+    assert [(r.item, r.gain) for r in seq] == [(1, 1.0), (3, 0.1175)]
+    assert sequence_items(seq) == sequence_items(lazy_greedy(matrix, spec, 0.0))
+    assert stats["stop"] == "exhausted"
+
+
+@settings(max_examples=1000)  # fewer draws miss the lapsed-entry case
+@given(sparse_matrices(), st.sampled_from([(1.0,), (1.0, 0.5), (1.0, 1.0, 1.0)]),
+       st.sampled_from([2, 3, 4, 8]), st.sampled_from(["uniform", "permutation"]),
+       st.integers(0, 2**16))
+@example(SparseUtilityMatrix(7, 1, [(1, 0, 1.0), (3, 0, 0.235)]), (1.0, 0.5), 2, "uniform", 4409)
+def test_skim_exhausted_means_no_item_gains(matrix, gamma, k, rank_mode, rng_seed):
+    problem = MatrixProblem(matrix, AggregationSpec(gamma))
+    stats = {}
+    seq = run_skim(problem, k, rng_seed=rng_seed, rank_mode=rank_mode, stats=stats)
+    if stats["stop"] != "exhausted":
+        return
+    digests = DigestTable(matrix.n_elements, problem.spec)
+    selected = sequence_items(seq)
+    for i in selected:
+        add_seed(problem, i, digests)
+    rest = [i for i in range(matrix.n_items) if i not in selected]
+    assert [marg_gain(problem, i, digests) for i in rest] == [0.0] * len(rest)
