@@ -94,10 +94,12 @@ def aggregate(spec: AggregationSpec, values: Iterable[float]) -> float:
 class UtilityDigest:
     """Top-k summary of one element's seed utilities.
 
-    Stores the ell largest positive utilities seen so far (descending) and
-    the two order statistics the searches test against; update() inserts
-    a value, trims the list and refreshes both, and is the only method
-    that builds a list.  The aggregated value itself is never stored:
+    Stores the largest positive utilities seen so far (descending), one
+    for each coefficient up to the last positive one, and the order
+    statistic the searches test against; update() inserts a value, trims
+    the list and refreshes it, and is the only method that builds a
+    list.  Values past the last positive coefficient are worth nothing
+    and are not stored.  The aggregated value itself is never stored:
     aggregate(spec, digest.top) computes it when wanted.
 
     marg(x) prices x as a sum of differences.  With v_0 >= v_1 >= ... the
@@ -119,15 +121,13 @@ class UtilityDigest:
     Algorithms, 2nd ed., 2002, ch. 3-4).
     """
 
-    __slots__ = ("gamma", "ell", "eff", "top", "_thresh", "_prune")
+    __slots__ = ("gamma", "eff", "top", "_thresh")
 
     def __init__(self, spec: AggregationSpec):
         self.gamma = spec.gamma
-        self.ell = spec.ell
         self.eff = spec.effective_ell
         self.top: list[float] = []
         self._thresh = 0.0
-        self._prune = 0.0
 
     def thresh(self) -> float:
         """Smallest utility that can still increase the aggregated value.
@@ -136,10 +136,6 @@ class UtilityDigest:
         coefficient; an empty digest has threshold 0.
         """
         return self._thresh
-
-    def prune_level(self) -> float:
-        """ell-th largest stored value (0 while fewer than ell are stored)."""
-        return self._prune
 
     def marg(self, x: float) -> float:
         """Gain of adding one seed with utility x, without mutating."""
@@ -154,23 +150,22 @@ class UtilityDigest:
                 break
             p += 1
         # x > thresh puts p before the last positive coefficient, eff - 1;
-        # the terms past it are zero and are left out
-        gamma, n, eff = self.gamma, len(top), self.eff
+        # at most eff values are stored, and a term past them has gamma 0
+        gamma, n = self.gamma, len(top)
         if p == n:
             return gamma[p] * x
         c = gamma[p] * (x - top[p])
         k = p + 1
-        stop = n if n < eff else eff
-        while k < stop:
+        while k < n:
             c += gamma[k] * (top[k - 1] - top[k])
             k += 1
-        if n < eff:
+        if n < self.eff:
             c += gamma[n] * top[n - 1]  # the last stored value moves past v_n = 0
         return c
 
     def update(self, x: float) -> None:
         """Fold a new seed utility into the digest; zero is never stored."""
-        if not x > self._prune:  # zero, NaN, or past the ell-th place
+        if not x > self._thresh:  # zero, NaN, or past the last positive coefficient
             if not x >= 0:
                 raise ValueError("utility must be a non-negative number")
             return
@@ -181,12 +176,10 @@ class UtilityDigest:
                 break
             pos += 1
         top.insert(pos, x)
-        ell = self.ell
-        if len(top) > ell:
+        eff = self.eff
+        if len(top) > eff:
             top.pop()
-        n, eff = len(top), self.eff
-        self._thresh = top[eff - 1] if n >= eff else 0.0
-        self._prune = top[ell - 1] if n == ell else 0.0
+        self._thresh = top[eff - 1] if len(top) == eff else 0.0
 
 
 class DigestTable:

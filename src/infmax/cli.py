@@ -80,7 +80,7 @@ def _read_lines(path: str) -> list[str]:
 def _read_triples(path: str, graph: bool) -> tuple[int, int, list]:
     """The two header integers and the "int int positive-number" lines of a
     matrix or graph file.  A graph header's second integer promises the
-    number of lines; a matrix file names a blank line as such."""
+    number of lines."""
     lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}:1: empty file")
@@ -90,7 +90,7 @@ def _read_triples(path: str, graph: bool) -> tuple[int, int, list]:
     what = "edge weight" if graph else "utility"
     triples = []
     for off, line in enumerate(lines[1:], start=2):
-        if not graph and not line.strip():
+        if not line.strip():
             raise ParseError(f"{path}:{off}: blank line")
         x_tok, y_tok, w_tok = _tokens(line, 3, path, off)
         x = _to_int(x_tok, path, off)

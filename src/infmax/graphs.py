@@ -14,9 +14,10 @@ derived from per-instance structure:
 Reverse sorted access runs an incremental Dijkstra-family search outward
 from the element node and yields items by non-increasing utility.
 Forward search runs one pruned search per instance from the item; a
-branch is cut once the item's utility falls below the element's k-th
-best stored seed utility, which provably cannot hide any element where
-the item still has positive marginal utility.
+branch is cut once the item's utility falls below the element's
+threshold, its stored seed utility at the last positive gamma
+coefficient, which provably cannot hide any element where the item
+still has positive marginal utility.
 
 Each oracle is one loop over a row of the family table (_FAMILY_TABLE),
 so a new family is one table row plus one branch of _reference_row.  A
@@ -248,20 +249,18 @@ class GraphInstanceSet:
     def instance_of(self, e: int) -> int:
         return e // self.n
 
-    def csr(self, h: int, unit: bool = False):
+    def csr(self, h: int):
         """Sparse matrix of instance h; parallel edges collapse to the minimum."""
-        key = (h, unit)
-        if key not in self._csr_cache:
+        if h not in self._csr_cache:
             best: dict[tuple[int, int], float] = {}
             for s, d, w in self.instances[h]:
-                w = 1.0 if unit else w
                 if w < best.get((s, d), math.inf):
                     best[(s, d)] = w
             rows, cols = [s for s, _ in best], [d for _, d in best]
-            self._csr_cache[key] = csr_matrix(
+            self._csr_cache[h] = csr_matrix(
                 (list(best.values()), (rows, cols)), shape=(self.n, self.n)
             )
-        return self._csr_cache[key]
+        return self._csr_cache[h]
 
     def distances(self, h: int, source: int | None = None) -> np.ndarray:
         mat = self.csr(h)
@@ -290,18 +289,17 @@ def simulate_instances(
 
     * ic: keep each edge independently with its weight as probability,
       kept edges get weight 1;
-    * exponential_lengths: redraw each edge length from the exponential
+    * exponential: redraw each edge length from the exponential
       distribution whose rate is the edge weight;
     * fixed: count verbatim copies of the base graph.
     """
     if count < 1:
         raise ValueError("instance count must be at least 1")
     rng = np.random.default_rng(rng_seed)
-    name = {"exponential_lengths": "exponential"}.get(model, model)
     instances = []
-    if name == "fixed":
+    if model == "fixed":
         instances = [list(base.edges) for _ in range(count)]
-    elif name == "ic":
+    elif model == "ic":
         if any(w > 1.0 for _, _, w in base.edges):
             raise ValueError("ic edge probabilities must lie in [0, 1]")
         for _ in range(count):
@@ -309,7 +307,7 @@ def simulate_instances(
             instances.append(
                 [(s, d, 1.0) for (s, d, w), x in zip(base.edges, draws) if x < w]
             )
-    elif name == "exponential":
+    elif model == "exponential":
         # one draw per edge, in edge order
         scales = 1.0 / np.array([w for _, _, w in base.edges], dtype=float)
         for _ in range(count):
@@ -521,7 +519,7 @@ class GraphProblem:
     def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
         """Pruned forward search from item i across all instances.
 
-        Expansion stops at an element whose stored k-th best seed utility
+        Expansion stops at an element whose threshold (digest.thresh())
         already beats the item's utility there, strictly or weakly as the
         family's pruning argument allows.  Yielded (element, utility, gain)
         triples are exactly the elements where the item's marginal gain is
@@ -552,7 +550,7 @@ class GraphProblem:
                         continue
                     break  # settle order is by label, the rest are zero too
                 digest = elements[base + node]
-                if not prune(u, digest.prune_level()):
+                if not prune(u, digest.thresh()):
                     expand(node)
                 c = digest.marg(u)
                 if c > 0.0:
@@ -606,7 +604,7 @@ def _reference_row(
     The only per-family branch of the references; alpha maps inf to 0."""
     kind = family.kind
     if kind == REACHABILITY:
-        dist = _sp_dijkstra(instances.csr(h, unit=True), indices=[src], unweighted=True)[0]
+        dist = _sp_dijkstra(instances.csr(h), indices=[src], unweighted=True)[0]
         return np.isfinite(dist).astype(float).tolist()
     if kind == SURVIVAL:
         return survival_thresholds_brute(instances, h, src)

@@ -4,12 +4,15 @@ The maximizer never materializes the utility matrix.  It keeps, per item,
 a weighted sample of the elements where the item still has marginal
 utility.  Elements are assigned fixed random ranks r in (0, 1]; an
 element belongs to item i's sample while w * (marginal utility) / r is
-at least a global threshold tau, which decays geometrically.  The sum of
-sampled marginal utilities clipped below at tau is an unbiased estimate
-of the item's marginal influence, so once some item's estimate reaches
-k * tau the estimate is trustworthy enough (relative error about
-1/sqrt(k)) to validate with one exact marginal-gain computation and, if
-it holds up, commit the item as the next seed.
+at least a global threshold tau, which decays geometrically by lam per
+step; a step that does not lower tau (lam > 0.5 among the smallest
+subnormals, where tau * lam rounds back to tau) sets it to 0.0, so the
+run gets the final pass at tau = 0 that an underflowing decay gives it.
+The sum of sampled marginal utilities clipped below at tau is an
+unbiased estimate of the item's marginal influence, so once some item's
+estimate reaches k * tau the estimate is trustworthy enough (relative
+error about 1/sqrt(k)) to validate with one exact marginal-gain
+computation and, if it holds up, commit the item as the next seed.
 
 Samples are stored inverted: index[j] lists the items that sampled
 element j as (item, utility, c) entries, in the utility order delivered
@@ -25,26 +28,31 @@ move_down stops pricing at the first such entry, because utilities do not
 increase along a list.  Two counts per element split the list into
 segments: entries [0, nh[j]) are H (counted at face value), [nh[j],
 nm[j]) are M (below tau but still sampled, counted as tau) and the rest
-are L (lapsed, kept because a lower tau may revive them).  Wherever an
-entry is (re)assigned, one value rule classes it by the marginal c just
-computed for it at an element of rank r: H if c >= tau, M if c >=
-r * tau, else L.  A cap then lowers its class to that of the entry before
-it, so no entry ranks above its predecessor.  The counts grow when tau
-drops (move_up), and entries are reclassified or truncated when a new
-seed lowers marginal utilities (move_down).  An element waits for
-move_up at the largest tau at which a boundary entry changes class,
-max(c of its first M entry, c of its first L entry / rank), priced from
-the marginals each pass has just computed against the element's current
-(post-update) digest.
+are L (lapsed, kept because a lower tau may revive them).
 
-Each pass (a drain, a move_up, the move_downs of one new seed) handles an
-entry in one place: it takes off the entry's old contribution, prices
-and classes it, adds the new one and marks the item dirty.  An item with
-no H entry left has its est_h snapped to 0.0 after all changes at one
-element, so cancellation residue never keeps a dead item looking alive;
-only move_down lowers h_count, so only move_down snaps.  Each dirty item
-is pushed onto the item queue once per pass, at the estimate it ends the
-pass with.
+One method, _reclassify_up, assigns classes.  From the two counts on, it
+promotes entries to H while their marginal c is at least tau, then to M
+while c is at least r * tau, r being the element's rank; it adds each
+promoted entry's contribution and marks its item dirty.  Run from (0, 0)
+its two prefix loops are the value rule (H if c >= tau, M if c >=
+r * tau, else L) with a cap that keeps any entry from ranking above the
+one before it.  It then prices the element for move_up at the largest
+tau at which a boundary entry changes class, max(c of its first M entry,
+c of its first L entry / rank).  Three passes use it:
+
+* move_up, after tau drops, runs it from the element's current counts;
+* a drain only samples: it appends the entries it takes, marks their
+  items dirty and runs the classifier over them, unless an L entry came
+  before them, in which case they stay L;
+* move_down, when a new seed lowers marginals, takes off the old
+  contribution of every H and M entry, prices the rest once against the
+  updated digest, sets both counts to 0 and runs the classifier.
+
+An item with no H entry left has its est_h snapped to 0.0 once move_down
+is done with an element, so cancellation residue never keeps a dead item
+looking alive; only move_down lowers h_count, so only move_down snaps.
+Each dirty item is pushed onto the item queue once per pass, at the
+estimate it ends the pass with.
 
 A seed is committed from the forward search that validated it.  Forward
 streams yield (element, utility, marginal) triples, the marginal being
@@ -62,8 +70,6 @@ import numpy as np
 from .aggregation import DigestTable, StaleStreamError
 from .greedy import GreedySequence, SeedRecord, selection_cutoff
 
-H, M, L = 2, 1, 0  # segment classes, ordered so that the prefix cap is a min
-
 
 class LazyMaxQueue:
     """Max-priority queue with lazy revision: pushing a key again simply
@@ -80,7 +86,7 @@ class LazyMaxQueue:
     def remove(self, key: int) -> None:
         self._prio.pop(key, None)
 
-    def _settle(self) -> tuple[float, int] | None:
+    def peek(self) -> tuple[float, int] | None:
         while self._heap:
             negp, key = self._heap[0]
             if self._prio.get(key) == -negp:
@@ -88,11 +94,8 @@ class LazyMaxQueue:
             heapq.heappop(self._heap)
         return None
 
-    def peek(self) -> tuple[float, int] | None:
-        return self._settle()
-
     def pop(self) -> tuple[float, int] | None:
-        t = self._settle()
+        t = self.peek()
         if t is None:
             return None
         heapq.heappop(self._heap)
@@ -196,12 +199,6 @@ class SkimRun:
                 self.qitems.push(i, self._estimate(i))
         self.dirty.clear()
 
-    def _fresh_max(self) -> float:
-        best = 0.0
-        for i in self.qitems.keys():
-            best = max(best, self._estimate(i))
-        return best
-
     # -- sampling ------------------------------------------------------------
 
     def _due(self, queue: LazyMaxQueue) -> list[int]:
@@ -228,25 +225,23 @@ class SkimRun:
     def _drain_element(self, j: int) -> None:
         """Sample j's stream entries down to the first one that is L.
 
-        Each sampled entry is priced once, c = w * marg(u), appended, and
-        counted in the class of c under the value rule, capped by the
-        class of the entry before it; the first M entry of a list prices
-        the element for move_up.  The stream retires at the first utility
-        at or below the digest's threshold: such a utility lands past the
-        last positive gamma coefficient, so its marginal and every later
-        one is exactly zero, and the threshold never falls.
+        Each sampled entry is priced once, c = w * marg(u), and appended,
+        and its item is marked dirty.  _reclassify_up then classes the
+        new entries, unless an L entry came before them: the cap keeps
+        them L.  The stream retires at the first utility at or below the
+        digest's threshold: such a utility lands past the last positive
+        gamma coefficient, so its marginal and every later one is exactly
+        zero, and the threshold never falls.
         """
         stream = self.rev[j]
         top, pop = stream.top, stream.pop
-        w, r, tau = self.problem.weight(j), self.rank[j], self.tau
-        rtau = r * tau
+        w, r = self.problem.weight(j), self.rank[j]
+        rtau = r * self.tau
         digest = self.digests[j]
         marg, thresh = digest.marg, digest.thresh()
         seeds, dirty = self.seeds, self.dirty
-        est_h, est_m, h_count = self.est_h, self.est_m, self.h_count
         entries = self.index.setdefault(j, [])
-        start = n = len(entries)
-        nh, nm = self.nh[j], self.nm[j]
+        start = len(entries)
         while (t := top()) is not None:
             i, u = t
             if u <= thresh:
@@ -264,28 +259,13 @@ class SkimRun:
                 break
             pop()
             entries.append((i, u, c))
-            if nm == n:  # the entry before is H or M, or there is none
-                if c >= tau and nh == n:
-                    nh += 1
-                    est_h[i] += c
-                    h_count[i] += 1
-                else:
-                    if nh == n:
-                        self.qhml.push(j, c)  # the first M entry prices the element
-                    est_m[i] += 1
-                nm += 1
-            n += 1
             dirty.add(i)
-        self.nh[j], self.nm[j] = nh, nm
+        n = len(entries)
         self.stats["rev_pops"] += n - start
         if not entries:
             del self.index[j]
-
-    def _reprice(self, j: int, priority: float) -> None:
-        if priority > 0.0:
-            self.qhml.push(j, priority)
-        else:
-            self.qhml.remove(j)  # every entry is H, or none is left
+        elif n > start and self.nm[j] == start:  # no L entry before the new ones
+            self._reclassify_up(j)
 
     # -- seed selection ------------------------------------------------------
 
@@ -371,10 +351,12 @@ class SkimRun:
         self._flush()
 
     def _reclassify_up(self, j: int) -> None:
-        """Promote M and L entries to H, then revive L entries to M, as far
-        as their stored marginals allow under the current tau; reprice j
-        from the marginals at which the two loops stopped.  Both loops only
-        add to h_count, so no est_h needs snapping here."""
+        """Class j's entries from its counts on, the only code that
+        assigns classes: promote entries to H while their marginal is at
+        least tau, then to M while it is at least r * tau, adding each
+        promoted entry's contribution.  Reprice j from the marginals at
+        which the two loops stopped.  Both loops only add to h_count, so
+        no est_h needs snapping here."""
         entries = self.index.get(j, [])
         n = len(entries)
         r, tau = self.rank[j], self.tau
@@ -403,88 +385,62 @@ class SkimRun:
             dirty.add(i)
             nm += 1
         self.nh[j], self.nm[j] = nh, nm
-        self._reprice(j, max(priority, first_m) if nh < nm else priority)
+        if nh < nm:
+            priority = max(priority, first_m)
+        if priority > 0.0:
+            self.qhml.push(j, priority)
+        else:
+            self.qhml.remove(j)  # every entry is H, or none is left
 
     def move_down(self, j: int, x: float, new_seed: int) -> None:
         """Fold utility x of the new seed into element j's digest, then
         reclassify j's entries against the updated digest.
 
-        Each entry's old contribution comes off by its position; an H
-        entry's is its stored marginal.  The new seed's own entry and any
-        other seed's are dropped unpriced.  Every other entry is priced
-        once, nc = w * marg(u), and dropped if nc is zero; the rest keep
-        their order, are stored with nc and take the class of nc, capped
-        by the class of the entry before.  The element's move_up priority
-        comes from the same nc values.  Utilities do not increase along
-        the list, so pricing stops at the first one at or below the
-        digest's threshold: that entry and every later one lies past the
-        last positive gamma coefficient, has marginal exactly zero, and
-        only has its old H or M contribution taken off.  An item has at
-        most one entry per element, so its est_h is snapped (if it has no
-        H entry left) as soon as that entry is done.
+        One loop takes off every H and M entry's old contribution,
+        marking its item dirty, and prices the entries once, nc = w *
+        marg(u), keeping them in order with nc; the new seed's and other
+        seeds' entries are dropped unpriced, and so is any with nc zero.
+        Pricing stops at the first utility at or below the digest's
+        threshold: its marginal, like every later one, is exactly zero.
+        _reclassify_up then classes the kept entries from counts of 0.
+        est_h is snapped only after it has added the new contributions: an
+        item has at most one entry per element, so its est_h changes in
+        the order it would if that entry were handled alone.
         """
         digest = self.digests[j]
         digest.update(x)
         entries = self.index.get(j)
         if not entries:
             return
-        w, r, tau = self.problem.weight(j), self.rank[j], self.tau
-        rtau = r * tau
+        w = self.problem.weight(j)
         marg, thresh = digest.marg, digest.thresh()
         seeds, dirty = self.seeds, self.dirty
         est_h, est_m, h_count = self.est_h, self.est_m, self.h_count
         old_h, old_m = self.nh[j], self.nm[j]
         kept = []
-        nh = nm = 0
-        prev, priority = H, 0.0
-        cut = len(entries)
         for pos, (i, u, c) in enumerate(entries):
-            if u <= thresh:
-                cut = pos
-                break
-            if pos < old_h:
-                est_h[i] -= c
-                h_count[i] -= 1
-            elif pos < old_m:
-                est_m[i] -= 1
-            cls = L
-            if i != new_seed and i not in seeds:
+            if pos < old_m:  # take off the old H or M contribution
+                if pos < old_h:
+                    est_h[i] -= c
+                    h_count[i] -= 1
+                else:
+                    est_m[i] -= 1
+                dirty.add(i)
+            elif u <= thresh:
+                break  # an L entry with a zero marginal, and so is the rest
+            if u > thresh and i != new_seed and i not in seeds:
                 nc = w * marg(u)
                 if nc > 0.0:
                     kept.append((i, u, nc))
-                    cls = H if nc >= tau else M if nc >= rtau else L
-                    if cls > prev:
-                        cls = prev  # capped by the entry before
-                    if cls == H:
-                        nh += 1
-                        est_h[i] += nc
-                        h_count[i] += 1
-                    elif cls == M:
-                        est_m[i] += 1
-                    if cls != L:
-                        nm += 1
-                    if cls < prev:  # the entry opens the M or the L segment
-                        priority = max(priority, nc if cls == M else nc / r)
-                    prev = cls
-            if pos < old_m or cls != L:
-                if h_count[i] == 0:
-                    est_h[i] = 0.0
-                dirty.add(i)
-        for i, _, c in entries[cut:old_h]:  # the zero tail's H entries
-            est_h[i] -= c
-            h_count[i] -= 1
-            if h_count[i] == 0:
-                est_h[i] = 0.0
-            dirty.add(i)
-        for i, _, _ in entries[max(cut, old_h):old_m]:  # and its M entries
-            est_m[i] -= 1
-            dirty.add(i)
-        self.nh[j], self.nm[j] = nh, nm
+        self.nh[j] = self.nm[j] = 0
         if kept:
             self.index[j] = kept
         else:
             del self.index[j]
-        self._reprice(j, priority)
+        self._reclassify_up(j)
+        for i, _, _ in entries[:old_h]:
+            if h_count[i] == 0:
+                est_h[i] = 0.0
 
     # -- driver ----------------------------------------------------------------
 
@@ -505,13 +461,16 @@ class SkimRun:
                     break
                 self._process_seed(*res)
                 continue
-            if (self.qelements.peek() is None and self.qhml.peek() is None
-                    and self._fresh_max() <= 0.0):
-                break  # nothing left to sample, revive or select
+            if self.qelements.peek() is None and self.qhml.peek() is None:
+                # every list is all H, so every estimate change was pushed
+                top = self.qitems.peek()
+                if top is None or top[0] <= 0.0:
+                    break  # nothing left to sample, revive or select
             if self.tau == 0.0:
                 stop = "tau underflow"
                 break
-            self.tau *= self.lam
+            tau = self.tau * self.lam
+            self.tau = tau if tau < self.tau else 0.0  # a stalled decay ends at 0
             self.move_up()
             self._drain()
         self.stats["tau_final"] = self.tau

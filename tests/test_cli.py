@@ -381,7 +381,7 @@ ERRORS = {
                            "{path}:1: expected 2 fields, got 1"),
     "blank-matrix-line": ("matrix", "2 2\n0 0 2.0\n\n1 0 1.0\n", [], None, "{path}:3: blank line"),
     "blank-graph-line": ("graph", "2 2\n0 1 0.5\n\n", ["--family", "reachability"], None,
-                         "{path}:3: expected 3 fields, got 0"),
+                         "{path}:3: blank line"),
     "zero-utility": ("matrix", "2 2\n0 0 0\n", [], None, "{path}:2: utility must be positive"),
     "negative-weight": ("graph", "2 1\n0 1 -2\n", ["--family", "reachability"], None,
                         "{path}:2: edge weight must be positive"),

@@ -8,6 +8,7 @@ from infmax import (
     AggregationSpec,
     DigestTable,
     MatrixProblem,
+    SkimRun,
     SparseUtilityMatrix,
     add_seed,
     exact_greedy,
@@ -93,6 +94,36 @@ def test_stop_reason(name, matrix, items, stop):
     assert sequence_items(seq) == items
     assert stats["stop"] == stop
     check_rule(seq, matrix.n_items)
+
+
+class BoundedRun(SkimRun):
+    """A SkimRun that fails, instead of hanging, after 10,000 tau steps."""
+
+    steps = 0
+
+    def move_up(self):
+        self.steps += 1
+        if self.steps > 10_000:
+            raise AssertionError(f"tau still {self.tau!r} after 10,000 steps")
+        super().move_up()
+
+
+@pytest.mark.parametrize("rank_mode", ["uniform", "permutation"])
+def test_skim_decay_that_stalls_among_subnormals_ends(rank_mode):
+    # at lam = 0.9, tau * lam rounds back to tau once tau is a few smallest
+    # subnormals, so tau never reaches 0.0 by decay; lam = 0.5 underflows
+    matrix = SparseUtilityMatrix(3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 1e-322)])
+    runs = {}
+    for lam in (0.5, 0.9):
+        stats = {}
+        seq = BoundedRun(MatrixProblem(matrix, MAX), k=8, lam=lam, rank_mode=rank_mode,
+                         stats=stats).run()
+        runs[lam] = ([(r.item, r.estimate, r.gain, r.cumulative, r.below_cutoff) for r in seq],
+                     stats["stop"])
+    # items 1 and 0 are selected; item 2's gain is at or below the cutoff
+    assert runs[0.5] == ([(1, 2.0, 2.0, 2.0, False), (0, 1.0, 1.0, 3.0, False),
+                          (2, 1e-322, 1e-322, 3.0, True)], "cutoff")
+    assert runs[0.9] == runs[0.5]
 
 
 @st.composite
