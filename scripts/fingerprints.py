@@ -12,7 +12,9 @@ full-precision repr of (item, estimate, gain, cumulative, below_cutoff)
 of every record.  Unlike the benchmark's own fingerprint this covers
 the estimate.  Each tree is solved in a child process that imports that
 tree's own sources.  It prints one JSON object and exits 1 when any seed
-hashes differently in the two trees.
+hashes differently in the two trees; each such seed is listed with the
+index of its first differing record and that record from both trees
+(null past the end of the shorter sequence).
 """
 
 import argparse
@@ -25,9 +27,26 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def record_texts(seq) -> list[str]:
+    """The full-precision repr of each record's fields."""
+    return [repr((r.item, r.estimate, r.gain, r.cumulative, r.below_cutoff)) for r in seq]
+
+
+def hash_texts(texts: list[str]) -> str:
+    """SHA-256 of the repr of the list of record tuples the texts print."""
+    return hashlib.sha256(f"[{', '.join(texts)}]".encode()).hexdigest()
+
+
 def sequence_hash(seq) -> str:
-    text = repr([(r.item, r.estimate, r.gain, r.cumulative, r.below_cutoff) for r in seq])
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hash_texts(record_texts(seq))
+
+
+def first_difference(a: list[str], b: list[str]) -> dict:
+    """The index of the first record where a and b differ, and both records
+    there (None past the end of a sequence); a and b must differ."""
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return {"index": i, "parent": a[i] if i < len(a) else None,
+            "change": b[i] if i < len(b) else None}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -36,8 +55,8 @@ def parse_seeds(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def tree_hashes(tree: str, workload: str, seeds: list[int], scale: float) -> list[str]:
-    """Hashes of `tree`'s solves, one per seed, from a child process."""
+def tree_solves(tree: str, workload: str, seeds: list[int], scale: float) -> list[list[str]]:
+    """Record texts of `tree`'s solves, one list per seed, from a child process."""
     cmd = [sys.executable, os.path.abspath(__file__), "--tree", tree, "--workload", workload,
            "--seeds", f"{seeds[0]}-{seeds[-1]}", "--scale", str(scale)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -45,8 +64,8 @@ def tree_hashes(tree: str, workload: str, seeds: list[int], scale: float) -> lis
     return json.loads(out)
 
 
-def solve_hashes(tree: str, workload: str, seeds: list[int], scale: float) -> list[str]:
-    """Hashes of the solves, with `tree`'s sources imported in this process."""
+def solve_records(tree: str, workload: str, seeds: list[int], scale: float) -> list[list[str]]:
+    """Record texts of the solves, with `tree`'s sources imported in this process."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import infmax
     import workloads
@@ -54,29 +73,30 @@ def solve_hashes(tree: str, workload: str, seeds: list[int], scale: float) -> li
     src = os.path.join(os.path.abspath(tree), "src")
     if not os.path.abspath(infmax.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported infmax from {infmax.__file__}, not {src}")
-    hashes = []
+    solves = []
     for seed in seeds:
         wl = workloads.build(workload, seed, scale)
-        hashes.append(sequence_hash(wl.solve(wl.setup(), {})))
-    return hashes
+        solves.append(record_texts(wl.solve(wl.setup(), {})))
+    return solves
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", help="checkout of the parent commit")
-    p.add_argument("--tree", help=argparse.SUPPRESS)  # child: hash this tree only
+    p.add_argument("--tree", help=argparse.SUPPRESS)  # child: solve this tree only
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 0-39")
     p.add_argument("--scale", type=float, default=1.0)
     args = p.parse_args(argv)
     if args.tree is not None:
-        print(json.dumps(solve_hashes(args.tree, args.workload, args.seeds, args.scale)))
+        print(json.dumps(solve_records(args.tree, args.workload, args.seeds, args.scale)))
         return 0
     if args.parent is None:
         p.error("--parent is required")
-    parent = tree_hashes(os.path.abspath(args.parent), args.workload, args.seeds, args.scale)
-    change = tree_hashes(ROOT, args.workload, args.seeds, args.scale)
-    mismatches = [{"seed": s, "parent": a, "change": b}
+    parent = tree_solves(os.path.abspath(args.parent), args.workload, args.seeds, args.scale)
+    change = tree_solves(ROOT, args.workload, args.seeds, args.scale)
+    mismatches = [{"seed": s, "parent": hash_texts(a), "change": hash_texts(b),
+                   "first_diff": first_difference(a, b)}
                   for s, a, b in zip(args.seeds, parent, change) if a != b]
     print(json.dumps({"workload": args.workload, "scale": args.scale,
                       "seeds": [args.seeds[0], args.seeds[-1]], "inputs": len(args.seeds),

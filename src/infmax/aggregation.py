@@ -193,9 +193,6 @@ class DigestTable:
         self.digests = [UtilityDigest(spec) for _ in range(n_elements)]
         self.version = 0
 
-    def __len__(self) -> int:
-        return len(self.digests)
-
     def __getitem__(self, j: int) -> UtilityDigest:
         return self.digests[j]
 

@@ -59,11 +59,15 @@ def _to_int(tok: str, path: str, lineno: int) -> int:
         raise ParseError(f"{path}:{lineno}: {tok!r} is not an integer") from None
 
 
-def _to_float(tok: str, path: str, lineno: int) -> float:
+def _number(tok: str, where: str) -> float:
     try:
-        x = float(tok)
+        return float(tok)
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: {tok!r} is not a number") from None
+        raise ParseError(f"{where}: {tok!r} is not a number") from None
+
+
+def _to_float(tok: str, path: str, lineno: int) -> float:
+    x = _number(tok, f"{path}:{lineno}")
     if math.isnan(x) or math.isinf(x):
         raise ParseError(f"{path}:{lineno}: {tok!r} is not finite")
     return x
@@ -148,9 +152,9 @@ def parse_alpha(spec: str) -> Alpha:
     if spec == "inverse":
         return Alpha.inverse()
     if spec.startswith("threshold:"):
-        return Alpha.threshold(float(spec.split(":", 1)[1]))
+        return Alpha.threshold(_number(spec.split(":", 1)[1], "--alpha"))
     if spec.startswith("exp:"):
-        return Alpha.exponential(float(spec.split(":", 1)[1]))
+        return Alpha.exponential(_number(spec.split(":", 1)[1], "--alpha"))
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         points = []
@@ -166,11 +170,13 @@ def parse_alpha(spec: str) -> Alpha:
 
 def _aggregation(args: argparse.Namespace) -> AggregationSpec:
     if args.gamma is not None:
-        gamma = tuple(float(t) for t in args.gamma.split(","))
+        gamma = tuple(_number(t, "--gamma") for t in args.gamma.split(","))
         if args.ell is not None and args.ell != len(gamma):
             raise ConfigError("ell disagrees with the length of gamma")
         return AggregationSpec(gamma)
     if args.ell is not None:
+        if args.ell < 1:
+            raise ConfigError("--ell must be at least 1")
         return AggregationSpec.top(args.ell)
     return AggregationSpec.maximum()
 

@@ -70,7 +70,6 @@ class Alpha:
                  points: list[tuple[float, float]] | None = None):
         self.kind = kind
         self.param = param
-        self.points = points
         if kind == "table":
             if not points:
                 raise ValueError("table alpha needs breakpoints")

@@ -1,15 +1,17 @@
 """Lazy approximate greedy maximization over an explicit utility matrix.
 
-CELF-style lazy evaluation: items sit in a max heap keyed by their
-marginal influence when last evaluated.  Since marginal influence only
-shrinks as seeds are added, a popped item whose fresh gain is within
-(1 - epsilon) of its stale priority is an approximate argmax and is
-selected on the spot.  Computed gains carry rounding: a gain sums one
-w * marg(u) per row entry, whose marg is within the digest's bound, so
-with t = ell + r + 1 for rows of at most r entries and u = 2**-53 it is
-within a relative delta = t * u / (1 - t * u) of the exact gain.  A stale
-priority therefore upper-bounds an item's current gain only up to delta,
-not exactly.
+CELF-style lazy evaluation (Leskovec et al., KDD 2007) is the queue rule
+of both maximizers: a priority bounds its item's current value (here the
+marginal gain, in skim.py the estimate) and is pushed when first known or
+when the value rises above it.  The top is refreshed until its fresh value
+is at least its priority, (1 - epsilon) of it here, and is then the pick,
+ties by ascending id; a top whose value fell is pushed back at it.  Gains
+only shrink as seeds are added, so lazy greedy pushes only falls.
+Computed gains carry rounding: a gain sums one w * marg(u) per row entry,
+whose marg is within the digest's bound, so with t = ell + r + 1 for rows
+of at most r entries and u = 2**-53 it is within a relative delta =
+t * u / (1 - t * u) of the exact gain.  A stale priority therefore
+upper-bounds an item's current gain only up to delta, not exactly.
 
 Re-evaluating a popped item re-prices only the row entries whose element
 digest was updated since the item was last priced; the other entries keep

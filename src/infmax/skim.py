@@ -41,9 +41,9 @@ tau at which a boundary entry changes class, max(c of its first M entry,
 c of its first L entry / rank).  Three passes use it:
 
 * move_up, after tau drops, runs it from the element's current counts;
-* a drain only samples: it appends the entries it takes, marks their
-  items dirty and runs the classifier over them, unless an L entry came
-  before them, in which case they stay L;
+* a drain only samples: it appends the entries it takes and runs the
+  classifier over them, unless an L entry came before them, in which
+  case they stay L;
 * move_down, when a new seed lowers marginals, takes off the old
   contribution of every H and M entry, prices the rest once against the
   updated digest, sets both counts to 0 and runs the classifier.
@@ -51,8 +51,9 @@ c of its first L entry / rank).  Three passes use it:
 An item with no H entry left has its est_h snapped to 0.0 once move_down
 is done with an element, so cancellation residue never keeps a dead item
 looking alive; only move_down lowers h_count, so only move_down snaps.
-Each dirty item is pushed onto the item queue once per pass, at the
-estimate it ends the pass with.
+The item queue keeps upper bounds, by greedy.py's queue rule: take-offs,
+snaps and a lower tau leave old priorities as bounds, and the classifier,
+the only code that raises an estimate, marks its items dirty for _flush.
 
 A seed is committed from the forward search that validated it.  Forward
 streams yield (element, utility, marginal) triples, the marginal being
@@ -80,8 +81,13 @@ class LazyMaxQueue:
         self._prio: dict[int, float] = {}
 
     def push(self, key: int, priority: float) -> None:
+        if self._prio.get(key) == priority:
+            return  # its live heap entry already says so
         self._prio[key] = priority
         heapq.heappush(self._heap, (-priority, key))
+
+    def priority(self, key: int) -> float | None:
+        return self._prio.get(key)
 
     def remove(self, key: int) -> None:
         self._prio.pop(key, None)
@@ -101,9 +107,6 @@ class LazyMaxQueue:
         heapq.heappop(self._heap)
         del self._prio[t[1]]
         return t
-
-    def keys(self):
-        return list(self._prio)
 
 
 def default_sample_size(epsilon: float, n_items: int, n_elements: int) -> int:
@@ -188,16 +191,27 @@ class SkimRun:
         return self.est_h[i] + self.tau * self.est_m[i]
 
     def _flush(self) -> None:
-        """Push every item touched in this pass at its final estimate.
-
-        Valid entries pop by priority, ties by key, so the order of the
-        pushes cannot change which item pops.  A seed is never pushed and
-        _process_seed removes it, so qitems holds no seed.
-        """
+        """Push each dirty item whose estimate rose above its priority, or
+        that has none yet, at that estimate.  A seed is never pushed and
+        next_seed pops it, so qitems holds no seed."""
         for i in self.dirty:
-            if i not in self.seeds:
-                self.qitems.push(i, self._estimate(i))
+            p, est = self.qitems.priority(i), self._estimate(i)
+            if i not in self.seeds and (p is None or est > p):
+                self.qitems.push(i, est)
         self.dirty.clear()
+
+    def _top(self) -> tuple[float, int] | None:
+        """qitems' top at its fresh estimate, by greedy.py's queue rule; a
+        demoted item, whose priority is the exact gain that failed its
+        validation, comes back at its estimate."""
+        q = self.qitems
+        while (top := q.peek()) is not None:
+            p, i = top
+            est = self._estimate(i)
+            if est >= p:
+                return est, i
+            q.push(i, est)
+        return None
 
     # -- sampling ------------------------------------------------------------
 
@@ -225,13 +239,12 @@ class SkimRun:
     def _drain_element(self, j: int) -> None:
         """Sample j's stream entries down to the first one that is L.
 
-        Each sampled entry is priced once, c = w * marg(u), and appended,
-        and its item is marked dirty.  _reclassify_up then classes the
-        new entries, unless an L entry came before them: the cap keeps
-        them L.  The stream retires at the first utility at or below the
-        digest's threshold: such a utility lands past the last positive
-        gamma coefficient, so its marginal and every later one is exactly
-        zero, and the threshold never falls.
+        Each sampled entry is priced once, c = w * marg(u), and appended.
+        _reclassify_up then classes the new entries, unless an L entry
+        came before them: the cap keeps them L.  The stream retires at the
+        first utility at or below the digest's threshold: such a utility
+        lands past the last positive gamma coefficient, so its marginal and
+        every later one is exactly zero, and the threshold never falls.
         """
         stream = self.rev[j]
         top, pop = stream.top, stream.pop
@@ -239,7 +252,7 @@ class SkimRun:
         rtau = r * self.tau
         digest = self.digests[j]
         marg, thresh = digest.marg, digest.thresh()
-        seeds, dirty = self.seeds, self.dirty
+        seeds = self.seeds
         entries = self.index.setdefault(j, [])
         start = len(entries)
         while (t := top()) is not None:
@@ -259,7 +272,6 @@ class SkimRun:
                 break
             pop()
             entries.append((i, u, c))
-            dirty.add(i)
         n = len(entries)
         self.stats["rev_pops"] += n - start
         if not entries:
@@ -270,37 +282,23 @@ class SkimRun:
     # -- seed selection ------------------------------------------------------
 
     def next_seed(self) -> tuple[int, float] | None:
-        """Try to certify the current best estimate as the next seed.
+        """Try to certify the largest estimate, _top's, as the next seed.
 
-        Returns None when no estimate reaches k * tau, or when the top
-        estimate fails its exact-gain validation (its priority is then
-        replaced by the exact gain and sampling continues).
+        Returns None when it is below k * tau, or when it fails its
+        exact-gain validation (its priority is then the exact gain, and
+        sampling continues).
         """
-        k_tau = self.k * self.tau
-        accept = 1.0 - 1.0 / math.sqrt(self.k)
-        q = self.qitems
-        while True:
-            top = q.peek()
-            if top is None or top[0] < k_tau:
-                return None
-            _, i = q.pop()
-            est = self._estimate(i)
-            runner = q.peek()
-            runner_p = None
-            if runner is not None:
-                rp, ri = runner
-                rfresh = self._estimate(ri)
-                if rfresh != rp:
-                    q.push(ri, rfresh)  # revalidate the runner-up once
-                runner_p = rfresh
-            if est >= k_tau and (runner_p is None or est >= runner_p):
-                exact = self._marg_gain(i)
-                self.stats["exact_evals"] += 1
-                if exact >= accept * est:
-                    return i, est
-                q.push(i, exact)
-                return None
-            q.push(i, est)
+        top = self._top()
+        if top is None or top[0] < self.k * self.tau:
+            return None
+        est, i = top
+        self.qitems.pop()
+        exact = self._marg_gain(i)
+        self.stats["exact_evals"] += 1
+        if exact >= (1.0 - 1.0 / math.sqrt(self.k)) * est:
+            return i, est
+        self.qitems.push(i, exact)
+        return None
 
     def _marg_gain(self, i: int) -> float:
         """Exact marginal gain of i by one forward search.
@@ -335,7 +333,6 @@ class SkimRun:
             self.move_down(j, u, i)
         self.digests.mark_seed_added()
         self.seeds.add(i)
-        self.qitems.remove(i)
         self._flush()
         self.coverage += gain
         self.records.append(SeedRecord(i, est, gain, self.coverage))
@@ -354,9 +351,9 @@ class SkimRun:
         """Class j's entries from its counts on, the only code that
         assigns classes: promote entries to H while their marginal is at
         least tau, then to M while it is at least r * tau, adding each
-        promoted entry's contribution.  Reprice j from the marginals at
-        which the two loops stopped.  Both loops only add to h_count, so
-        no est_h needs snapping here."""
+        promoted entry's contribution and marking its item dirty.
+        Reprice j from the marginals at which the two loops stopped.  Both
+        loops only add to h_count, so no est_h needs snapping here."""
         entries = self.index.get(j, [])
         n = len(entries)
         r, tau = self.rank[j], self.tau
@@ -396,8 +393,8 @@ class SkimRun:
         """Fold utility x of the new seed into element j's digest, then
         reclassify j's entries against the updated digest.
 
-        One loop takes off every H and M entry's old contribution,
-        marking its item dirty, and prices the entries once, nc = w *
+        One loop takes off every H and M entry's old contribution, which
+        only lowers estimates, and prices the entries once, nc = w *
         marg(u), keeping them in order with nc; the new seed's and other
         seeds' entries are dropped unpriced, and so is any with nc zero.
         Pricing stops at the first utility at or below the digest's
@@ -414,7 +411,7 @@ class SkimRun:
             return
         w = self.problem.weight(j)
         marg, thresh = digest.marg, digest.thresh()
-        seeds, dirty = self.seeds, self.dirty
+        seeds = self.seeds
         est_h, est_m, h_count = self.est_h, self.est_m, self.h_count
         old_h, old_m = self.nh[j], self.nm[j]
         kept = []
@@ -425,7 +422,6 @@ class SkimRun:
                     h_count[i] -= 1
                 else:
                     est_m[i] -= 1
-                dirty.add(i)
             elif u <= thresh:
                 break  # an L entry with a zero marginal, and so is the rest
             if u > thresh and i != new_seed and i not in seeds:
@@ -462,8 +458,8 @@ class SkimRun:
                 self._process_seed(*res)
                 continue
             if self.qelements.peek() is None and self.qhml.peek() is None:
-                # every list is all H, so every estimate change was pushed
-                top = self.qitems.peek()
+                # every list is all H, so no estimate depends on tau
+                top = self._top()
                 if top is None or top[0] <= 0.0:
                     break  # nothing left to sample, revive or select
             if self.tau == 0.0:
@@ -473,7 +469,6 @@ class SkimRun:
             self.tau = tau if tau < self.tau else 0.0  # a stalled decay ends at 0
             self.move_up()
             self._drain()
-        self.stats["tau_final"] = self.tau
         self.stats["stop"] = stop
         return self.records
 
@@ -496,7 +491,7 @@ def run_skim(
     target epsilon.  Deterministic for fixed arguments; ends as
     SkimRun.run says.  stats gets the counters
     "forward_yields", "rev_pops", "exact_evals", the tau of each selected
-    seed in order as "tau", "tau_final" and the stop reason "stop".
+    seed in order as "tau" and the stop reason "stop".
     """
     return SkimRun(
         problem,

@@ -396,7 +396,12 @@ ERRORS = {
                           "{path}: edge (0, 7) out of range"),
     "bad-alpha": ("graph", G_OK, ["--family", "distance", "--alpha", "log:2"], None,
                   "cannot parse alpha spec 'log:2'"),
-    "bad-gamma": ("matrix", M_OK, ["--gamma", "1,x"], None, "could not convert string to float: 'x'"),
+    "bad-gamma": ("matrix", M_OK, ["--gamma", "1,x"], None, "--gamma: 'x' is not a number"),
+    "bad-alpha-number": ("graph", G_OK, ["--family", "distance", "--alpha", "threshold:abc"], None,
+                         "--alpha: 'abc' is not a number"),
+    "bad-alpha-sigma": ("graph", G_OK, ["--family", "distance", "--alpha", "exp:"], None,
+                        "--alpha: '' is not a number"),
+    "zero-ell": ("matrix", M_OK, ["--ell", "0"], None, "--ell must be at least 1"),
     "gamma-ell": ("matrix", M_OK, ["--gamma", "1,0.5", "--ell", "3"], None,
                   "ell disagrees with the length of gamma"),
     "matrix-family": ("matrix", M_OK, ["--family", "distance"], None,
