@@ -10,7 +10,6 @@ and rng seed produce byte-identical output.
 
 import argparse
 import math
-import os
 import sys
 
 from .aggregation import AggregationSpec, DigestTable
@@ -32,9 +31,7 @@ from .oracles import (
     marg_gain,
     optimal_subset,
 )
-from .skim import default_sample_size, run_skim
-
-ENV_SEED = "INFMAX_SEED"
+from .skim import SkimRun, default_sample_size
 
 
 class ParseError(ValueError):
@@ -64,6 +61,15 @@ def _number(tok: str, where: str) -> float:
         return float(tok)
     except ValueError:
         raise ParseError(f"{where}: {tok!r} is not a number") from None
+
+
+def _prefixed(where: str, call, *args, error=ConfigError):
+    """call(*args), its ValueError raised as error and prefixed with where
+    the arguments came from: the flag or the input file."""
+    try:
+        return call(*args)
+    except ValueError as e:
+        raise error(f"{where}: {e}") from None
 
 
 def _to_float(tok: str, path: str, lineno: int) -> float:
@@ -109,19 +115,13 @@ def _read_triples(path: str, graph: bool) -> tuple[int, int, list]:
 def read_matrix(path: str) -> SparseUtilityMatrix:
     """Read and strictly validate a matrix file."""
     n_items, n_elements, entries = _read_triples(path, graph=False)
-    try:
-        return SparseUtilityMatrix(n_items, n_elements, entries)
-    except ValueError as e:
-        raise ParseError(f"{path}: {e}") from None
+    return _prefixed(path, SparseUtilityMatrix, n_items, n_elements, entries, error=ParseError)
 
 
 def read_graph(path: str) -> DirectedGraph:
     """Read and strictly validate a graph file."""
     n, _, edges = _read_triples(path, graph=True)
-    try:
-        return DirectedGraph(n, tuple(edges))
-    except ValueError as e:
-        raise ParseError(f"{path}: {e}") from None
+    return _prefixed(path, DirectedGraph, n, tuple(edges), error=ParseError)
 
 
 def emit_results(sequence: GreedySequence, path: str) -> None:
@@ -152,9 +152,9 @@ def parse_alpha(spec: str) -> Alpha:
     if spec == "inverse":
         return Alpha.inverse()
     if spec.startswith("threshold:"):
-        return Alpha.threshold(_number(spec.split(":", 1)[1], "--alpha"))
+        return _prefixed("--alpha", Alpha.threshold, _number(spec.split(":", 1)[1], "--alpha"))
     if spec.startswith("exp:"):
-        return Alpha.exponential(_number(spec.split(":", 1)[1], "--alpha"))
+        return _prefixed("--alpha", Alpha.exponential, _number(spec.split(":", 1)[1], "--alpha"))
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         points = []
@@ -164,21 +164,16 @@ def parse_alpha(spec: str) -> Alpha:
             x_tok, v_tok = _tokens(line, 2, path, lineno)
             x = _to_float(x_tok, path, lineno)
             points.append((x, _to_float(v_tok, path, lineno)))
-        return Alpha.table(points)
+        return _prefixed("--alpha", Alpha.table, points)
     raise ConfigError(f"cannot parse alpha spec {spec!r}")
 
 
-def _aggregation(args: argparse.Namespace) -> AggregationSpec:
-    if args.gamma is not None:
-        gamma = tuple(_number(t, "--gamma") for t in args.gamma.split(","))
-        if args.ell is not None and args.ell != len(gamma):
-            raise ConfigError("ell disagrees with the length of gamma")
-        return AggregationSpec(gamma)
-    if args.ell is not None:
-        if args.ell < 1:
-            raise ConfigError("--ell must be at least 1")
-        return AggregationSpec.top(args.ell)
-    return AggregationSpec.maximum()
+def _aggregation(gamma: str | None) -> AggregationSpec:
+    """--gamma's weights, or max coverage without it."""
+    if gamma is None:
+        return AggregationSpec.maximum()
+    weights = tuple(_number(t, "--gamma") for t in gamma.split(","))
+    return _prefixed("--gamma", AggregationSpec, weights)
 
 
 def _verify_report(problem: MatrixProblem, sequence: GreedySequence, out) -> None:
@@ -214,14 +209,12 @@ def _verify_report(problem: MatrixProblem, sequence: GreedySequence, out) -> Non
 
 def run(args: argparse.Namespace) -> int:
     """Execute the run the parsed arguments describe; returns the exit status."""
-    seed = args.rng_seed
-    if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
-    spec = _aggregation(args)
+    spec = _aggregation(args.gamma)
     matrix = None
     if args.kind == "matrix":
-        if args.family is not None or args.alpha is not None:
-            raise ConfigError("utility families apply only to graph inputs")
+        for flag in ("family", "alpha", "model", "instances"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} applies only to graph inputs")
         matrix = read_matrix(args.input)
         problem = MatrixProblem(matrix, spec)
     else:
@@ -229,7 +222,11 @@ def run(args: argparse.Namespace) -> int:
             raise ConfigError("graph inputs need --family")
         alpha = parse_alpha(args.alpha) if args.alpha is not None else None
         family = UtilityFamily(args.family.replace("-", "_"), alpha)
-        instances = simulate_instances(read_graph(args.input), args.model, args.instances, seed)
+        count = 1 if args.instances is None else args.instances
+        if count < 1:  # checked here, as simulate_instances also rejects the file's ic weights
+            raise ConfigError("--instances: instance count must be at least 1")
+        model = args.model or "fixed"
+        instances = simulate_instances(read_graph(args.input), model, count, args.rng_seed)
         problem = GraphProblem(instances, family, spec)
 
     if args.verify and problem.n_items > 1000:
@@ -241,10 +238,11 @@ def run(args: argparse.Namespace) -> int:
     if args.algorithm == "skim":
         k = args.k
         if k is None:
-            k = default_sample_size(args.epsilon, problem.n_items, problem.n_elements)
-        sequence = run_skim(problem, k, lam=args.lam, rng_seed=seed)
+            n, m = problem.n_items, problem.n_elements
+            k = _prefixed("--epsilon", default_sample_size, args.epsilon, n, m)
+        sequence = _prefixed("--k", SkimRun, problem, k, args.rng_seed).run()
     elif args.algorithm == "lazy":
-        sequence = lazy_greedy(matrix, spec, args.epsilon)
+        sequence = _prefixed("--epsilon", lazy_greedy, matrix, spec, args.epsilon)
     else:
         sequence = exact_greedy(matrix, spec)
 
@@ -270,17 +268,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["distance", "reverse-rank", "reachability", "survival"])
     p.add_argument("--alpha", help="threshold:T | inverse | exp:sigma | table:path")
     p.add_argument("--gamma", help="comma-separated aggregation weights, e.g. 1,0.5")
-    p.add_argument("--ell", type=int, help="use the unweighted top-ell aggregation")
-    p.add_argument("--model", default="fixed", choices=["ic", "exponential", "fixed"])
-    p.add_argument("--instances", type=int, default=1)
-    p.add_argument("--rng-seed", type=int, default=None)
+    p.add_argument("--model", choices=["ic", "exponential", "fixed"], help="default fixed")
+    p.add_argument("--instances", type=int, help="graph instances to draw (default 1)")
+    p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument(
         "--epsilon", type=float, default=0.1,
         help="lazy greedy's acceptance slack, and what sets SKIM's sample size "
         "when --k is absent (default 0.1)",
     )
     p.add_argument("--k", type=int, help="SKIM's sample size")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--output", default="-")
     p.add_argument(
         "--verify", action="store_true",

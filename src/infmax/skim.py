@@ -4,10 +4,9 @@ The maximizer never materializes the utility matrix.  It keeps, per item,
 a weighted sample of the elements where the item still has marginal
 utility.  Elements are assigned fixed random ranks r in (0, 1]; an
 element belongs to item i's sample while w * (marginal utility) / r is
-at least a global threshold tau, which decays geometrically by lam per
-step; a step that does not lower tau (lam > 0.5 among the smallest
-subnormals, where tau * lam rounds back to tau) sets it to 0.0, so the
-run gets the final pass at tau = 0 that an underflowing decay gives it.
+at least a global threshold tau, which halves at each step.  Halving
+strictly lowers any positive double, subnormals included, so tau
+reaches 0.0 by underflow and the run gets a final pass at tau = 0.
 The sum of sampled marginal utilities clipped below at tau is an
 unbiased estimate of the item's marginal influence, so once some item's
 estimate reaches k * tau the estimate is trustworthy enough (relative
@@ -123,19 +122,15 @@ class SkimRun:
         self,
         problem,
         k: int,
-        lam: float = 0.5,
         rng_seed: int = 0,
         rank_mode: str = "uniform",
         stats: dict | None = None,
     ):
         if k < 2:
             raise ValueError("sample-size parameter k must be at least 2")
-        if not 0.0 < lam < 1.0:
-            raise ValueError("threshold decrease factor must lie in (0, 1)")
         self.problem = problem
         self.spec = problem.spec
         self.k = k
-        self.lam = lam
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("forward_yields", 0)
         self.stats.setdefault("rev_pops", 0)
@@ -182,8 +177,11 @@ class SkimRun:
                 _, u = t
                 self.qelements.push(j, problem.weight(j) * u / self.rank[j])
         top = self.qelements.peek()
-        # a first tau that underflows still gets its pass, as a decayed one does
-        self.tau = (top[0] / (2.0 * k) or math.ulp(0.0)) if top is not None else None
+        # run halves tau before its first drain: at top / 2k one heavy
+        # sample (rank >= 1/2) alone would reach k * tau and certify its
+        # item.  A first tau that underflows still gets its pass, as a
+        # halved one does; with no utility, tau is 0.0 and run ends at once.
+        self.tau = (top[0] / (2.0 * k) or math.ulp(0.0)) if top is not None else 0.0
 
     # -- estimate bookkeeping ------------------------------------------------
 
@@ -447,7 +445,7 @@ class SkimRun:
         stats["stop"] names which."""
         n = self.problem.n_items
         stop = "exhausted"
-        while self.tau is not None and len(self.seeds) < n:  # tau is None: no utility
+        while len(self.seeds) < n:
             res = self.next_seed()
             if res is not None:
                 gain = self._validated[2]
@@ -465,8 +463,7 @@ class SkimRun:
             if self.tau == 0.0:
                 stop = "tau underflow"
                 break
-            tau = self.tau * self.lam
-            self.tau = tau if tau < self.tau else 0.0  # a stalled decay ends at 0
+            self.tau *= 0.5
             self.move_up()
             self._drain()
         self.stats["stop"] = stop
@@ -476,7 +473,6 @@ class SkimRun:
 def run_skim(
     problem,
     k: int,
-    lam: float = 0.5,
     rng_seed: int = 0,
     rank_mode: str = "uniform",
     stats: dict | None = None,
@@ -488,15 +484,15 @@ def run_skim(
     sorted access streams and forward searches.  k is the sample size:
     estimates have relative error about 1/sqrt(k), and
     default_sample_size(epsilon, n_items, n_elements) gives the k for a
-    target epsilon.  Deterministic for fixed arguments; ends as
-    SkimRun.run says.  stats gets the counters
+    target epsilon.  The sampling threshold tau halves at each step;
+    accuracy rests on k, not on how fast tau falls.  Deterministic for
+    fixed arguments; ends as SkimRun.run says.  stats gets the counters
     "forward_yields", "rev_pops", "exact_evals", the tau of each selected
     seed in order as "tau" and the stop reason "stop".
     """
     return SkimRun(
         problem,
         k=k,
-        lam=lam,
         rng_seed=rng_seed,
         rank_mode=rank_mode,
         stats=stats,

@@ -19,10 +19,12 @@ from infmax import (
     GraphProblem,
     MatrixProblem,
     UtilityFamily,
+    add_seed,
     aggregate,
     exact_greedy,
     exact_influence,
     lazy_greedy,
+    marg_gain,
     optimal_subset,
     pairwise_utility,
     run_skim,
@@ -269,3 +271,41 @@ def test_criterion_8_lazy_equals_exact():
         ):
             ok = False
     report(8, "lazy epsilon=0 equals exact greedy", ok)
+
+
+# -- 9: per-step quality beyond coverage: top-l aggregations, all four families --------
+
+
+# (family, gamma, average out-degree): at degree 3 two reachability seeds
+# reach nearly every node, so its graphs are sparser to leave steps to test
+STEP_QUALITY_CASES = {
+    "distance": (UtilityFamily("distance", Alpha.exponential(1.0)), (1.0, 0.5), 3.0),
+    "reverse-rank": (UtilityFamily("reverse_rank", INV), (1.0, 1.0, 1.0), 3.0),
+    "survival": (UtilityFamily("survival"), (1.0, 0.5, 0.25), 3.0),
+    "reachability": (UtilityFamily("reachability"), (1.0, 1.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STEP_QUALITY_CASES))
+def test_criterion_9_skim_step_quality_beyond_coverage(family):
+    # criterion 6 for l >= 2, where the step maximum does not vectorize: it
+    # is marg_gain of every unselected item against the selected seeds
+    fam, gamma, degree = STEP_QUALITY_CASES[family]
+    spec = AggregationSpec(gamma)
+    rng = random.Random(901)
+    total = good = 0
+    for graph_trial in range(3):
+        problem = GraphProblem(random_instances(rng, 50, 2, degree), fam, spec)
+        digests = DigestTable(problem.n_elements, spec)
+        taken = set()
+        for rec in run_skim(problem, k=64, rng_seed=graph_trial):
+            if rec.below_cutoff:
+                continue
+            rest = (i for i in range(problem.n_items) if i not in taken)
+            best = max(marg_gain(problem, i, digests) for i in rest)
+            total += 1
+            if rec.gain >= 0.9 * best - 1e-9:
+                good += 1
+            add_seed(problem, rec.item, digests, taken)
+    print(f"  {family} gamma={gamma}: {good}/{total} = {good / total:.4f}")
+    report(9, f"{family} per-step quality >= 0.9 max in 95% of steps", good / total >= 0.95)

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,59 +370,65 @@ def test_cli_exact_verify_output_is_pinned(pinned_graph, tmp_path, capsys, famil
 
 
 # every reader and configuration error: (kind, file text, extra flags,
-# INFMAX_SEED, the one stderr line with {path} for the input file); each
-# exits 2 and writes no output
+# the one stderr line with {path} for the input file); each exits 2 and
+# writes no output
 M_OK = "2 2\n0 0 2.0\n1 0 1.0\n"
 G_OK = "2 1\n0 1 0.5\n"
 ERRORS = {
-    "empty-file": ("matrix", "", [], None, "{path}:1: empty file"),
-    "bad-integer": ("matrix", "2 x\n", [], None, "{path}:1: 'x' is not an integer"),
-    "bad-number": ("matrix", "2 2\n0 0 abc\n", [], None, "{path}:2: 'abc' is not a number"),
-    "field-count": ("matrix", "2 2\n0 0 2.0\n1 0\n", [], None, "{path}:3: expected 3 fields, got 2"),
-    "header-field-count": ("graph", "2\n", ["--family", "reachability"], None,
+    "empty-file": ("matrix", "", [], "{path}:1: empty file"),
+    "bad-integer": ("matrix", "2 x\n", [], "{path}:1: 'x' is not an integer"),
+    "bad-number": ("matrix", "2 2\n0 0 abc\n", [], "{path}:2: 'abc' is not a number"),
+    "field-count": ("matrix", "2 2\n0 0 2.0\n1 0\n", [], "{path}:3: expected 3 fields, got 2"),
+    "header-field-count": ("graph", "2\n", ["--family", "reachability"],
                            "{path}:1: expected 2 fields, got 1"),
-    "blank-matrix-line": ("matrix", "2 2\n0 0 2.0\n\n1 0 1.0\n", [], None, "{path}:3: blank line"),
-    "blank-graph-line": ("graph", "2 2\n0 1 0.5\n\n", ["--family", "reachability"], None,
+    "blank-matrix-line": ("matrix", "2 2\n0 0 2.0\n\n1 0 1.0\n", [], "{path}:3: blank line"),
+    "blank-graph-line": ("graph", "2 2\n0 1 0.5\n\n", ["--family", "reachability"],
                          "{path}:3: blank line"),
-    "zero-utility": ("matrix", "2 2\n0 0 0\n", [], None, "{path}:2: utility must be positive"),
-    "negative-weight": ("graph", "2 1\n0 1 -2\n", ["--family", "reachability"], None,
+    "zero-utility": ("matrix", "2 2\n0 0 0\n", [], "{path}:2: utility must be positive"),
+    "negative-weight": ("graph", "2 1\n0 1 -2\n", ["--family", "reachability"],
                         "{path}:2: edge weight must be positive"),
-    "nan-utility": ("matrix", "2 2\n0 0 nan\n", [], None, "{path}:2: 'nan' is not finite"),
-    "inf-weight": ("graph", "2 1\n0 1 inf\n", ["--family", "reachability"], None,
+    "nan-utility": ("matrix", "2 2\n0 0 nan\n", [], "{path}:2: 'nan' is not finite"),
+    "inf-weight": ("graph", "2 1\n0 1 inf\n", ["--family", "reachability"],
                    "{path}:2: 'inf' is not finite"),
-    "edge-count": ("graph", "2 3\n0 1 1.0\n", ["--family", "reachability"], None,
+    "edge-count": ("graph", "2 3\n0 1 1.0\n", ["--family", "reachability"],
                    "{path}: header promises 3 edges, found 1 lines"),
-    "duplicate": ("matrix", "2 2\n0 0 2.0\n0 0 1.0\n", [], None, "{path}: duplicate entry (0, 0)"),
-    "item-out-of-range": ("matrix", "2 2\n5 0 1.0\n", [], None, "{path}: entry (5, 0) out of range"),
-    "node-out-of-range": ("graph", "2 1\n0 7 1.0\n", ["--family", "reachability"], None,
+    "duplicate": ("matrix", "2 2\n0 0 2.0\n0 0 1.0\n", [], "{path}: duplicate entry (0, 0)"),
+    "item-out-of-range": ("matrix", "2 2\n5 0 1.0\n", [], "{path}: entry (5, 0) out of range"),
+    "node-out-of-range": ("graph", "2 1\n0 7 1.0\n", ["--family", "reachability"],
                           "{path}: edge (0, 7) out of range"),
-    "bad-alpha": ("graph", G_OK, ["--family", "distance", "--alpha", "log:2"], None,
+    "bad-alpha": ("graph", G_OK, ["--family", "distance", "--alpha", "log:2"],
                   "cannot parse alpha spec 'log:2'"),
-    "bad-gamma": ("matrix", M_OK, ["--gamma", "1,x"], None, "--gamma: 'x' is not a number"),
-    "bad-alpha-number": ("graph", G_OK, ["--family", "distance", "--alpha", "threshold:abc"], None,
+    "bad-gamma": ("matrix", M_OK, ["--gamma", "1,x"], "--gamma: 'x' is not a number"),
+    "bad-alpha-number": ("graph", G_OK, ["--family", "distance", "--alpha", "threshold:abc"],
                          "--alpha: 'abc' is not a number"),
-    "bad-alpha-sigma": ("graph", G_OK, ["--family", "distance", "--alpha", "exp:"], None,
+    "bad-alpha-sigma": ("graph", G_OK, ["--family", "distance", "--alpha", "exp:"],
                         "--alpha: '' is not a number"),
-    "zero-ell": ("matrix", M_OK, ["--ell", "0"], None, "--ell must be at least 1"),
-    "gamma-ell": ("matrix", M_OK, ["--gamma", "1,0.5", "--ell", "3"], None,
-                  "ell disagrees with the length of gamma"),
-    "matrix-family": ("matrix", M_OK, ["--family", "distance"], None,
-                      "utility families apply only to graph inputs"),
-    "graph-no-family": ("graph", G_OK, [], None, "graph inputs need --family"),
-    "verify-too-large": ("graph", "1001 1\n0 1 0.5\n", ["--family", "reachability", "--verify"], None,
+    "matrix-family": ("matrix", M_OK, ["--family", "distance"],
+                      "--family applies only to graph inputs"),
+    "matrix-model": ("matrix", M_OK, ["--model", "ic"], "--model applies only to graph inputs"),
+    "matrix-instances": ("matrix", M_OK, ["--instances", "0"],
+                         "--instances applies only to graph inputs"),
+    "zero-instances": ("graph", G_OK, ["--family", "reachability", "--instances", "0"],
+                       "--instances: instance count must be at least 1"),
+    "gamma-leading": ("matrix", M_OK, ["--gamma", "0.5"],
+                      "--gamma: leading gamma coefficient must be 1"),
+    "alpha-nan": ("graph", G_OK, ["--family", "distance", "--alpha", "threshold:nan"],
+                  "--alpha: threshold alpha needs T >= 0"),
+    "k-one": ("matrix", M_OK, ["--k", "1"], "--k: sample-size parameter k must be at least 2"),
+    "skim-epsilon-one": ("matrix", M_OK, ["--epsilon", "1"],
+                         "--epsilon: epsilon must lie in (0, 1)"),
+    "lazy-epsilon-one": ("matrix", M_OK, ["--algorithm", "lazy", "--epsilon", "1"],
+                         "--epsilon: epsilon must lie in [0, 1)"),
+    "graph-no-family": ("graph", G_OK, [], "graph inputs need --family"),
+    "verify-too-large": ("graph", "1001 1\n0 1 0.5\n", ["--family", "reachability", "--verify"],
                          "verify refuses more than 1000 items (greedy baseline)"),
-    "bad-env-seed": ("matrix", M_OK, [], "x1", "invalid literal for int() with base 10: 'x1'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERRORS))
-def test_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, case):
-    kind, text, flags, env_seed, message = ERRORS[case]
+def test_errors_exit_2_with_one_line(tmp_path, capsys, case):
+    kind, text, flags, message = ERRORS[case]
     src = write(tmp_path / "in.txt", text)
-    if env_seed is None:
-        monkeypatch.delenv("INFMAX_SEED", raising=False)
-    else:
-        monkeypatch.setenv("INFMAX_SEED", env_seed)
     out = tmp_path / "r.csv"
     assert main(["--input", src, "--kind", kind, "--output", str(out)] + flags) == 2
     captured = capsys.readouterr()
@@ -462,12 +470,6 @@ def test_gamma_flag_builds_weighted_aggregation(tmp_path):
     # item 2 gains 0.0 under gamma=(1, 0.5): flagged by the stopping rule
     assert [r.split(",")[1] for r in rows] == ["0", "1"]
     assert float(rows[-1].split(",")[4]) == pytest.approx(1.25)
-
-
-def test_gamma_and_ell_must_agree():
-    args = cli_args("--input", "x", "--kind", "matrix", "--gamma", "1,0.5", "--ell", "3")
-    with pytest.raises(ConfigError):
-        run(args)
 
 
 def test_verify_refuses_large_inputs_before_any_work(tmp_path, capsys):
@@ -532,17 +534,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_env_var_provides_default_seed(tmp_path, monkeypatch, capsys):
-    src = write(tmp_path / "m.txt", "2 2\n0 0 2.0\n1 0 1.0\n1 1 1.0\n")
-    monkeypatch.setenv("INFMAX_SEED", "17")
-    out1 = tmp_path / "a.csv"
-    assert main(["--input", src, "--kind", "matrix", "--output", str(out1)]) == 0
-    monkeypatch.delenv("INFMAX_SEED")
-    out2 = tmp_path / "b.csv"
-    assert main([
-        "--input", src, "--kind", "matrix", "--rng-seed", "17", "--output", str(out2),
-    ]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_readme_documents_every_flag():
+    # the flags named in README's "## Command line" section are exactly the
+    # parser's options, so a removed or added flag shows up as a stale doc
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    options = {o for a in build_arg_parser()._actions for o in a.option_strings}
+    assert documented == options - {"-h", "--help"}
 
 
 def test_stdout_output(tmp_path, capsys):

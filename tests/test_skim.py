@@ -134,8 +134,6 @@ def test_run_skim_parameter_validation():
     with pytest.raises(ValueError):
         run_skim(problem, k=1)
     with pytest.raises(ValueError):
-        run_skim(problem, k=8, lam=1.0)
-    with pytest.raises(ValueError):
         run_skim(problem, k=8, rank_mode="sorted")
     with pytest.raises(ValueError):
         default_sample_size(0.0, 10, 10)

@@ -1,5 +1,8 @@
 """The one stopping rule of greedy.py, on lazy greedy, exact greedy and SKIM."""
 
+import math
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -110,20 +113,24 @@ class BoundedRun(SkimRun):
 
 @pytest.mark.parametrize("rank_mode", ["uniform", "permutation"])
 def test_skim_decay_that_stalls_among_subnormals_ends(rank_mode):
-    # at lam = 0.9, tau * lam rounds back to tau once tau is a few smallest
-    # subnormals, so tau never reaches 0.0 by decay; lam = 0.5 underflows
+    # with a utility among the smallest subnormals, halving still takes tau
+    # to 0.0 by underflow within BoundedRun's step bound
     matrix = SparseUtilityMatrix(3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 1e-322)])
-    runs = {}
-    for lam in (0.5, 0.9):
-        stats = {}
-        seq = BoundedRun(MatrixProblem(matrix, MAX), k=8, lam=lam, rank_mode=rank_mode,
-                         stats=stats).run()
-        runs[lam] = ([(r.item, r.estimate, r.gain, r.cumulative, r.below_cutoff) for r in seq],
-                     stats["stop"])
+    stats = {}
+    seq = BoundedRun(MatrixProblem(matrix, MAX), k=8, rank_mode=rank_mode, stats=stats).run()
     # items 1 and 0 are selected; item 2's gain is at or below the cutoff
-    assert runs[0.5] == ([(1, 2.0, 2.0, 2.0, False), (0, 1.0, 1.0, 3.0, False),
-                          (2, 1e-322, 1e-322, 3.0, True)], "cutoff")
-    assert runs[0.9] == runs[0.5]
+    assert [(r.item, r.estimate, r.gain, r.cumulative, r.below_cutoff) for r in seq] == [
+        (1, 2.0, 2.0, 2.0, False), (0, 1.0, 1.0, 3.0, False), (2, 1e-322, 1e-322, 3.0, True)]
+    assert stats["stop"] == "cutoff"
+
+
+@given(st.floats(min_value=math.ulp(0.0), allow_nan=False, allow_infinity=False,
+                 allow_subnormal=True))
+@example(math.ulp(0.0))
+@example(sys.float_info.max)
+def test_halving_lowers_every_positive_double(t):
+    # why SKIM's tau, halved at each step, always reaches 0.0
+    assert t * 0.5 < t
 
 
 @st.composite
