@@ -209,6 +209,11 @@ def _verify_report(problem: MatrixProblem, sequence: GreedySequence, out) -> Non
 
 def run(args: argparse.Namespace) -> int:
     """Execute the run the parsed arguments describe; returns the exit status."""
+    # --epsilon is checked even where --k or --algorithm exact leaves it
+    # unused; only SKIM's sample size needs it positive
+    skim = args.algorithm == "skim"
+    if not (0.0 < args.epsilon < 1.0 if skim else 0.0 <= args.epsilon < 1.0):
+        raise ConfigError(f"--epsilon: epsilon must lie in {'(0, 1)' if skim else '[0, 1)'}")
     spec = _aggregation(args.gamma)
     matrix = None
     if args.kind == "matrix":
@@ -223,10 +228,11 @@ def run(args: argparse.Namespace) -> int:
         alpha = parse_alpha(args.alpha) if args.alpha is not None else None
         family = UtilityFamily(args.family.replace("-", "_"), alpha)
         count = 1 if args.instances is None else args.instances
-        if count < 1:  # checked here, as simulate_instances also rejects the file's ic weights
+        if count < 1:  # checked here: simulate_instances's errors name the input file
             raise ConfigError("--instances: instance count must be at least 1")
         model = args.model or "fixed"
-        instances = simulate_instances(read_graph(args.input), model, count, args.rng_seed)
+        instances = _prefixed(args.input, simulate_instances, read_graph(args.input),
+                              model, count, args.rng_seed, error=ParseError)
         problem = GraphProblem(instances, family, spec)
 
     if args.verify and problem.n_items > 1000:
@@ -235,14 +241,13 @@ def run(args: argparse.Namespace) -> int:
     if needs_matrix and matrix is None:
         matrix = to_utility_matrix(problem.instances, problem.family)
 
-    if args.algorithm == "skim":
+    if skim:
         k = args.k
         if k is None:
-            n, m = problem.n_items, problem.n_elements
-            k = _prefixed("--epsilon", default_sample_size, args.epsilon, n, m)
+            k = default_sample_size(args.epsilon, problem.n_items, problem.n_elements)
         sequence = _prefixed("--k", SkimRun, problem, k, args.rng_seed).run()
     elif args.algorithm == "lazy":
-        sequence = _prefixed("--epsilon", lazy_greedy, matrix, spec, args.epsilon)
+        sequence = lazy_greedy(matrix, spec, args.epsilon)
     else:
         sequence = exact_greedy(matrix, spec)
 
@@ -274,7 +279,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilon", type=float, default=0.1,
         help="lazy greedy's acceptance slack, and what sets SKIM's sample size "
-        "when --k is absent (default 0.1)",
+        "when --k is absent (default 0.1); checked even when unused: in (0, 1) "
+        "for skim, in [0, 1) otherwise",
     )
     p.add_argument("--k", type=int, help="SKIM's sample size")
     p.add_argument("--output", default="-")

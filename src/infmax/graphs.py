@@ -22,8 +22,9 @@ still has positive marginal utility.
 Each oracle is one loop over a row of the family table (_FAMILY_TABLE),
 so a new family is one table row plus one branch of _reference_row.  A
 GraphProblem resolves its family's row once, at construction, and is the
-only way into the graph oracles: rev_stream(j) is one frontier plus its
-generator, forward_stream(i, digests) one pruned search per instance, and
+only way into the graph oracles: rev_stream(j) is one frontier, which is
+itself the reverse stream (no generator, no wrapper),
+forward_stream(i, digests) one pruned search per instance, and
 oracles.marg_gain/add_seed read it as they read a MatrixProblem.
 
 Reference (brute-force) utilities are computed through scipy.sparse.csgraph
@@ -323,21 +324,71 @@ def simulate_instances(
 # incremental searches
 
 
-class _DijkstraFrontier:
-    """Hand-rolled incremental Dijkstra; settling and expansion are split so
-    pruned searches can refuse to expand a settled node.  All frontiers
-    share one constructor; this one ignores cap."""
+class _Frontier(RevStream):
+    """One incremental search from a source.  next() settles the next node
+    and returns it with its label; expand(v) pushes a settled node's
+    neighbours, so a pruned forward search can refuse to expand one.
 
-    __slots__ = ("adj", "dist", "_seen", "_heap")
+    A frontier is also its source's reverse stream: top() settles the next
+    node and maps its label, or for reverse rank its rank, to the utility
+    (ranks and amap as in GraphProblem), ending the stream at the first
+    zero; pop() expands the node it hands out, so a node that is peeked
+    but never popped is never expanded.  Ending or closing the stream
+    empties the pending container.  RevStream's iterator slot stays unset.
+    cap, the instance's longest edge lifetime, is read by the widest
+    search only.
+    """
 
-    def __init__(self, adj, source: int, cap: float = 0.0):
+    __slots__ = ("adj", "_pending", "_ranks", "_amap")
+
+    def __init__(self, adj, source: int, cap: float = 0.0, ranks=None, amap=None):
         self.adj = adj
+        self._ranks = ranks
+        self._amap = amap
+        self._head = None
+        self._start(source, cap)
+
+    def top(self) -> tuple[int, float] | None:
+        head = self._head
+        if head is None:
+            step = self.next()
+            if step is None:
+                return None
+            node, u = step
+            if self._ranks is not None:
+                u = float(self._ranks[node])
+            if self._amap is not None:
+                u = self._amap(u)
+            if u <= 0.0:
+                self._pending.clear()
+                return None
+            head = self._head = (node, u)
+        return head
+
+    def pop(self) -> tuple[int, float] | None:
+        head = self._head or self.top()
+        if head is not None:
+            self._head = None
+            self.expand(head[0])
+        return head
+
+    def close(self) -> None:
+        self._pending.clear()
+        self._head = None
+
+
+class _DijkstraFrontier(_Frontier):
+    """Hand-rolled incremental Dijkstra; dist holds the settled labels."""
+
+    __slots__ = ("dist", "_seen")
+
+    def _start(self, source: int, cap: float) -> None:
         self.dist: dict[int, float] = {}
         self._seen = {source: 0.0}
-        self._heap = [(0.0, source)]
+        self._pending = [(0.0, source)]
 
     def next(self) -> tuple[int, float] | None:
-        heap, dist = self._heap, self.dist
+        heap, dist = self._pending, self.dist
         while heap:
             d, v = heappop(heap)
             if v in dist:
@@ -347,7 +398,7 @@ class _DijkstraFrontier:
         return None
 
     def expand(self, v: int) -> None:
-        dist, seen, heap, inf = self.dist, self._seen, self._heap, math.inf
+        dist, seen, heap, inf = self.dist, self._seen, self._pending, math.inf
         d = dist[v]
         for w, weight in self.adj[v]:
             nd = d + weight
@@ -356,21 +407,20 @@ class _DijkstraFrontier:
                 heappush(heap, (nd, w))
 
 
-class _WidestFrontier:
+class _WidestFrontier(_Frontier):
     """Max-min (bottleneck) variant: labels are the best minimum edge
     lifetime over paths from the source; nodes settle by decreasing label.
     The source's own label is cap, the instance's longest lifetime."""
 
-    __slots__ = ("adj", "label", "_seen", "_heap")
+    __slots__ = ("label", "_seen")
 
-    def __init__(self, adj, source: int, cap: float):
-        self.adj = adj
+    def _start(self, source: int, cap: float) -> None:
         self.label: dict[int, float] = {}
         self._seen = {source: cap}
-        self._heap = [(-cap, source)]
+        self._pending = [(-cap, source)]
 
     def next(self) -> tuple[int, float] | None:
-        heap, label = self._heap, self.label
+        heap, label = self._pending, self.label
         while heap:
             nt, v = heappop(heap)
             if v in label:
@@ -380,7 +430,7 @@ class _WidestFrontier:
         return None
 
     def expand(self, v: int) -> None:
-        label, seen, heap = self.label, self._seen, self._heap
+        label, seen, heap = self.label, self._seen, self._pending
         t = label[v]
         for w, weight in self.adj[v]:
             cand = min(t, weight)
@@ -389,22 +439,21 @@ class _WidestFrontier:
                 heappush(heap, (-cand, w))
 
 
-class _ReachFrontier:
-    """Plain BFS with split settle/expand; every node is labelled 1."""
+class _ReachFrontier(_Frontier):
+    """Plain BFS; every node is labelled 1."""
 
-    __slots__ = ("adj", "visited", "_queue")
+    __slots__ = ("visited",)
 
-    def __init__(self, adj, source: int, cap: float = 0.0):
-        self.adj = adj
+    def _start(self, source: int, cap: float) -> None:
         self.visited = {source}
-        self._queue = deque([source])
+        self._pending = deque([source])
 
     def next(self) -> tuple[int, float] | None:
-        queue = self._queue
+        queue = self._pending
         return (queue.popleft(), 1.0) if queue else None
 
     def expand(self, v: int) -> None:
-        visited, append = self.visited, self._queue.append
+        visited, append = self.visited, self._pending.append
         for w, _ in self.adj[v]:
             if w not in visited:
                 visited.add(w)
@@ -454,32 +503,15 @@ _FAMILY_TABLE = {
 }
 
 
-def _rev_pairs(frontier, ranks, amap):
-    """(node, utility) pairs of one reverse search by non-increasing
-    utility, ending at the first zero, since later ones only shrink.
-    ranks maps a settled node to its rank first (reverse rank only) and
-    amap maps label or rank to the utility (None: the label is it)."""
-    next_, expand = frontier.next, frontier.expand
-    while (step := next_()) is not None:
-        node, u = step
-        if ranks is not None:
-            u = float(ranks[node])
-        if amap is not None:
-            u = amap(u)
-        if u <= 0.0:
-            return
-        expand(node)
-        yield node, u
-
-
 class GraphProblem:
     """Oracle bundle over graph instances, as consumed by the maximizer.
 
     The family's table row is resolved once, here: the frontier class, the
     adjacency each oracle walks, the instances' caps, the alpha map (None
     when the label is the utility) and, for reverse rank only, the rank
-    tables.  A reverse stream is then one frontier plus the generator
-    _rev_pairs over it, and a forward search reads the same bound state.
+    tables.  A reverse stream is then one frontier, built with the
+    element's rank row and the alpha map, and a forward search reads the
+    same bound state.
     spec is the aggregation the maximizer reads; the oracles ignore it,
     so a problem built only to query them may pass None.
     """
@@ -509,11 +541,8 @@ class GraphProblem:
             raise ValueError(f"unknown element {j}")
         h, v = divmod(j, self.n_items)
         ranks = self._ranks
-        return RevStream(_rev_pairs(
-            self._frontier(self._rev_adj[h], v, self._caps[h]),
-            None if ranks is None else ranks[h][v],
-            self._amap,
-        ))
+        return self._frontier(self._rev_adj[h], v, self._caps[h],
+                              None if ranks is None else ranks[h][v], self._amap)
 
     def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
         """Pruned forward search from item i across all instances.

@@ -20,14 +20,17 @@ weighted marginal utility w * marg(u) against the element's digest.  The
 digest changes only when a seed is committed: move_down folds the seed's
 utility in first and then prices each surviving entry once against the
 updated digest, so a stored c is never stale and no pass recomputes a
-marginal it already holds.  A utility at or below the digest's threshold
-lies past the last positive gamma coefficient, so its marginal is exactly
-zero: a reverse stream is retired at the first such utility, and
-move_down stops pricing at the first such entry, because utilities do not
-increase along a list.  Two counts per element split the list into
-segments: entries [0, nh[j]) are H (counted at face value), [nh[j],
-nm[j]) are M (below tau but still sampled, counted as tau) and the rest
-are L (lapsed, kept because a lower tau may revive them).
+marginal it already holds.  Until a seed reaches an element, its digest
+holds no value and marg(u) is exactly u, as gamma_0 = 1, so a drain
+prices such an entry as w * u without calling the kernel.  A utility at
+or below the digest's threshold lies past the last positive gamma
+coefficient, so its marginal is exactly zero: a reverse stream is
+retired at the first such utility, and move_down stops pricing at the
+first such entry, because utilities do not increase along a list.  Two
+counts per element split the list into segments: entries [0, nh[j]) are
+H (counted at face value), [nh[j], nm[j]) are M (below tau but still
+sampled, counted as tau) and the rest are L (lapsed, kept because a
+lower tau may revive them).
 
 One method, _reclassify_up, assigns classes.  From the two counts on, it
 promotes entries to H while their marginal c is at least tau, then to M
@@ -73,11 +76,17 @@ from .greedy import GreedySequence, SeedRecord, selection_cutoff
 
 class LazyMaxQueue:
     """Max-priority queue with lazy revision: pushing a key again simply
-    supersedes its old heap entries."""
+    supersedes its old heap entries.
 
-    def __init__(self):
-        self._heap: list[tuple[float, int]] = []
-        self._prio: dict[int, float] = {}
+    The queue starts with the given (key, priority) pairs, built by one
+    heapify; it pops as if they were pushed one at a time, a later pair
+    of a key superseding an earlier one.
+    """
+
+    def __init__(self, pairs=()):
+        self._prio: dict[int, float] = dict(pairs)
+        self._heap = [(-p, key) for key, p in self._prio.items()]
+        heapq.heapify(self._heap)
 
     def push(self, key: int, priority: float) -> None:
         if self._prio.get(key) == priority:
@@ -106,6 +115,16 @@ class LazyMaxQueue:
         heapq.heappop(self._heap)
         del self._prio[t[1]]
         return t
+
+
+def permutation_ranks(order: np.ndarray) -> list[float]:
+    """Element order[pos]'s rank (pos + 1) / n, by one numpy scatter.  Both
+    this and Python's int / int are correctly rounded quotients of exact
+    integers (n < 2**53), so each rank equals (pos + 1) / n bit for bit."""
+    n = len(order)
+    rank = np.empty(n)
+    rank[order] = np.arange(1, n + 1) / n
+    return rank.tolist()
 
 
 def default_sample_size(epsilon: float, n_items: int, n_elements: int) -> int:
@@ -142,10 +161,7 @@ class SkimRun:
         if rank_mode == "uniform":
             self.rank = (1.0 - rng.random(n_el)).tolist()  # (0, 1]
         elif rank_mode == "permutation":
-            order = rng.permutation(n_el)
-            self.rank = [0.0] * n_el
-            for pos, j in enumerate(order):
-                self.rank[j] = (pos + 1) / n_el
+            self.rank = permutation_ranks(rng.permutation(n_el))
         else:
             raise ValueError(f"unknown rank mode {rank_mode!r}")
 
@@ -161,7 +177,6 @@ class SkimRun:
         # accumulator is snapped back to 0.0, so cancellation residue can
         # never keep a dead item looking alive
         self.h_count = [0] * problem.n_items
-        self.qelements = LazyMaxQueue()
         self.qitems = LazyMaxQueue()
         self.qhml = LazyMaxQueue()
         self.dirty: set[int] = set()  # items touched since the last _flush
@@ -171,11 +186,13 @@ class SkimRun:
         self.records: GreedySequence = []
         self.coverage = 0.0
 
-        for j in range(n_el):
-            t = self.rev[j].top()
-            if t is not None:
-                _, u = t
-                self.qelements.push(j, problem.weight(j) * u / self.rank[j])
+        # every element enters qelements in one heapify, at its first
+        # utility over its rank
+        weight, rank = problem.weight, self.rank
+        tops = [stream.top() for stream in self.rev]
+        self.qelements = LazyMaxQueue(
+            [(j, weight(j) * t[1] / rank[j]) for j, t in enumerate(tops) if t is not None]
+        )
         top = self.qelements.peek()
         # run halves tau before its first drain: at top / 2k one heavy
         # sample (rank >= 1/2) alone would reach k * tau and certify its
@@ -238,18 +255,22 @@ class SkimRun:
         """Sample j's stream entries down to the first one that is L.
 
         Each sampled entry is priced once, c = w * marg(u), and appended.
-        _reclassify_up then classes the new entries, unless an L entry
-        came before them: the cap keeps them L.  The stream retires at the
-        first utility at or below the digest's threshold: such a utility
-        lands past the last positive gamma coefficient, so its marginal and
-        every later one is exactly zero, and the threshold never falls.
+        Until a seed reaches j its digest holds no value, and marg(u) is
+        then exactly u, as gamma_0 = 1: the drain prices w * u without a
+        call.  _reclassify_up then classes the new entries, unless an L
+        entry came before them: the cap keeps them L.  The stream retires
+        at the first utility at or below the digest's threshold: such a
+        utility lands past the last positive gamma coefficient, so its
+        marginal and every later one is exactly zero, and the threshold
+        never falls.
         """
         stream = self.rev[j]
         top, pop = stream.top, stream.pop
         w, r = self.problem.weight(j), self.rank[j]
         rtau = r * self.tau
-        digest = self.digests[j]
-        marg, thresh = digest.marg, digest.thresh()
+        digest = self.digests.digests[j]
+        marg = digest.marg if digest.top else None
+        thresh = digest.thresh()
         seeds = self.seeds
         entries = self.index.setdefault(j, [])
         start = len(entries)
@@ -261,7 +282,7 @@ class SkimRun:
             if i in seeds:
                 pop()
                 continue
-            c = w * marg(u)
+            c = w * (u if marg is None else marg(u))
             if c == 0.0:
                 pop()
                 continue
@@ -307,11 +328,12 @@ class SkimRun:
         version, so that committing i (_process_seed) needs no second search.
         """
         pairs = []
+        append, weight = pairs.append, self.problem.weight
         gain = 0.0
         for j, u, c in self.problem.forward_stream(i, self.digests):
-            self.stats["forward_yields"] += 1
-            pairs.append((j, u))
-            gain += self.problem.weight(j) * c
+            append((j, u))
+            gain += weight(j) * c
+        self.stats["forward_yields"] += len(pairs)
         self._validated = (i, self.digests.version, gain, pairs)
         return gain
 
@@ -429,9 +451,10 @@ class SkimRun:
         self.nh[j] = self.nm[j] = 0
         if kept:
             self.index[j] = kept
+            self._reclassify_up(j)
         else:
             del self.index[j]
-        self._reclassify_up(j)
+            self.qhml.remove(j)  # nothing left to revive
         for i, _, _ in entries[:old_h]:
             if h_count[i] == 0:
                 est_h[i] = 0.0

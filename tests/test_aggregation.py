@@ -369,6 +369,18 @@ def test_digest_is_within_rounding_of_exact_rationals(spec, updates, probes):
         seen.append(x)
 
 
+@settings(max_examples=400)
+@given(spec=specs(), x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(spec=AggregationSpec.maximum(), x=5e-324)
+@example(spec=AggregationSpec((1.0, 0.5)), x=math.nextafter(2.0**-1022, 0.0))
+@example(spec=AggregationSpec((1.0, 0.0)), x=1.7976931348623157e308)
+def test_marg_against_an_empty_digest_is_the_utility(spec, x):
+    # gamma_0 = 1, so SKIM's drain prices w * u against an empty digest
+    # without calling marg; subnormal utilities included
+    gain = UtilityDigest(spec).marg(x)
+    assert type(gain) is float and gain == x
+
+
 def test_gains_are_floats_for_integer_gamma_and_utilities():
     d = UtilityDigest(AggregationSpec((1, 1)))
     d.update(3)

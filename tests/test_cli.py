@@ -419,6 +419,12 @@ ERRORS = {
                          "--epsilon: epsilon must lie in (0, 1)"),
     "lazy-epsilon-one": ("matrix", M_OK, ["--algorithm", "lazy", "--epsilon", "1"],
                          "--epsilon: epsilon must lie in [0, 1)"),
+    "skim-k-epsilon-one": ("matrix", M_OK, ["--epsilon", "1", "--k", "8"],
+                           "--epsilon: epsilon must lie in (0, 1)"),
+    "exact-epsilon-five": ("matrix", M_OK, ["--algorithm", "exact", "--epsilon", "5"],
+                           "--epsilon: epsilon must lie in [0, 1)"),
+    "ic-probability": ("graph", "2 1\n0 1 1.5\n", ["--family", "reachability", "--model", "ic"],
+                       "{path}: ic edge probabilities must lie in [0, 1]"),
     "graph-no-family": ("graph", G_OK, [], "graph inputs need --family"),
     "verify-too-large": ("graph", "1001 1\n0 1 0.5\n", ["--family", "reachability", "--verify"],
                          "verify refuses more than 1000 items (greedy baseline)"),

@@ -121,7 +121,25 @@ def graph_problem():
     return GraphProblem(inst, UtilityFamily("distance", Alpha.exponential(1.0)), MAX)
 
 
-@pytest.mark.parametrize("make", [matrix_problem, graph_problem], ids=["matrix", "graph"])
+def family_problem(family):
+    inst = GraphInstanceSet(2, [[(0, 1, 1.0), (1, 0, 1.0)]])
+    return GraphProblem(inst, family, MAX)
+
+
+# every graph family's reverse stream is its frontier; each must keep the
+# contract the matrix stream keeps ("graph" is the distance family)
+GRAPH_FAMILIES = {
+    "graph-reverse-rank": UtilityFamily("reverse_rank", Alpha.inverse()),
+    "graph-reachability": UtilityFamily("reachability"),
+    "graph-survival": UtilityFamily("survival"),
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [matrix_problem, graph_problem] + [partial(family_problem, f) for f in GRAPH_FAMILIES.values()],
+    ids=["matrix", "graph"] + list(GRAPH_FAMILIES),
+)
 def test_stream_contract(make):
     problem = make()
     s = problem.rev_stream(0)

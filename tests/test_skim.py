@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instances, random_matrix
 from infmax import (
@@ -24,6 +26,7 @@ from infmax import (
     run_skim,
     sequence_items,
 )
+from infmax.skim import LazyMaxQueue, permutation_ranks
 
 MAX = AggregationSpec.maximum()
 HALF = AggregationSpec((1.0, 0.5))
@@ -143,6 +146,46 @@ def test_default_sample_size_grows_with_precision():
     loose = default_sample_size(0.5, 100, 100)
     tight = default_sample_size(0.1, 100, 100)
     assert tight > loose >= 2
+
+
+# -- set-up in bulk -----------------------------------------------------------------
+
+
+@settings(max_examples=40)
+@given(n=st.integers(0, 10**5), seed=st.integers(0, 2**32 - 1))
+@example(n=10**5, seed=0)
+def test_permutation_ranks_equal_the_python_quotients(n, seed):
+    order = np.random.default_rng(seed).permutation(n)
+    expected = [0.0] * n
+    for pos, j in enumerate(order.tolist()):
+        expected[j] = (pos + 1) / n
+    ranks = permutation_ranks(order)
+    assert all(type(r) is float for r in ranks[:3])
+    # positive finite floats: equal values are equal bits
+    assert ranks == expected
+
+
+def drain_queue(queue):
+    out = []
+    while (t := queue.pop()) is not None:
+        out.append(t)
+    return out
+
+
+queue_pairs = st.lists(st.tuples(st.integers(0, 20), st.floats(allow_nan=False)), max_size=50)
+
+
+@settings(max_examples=300)
+@given(initial=queue_pairs, later=queue_pairs)
+def test_queue_built_from_pairs_pops_as_single_pushes(initial, later):
+    # keys may repeat: a later pair supersedes an earlier one either way
+    built, pushed = LazyMaxQueue(initial), LazyMaxQueue()
+    for key, p in initial:
+        pushed.push(key, p)
+    for key, p in later:
+        built.push(key, p)
+        pushed.push(key, p)
+    assert drain_queue(built) == drain_queue(pushed)
 
 
 # -- trivial runs ------------------------------------------------------------------
