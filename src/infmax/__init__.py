@@ -16,7 +16,6 @@ The library covers three layers:
 from .aggregation import (
     AggregationSpec,
     DigestTable,
-    StaleStreamError,
     UtilityDigest,
     aggregate,
     dominates,
@@ -55,7 +54,6 @@ __all__ = [
     "SeedRecord",
     "SkimRun",
     "SparseUtilityMatrix",
-    "StaleStreamError",
     "UtilityDigest",
     "UtilityFamily",
     "add_seed",

@@ -20,10 +20,6 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
-class StaleStreamError(RuntimeError):
-    """Raised when a forward-search stream outlives the seed set it was built for."""
-
-
 @dataclass(frozen=True)
 class AggregationSpec:
     """Weight vector of a top-k aggregation.
@@ -183,22 +179,14 @@ class UtilityDigest:
 
 
 class DigestTable:
-    """One digest per element plus a seed-set version counter.
-
-    Forward-search streams capture the version at creation; consuming a
-    stream after another seed has been committed raises StaleStreamError.
-    """
+    """One digest per element, held in a plain list, .digests, that hot
+    loops index directly."""
 
     def __init__(self, n_elements: int, spec: AggregationSpec):
         self.digests = [UtilityDigest(spec) for _ in range(n_elements)]
-        self.version = 0
 
     def __getitem__(self, j: int) -> UtilityDigest:
         return self.digests[j]
 
     def __iter__(self) -> Iterator[UtilityDigest]:
         return iter(self.digests)
-
-    def mark_seed_added(self) -> None:
-        """Commit the current seed addition; outstanding forward streams go stale."""
-        self.version += 1

@@ -214,6 +214,10 @@ def run(args: argparse.Namespace) -> int:
     skim = args.algorithm == "skim"
     if not (0.0 < args.epsilon < 1.0 if skim else 0.0 <= args.epsilon < 1.0):
         raise ConfigError(f"--epsilon: epsilon must lie in {'(0, 1)' if skim else '[0, 1)'}")
+    if args.k is not None and not skim:
+        raise ConfigError("--k applies only to --algorithm skim")
+    if args.rng_seed < 0:  # checked here: numpy's error would surface under another flag
+        raise ConfigError("--rng-seed: seed must be a non-negative integer")
     spec = _aggregation(args.gamma)
     matrix = None
     if args.kind == "matrix":
@@ -226,7 +230,7 @@ def run(args: argparse.Namespace) -> int:
         if args.family is None:
             raise ConfigError("graph inputs need --family")
         alpha = parse_alpha(args.alpha) if args.alpha is not None else None
-        family = UtilityFamily(args.family.replace("-", "_"), alpha)
+        family = _prefixed("--alpha", UtilityFamily, args.family.replace("-", "_"), alpha)
         count = 1 if args.instances is None else args.instances
         if count < 1:  # checked here: simulate_instances's errors name the input file
             raise ConfigError("--instances: instance count must be at least 1")
@@ -282,7 +286,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "when --k is absent (default 0.1); checked even when unused: in (0, 1) "
         "for skim, in [0, 1) otherwise",
     )
-    p.add_argument("--k", type=int, help="SKIM's sample size")
+    p.add_argument("--k", type=int, help="SKIM's sample size (--algorithm skim only)")
     p.add_argument("--output", default="-")
     p.add_argument(
         "--verify", action="store_true",

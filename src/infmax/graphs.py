@@ -23,9 +23,10 @@ Each oracle is one loop over a row of the family table (_FAMILY_TABLE),
 so a new family is one table row plus one branch of _reference_row.  A
 GraphProblem resolves its family's row once, at construction, and is the
 only way into the graph oracles: rev_stream(j) is one frontier, which is
-itself the reverse stream (no generator, no wrapper),
-forward_stream(i, digests) one pruned search per instance, and
-oracles.marg_gain/add_seed read it as they read a MatrixProblem.
+itself the reverse stream (no generator, no wrapper), and
+forward_stream(i, digests) runs one pruned search per instance, all of
+them at the stream's first read; oracles.marg_gain/add_seed read it as
+they read a MatrixProblem.
 
 Reference (brute-force) utilities are computed through scipy.sparse.csgraph
 and a descending threshold sweep, deliberately independent code paths from
@@ -555,12 +556,16 @@ class GraphProblem:
         """
         if not 0 <= i < self.n_items:
             raise ValueError(f"unknown item {i}")
-        return ForwardStream(digests, partial(self._forward_triples, i, digests))
+        return ForwardStream(partial(self._forward_triples, i, digests))
 
-    def _forward_triples(self, i: int, digests: DigestTable, stream: ForwardStream):
+    def _forward_triples(self, i: int, digests: DigestTable) -> tuple[list, int]:
+        """The search's (element, utility, gain) triples and its settle count."""
         frontier_of, adj, caps, tables = self._frontier, self._fwd_adj, self._caps, self._ranks
         amap, prune, zero_skips, n = self._amap, self._prune, self._zero_skips, self.n_items
         elements = digests.digests
+        triples = []
+        append = triples.append
+        settles = 0
         for h in range(len(adj)):
             base = h * n
             ranks = tables[h][:, i] if tables is not None else None
@@ -568,7 +573,7 @@ class GraphProblem:
             next_, expand = frontier.next, frontier.expand
             while (step := next_()) is not None:
                 node, u = step
-                stream.visited += 1
+                settles += 1
                 if ranks is not None:
                     u = float(ranks[node])
                 if amap is not None:
@@ -582,7 +587,8 @@ class GraphProblem:
                     expand(node)
                 c = digest.marg(u)
                 if c > 0.0:
-                    yield base + node, u, c
+                    append((base + node, u, c))
+        return triples, settles
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def lazy_greedy(
         raise ValueError("epsilon must lie in [0, 1)")
     if matrix.m == 0:
         if stats is not None:
-            stats["stop"] = "exhausted"
+            stats.update(digest_ops=0, pops=0, stop="exhausted")
         return []
     digests = [UtilityDigest(spec) for _ in range(matrix.n_elements)]
     weights = matrix.element_weights

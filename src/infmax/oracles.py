@@ -5,9 +5,10 @@ Two access patterns drive the sketch-based maximizer:
 
 * reverse sorted access: for one element, stream (item, utility) pairs by
   non-increasing utility;
-* forward search: for one item, stream every element where the item still
-  has positive marginal utility given the current digests, with the
-  utility and that marginal.
+* forward search: for one item, every element where the item still has
+  positive marginal utility given the current digests, with the utility
+  and that marginal.  The search runs whole at the stream's first read,
+  so every read sees the digests as they were then.
 
 A problem bundle (MatrixProblem here, GraphProblem in graphs.py) is the
 only way into its oracles, rev_stream and forward_stream, built on one
@@ -19,7 +20,7 @@ recomputation, exhaustive optimum) are the test baselines.
 import itertools
 from typing import Iterable, Iterator
 
-from .aggregation import AggregationSpec, DigestTable, StaleStreamError, aggregate
+from .aggregation import AggregationSpec, DigestTable, aggregate
 from .greedy import GreedySequence, SeedRecord, selection_cutoff
 from .matrix import SparseUtilityMatrix
 
@@ -58,24 +59,26 @@ class ForwardStream:
     still gains; the marginal is digests[element].marg(utility), computed
     once by the search's yield test.
 
-    search(stream) generates the triples and counts the entries or nodes it
-    examines in stream.visited (the benchmark reads it as fwd_settles).
-    Iterating after another seed was added raises StaleStreamError.
+    The first next() runs search() whole: it returns the triples and the
+    number of entries or nodes it examined, kept as visited (the benchmark
+    reads it as fwd_settles).  Every read sees the digests of the first.
     """
 
-    def __init__(self, digests: DigestTable, search):
-        self._digests = digests
-        self._version = digests.version
+    __slots__ = ("_search", "_triples", "visited")
+
+    def __init__(self, search):
+        self._search = search
+        self._triples = None
         self.visited = 0
-        self._pairs = search(self)
 
     def __iter__(self):
         return self
 
     def __next__(self) -> tuple[int, float, float]:
-        if self._digests.version != self._version:
-            raise StaleStreamError("forward search used after a seed was added")
-        return next(self._pairs)
+        if self._triples is None:
+            triples, self.visited = self._search()
+            self._triples = iter(triples)
+        return next(self._triples)
 
 
 class MatrixProblem:
@@ -102,14 +105,10 @@ class MatrixProblem:
             raise ValueError(f"unknown item {i}")
         row = self.matrix.rows[i]
 
-        def scan(stream):
-            for j, u in row:
-                stream.visited += 1
-                c = digests[j].marg(u)
-                if c > 0.0:
-                    yield j, u, c
+        def scan():
+            return [(j, u, c) for j, u in row if (c := digests[j].marg(u)) > 0.0], len(row)
 
-        return ForwardStream(digests, scan)
+        return ForwardStream(scan)
 
 
 def marg_gain(problem, i: int, digests: DigestTable) -> float:
@@ -132,7 +131,6 @@ def add_seed(problem, i: int, digests: DigestTable, seeds: set[int] | None = Non
     for j, u, c in stream:
         gain += weight(j) * c
         digests[j].update(u)
-    digests.mark_seed_added()
     return gain
 
 

@@ -70,7 +70,7 @@ import math
 
 import numpy as np
 
-from .aggregation import DigestTable, StaleStreamError
+from .aggregation import DigestTable
 from .greedy import GreedySequence, SeedRecord, selection_cutoff
 
 
@@ -151,10 +151,8 @@ class SkimRun:
         self.spec = problem.spec
         self.k = k
         self.stats = stats if stats is not None else {}
-        self.stats.setdefault("forward_yields", 0)
-        self.stats.setdefault("rev_pops", 0)
-        self.stats.setdefault("exact_evals", 0)
-        self.stats["tau"] = []  # tau at each committed seed
+        # every counter from zero, so a reused dict holds this run alone
+        self.stats.update(forward_yields=0, rev_pops=0, exact_evals=0, tau=[])
 
         rng = np.random.default_rng(rng_seed)
         n_el = problem.n_elements
@@ -181,7 +179,7 @@ class SkimRun:
         self.qhml = LazyMaxQueue()
         self.dirty: set[int] = set()  # items touched since the last _flush
         self.seeds: set[int] = set()
-        # (item, digest version, exact gain, consumed pairs) of the last validation
+        # (item, seed count, exact gain, consumed pairs) of the last validation
         self._validated: tuple[int, int, float, list[tuple[int, float]]] | None = None
         self.records: GreedySequence = []
         self.coverage = 0.0
@@ -324,8 +322,8 @@ class SkimRun:
 
         The gain sums w * c over the search's (j, u, c) triples; c is the
         marginal the search already computed, so no pair is priced twice.
-        The consumed (j, u) pairs are kept with the gain and the digest
-        version, so that committing i (_process_seed) needs no second search.
+        The consumed (j, u) pairs are kept with the gain and the seed
+        count, so that committing i (_process_seed) needs no second search.
         """
         pairs = []
         append, weight = pairs.append, self.problem.weight
@@ -334,7 +332,7 @@ class SkimRun:
             append((j, u))
             gain += weight(j) * c
         self.stats["forward_yields"] += len(pairs)
-        self._validated = (i, self.digests.version, gain, pairs)
+        self._validated = (i, len(self.seeds), gain, pairs)
         return gain
 
     def _process_seed(self, i: int, est: float) -> float:
@@ -345,13 +343,12 @@ class SkimRun:
         gain the sum, that a fresh search would give now.  move_down folds
         each pair's utility into its element's digest.
         """
-        if self._validated is None or self._validated[:2] != (i, self.digests.version):
-            raise StaleStreamError(f"item {i} was not validated against the current seeds")
+        if self._validated is None or self._validated[:2] != (i, len(self.seeds)):
+            raise RuntimeError(f"item {i} was not validated against the current seeds")
         _, _, gain, pairs = self._validated
         self._validated = None
         for j, u in pairs:
             self.move_down(j, u, i)
-        self.digests.mark_seed_added()
         self.seeds.add(i)
         self._flush()
         self.coverage += gain

@@ -426,6 +426,18 @@ ERRORS = {
     "ic-probability": ("graph", "2 1\n0 1 1.5\n", ["--family", "reachability", "--model", "ic"],
                        "{path}: ic edge probabilities must lie in [0, 1]"),
     "graph-no-family": ("graph", G_OK, [], "graph inputs need --family"),
+    "matrix-negative-seed": ("matrix", M_OK, ["--rng-seed", "-1"],
+                             "--rng-seed: seed must be a non-negative integer"),
+    "graph-negative-seed": ("graph", G_OK, ["--family", "reachability", "--rng-seed", "-1"],
+                            "--rng-seed: seed must be a non-negative integer"),
+    "distance-no-alpha": ("graph", G_OK, ["--family", "distance"],
+                          "--alpha: distance utility requires an alpha map"),
+    "reachability-alpha": ("graph", G_OK, ["--family", "reachability", "--alpha", "inverse"],
+                           "--alpha: reachability utility takes no alpha map"),
+    "lazy-k": ("matrix", M_OK, ["--algorithm", "lazy", "--k", "1"],
+               "--k applies only to --algorithm skim"),
+    "exact-k": ("matrix", M_OK, ["--algorithm", "exact", "--k", "8"],
+                "--k applies only to --algorithm skim"),
     "verify-too-large": ("graph", "1001 1\n0 1 0.5\n", ["--family", "reachability", "--verify"],
                          "verify refuses more than 1000 items (greedy baseline)"),
 }

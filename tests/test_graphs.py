@@ -19,7 +19,6 @@ from infmax import (
     DirectedGraph,
     GraphInstanceSet,
     GraphProblem,
-    StaleStreamError,
     UtilityFamily,
     add_seed,
     aggregate,
@@ -50,7 +49,6 @@ def digests_from_matrix(matrix, spec, seeds):
     for s in seeds:
         for j, u in matrix.rows[s]:
             table[j].update(u)
-        table.mark_seed_added()
     return table
 
 
@@ -439,18 +437,6 @@ def test_forward_search_prunes_at_covered_node():
     got = [(j, u) for j, u, _ in stream]
     assert got == [(0, 1.0)]  # only a's own element still gains
     assert stream.visited == 2  # a and b settled, never reaches c
-
-
-def test_forward_search_stale_after_add_seed():
-    fam = UtilityFamily("distance", Alpha.exponential(1.0))
-    g = single([(0, 1, 1.0), (1, 0, 1.0)], 2)
-    table = DigestTable(2, MAX)
-    problem = GraphProblem(g, fam, None)
-    stream = problem.forward_stream(0, table)
-    next(stream)
-    add_seed(problem, 1, table)
-    with pytest.raises(StaleStreamError):
-        next(stream)
 
 
 def test_pruned_search_equals_brute_force_sets():

@@ -252,6 +252,7 @@ def full_reevaluation_lazy_greedy(matrix, spec, epsilon, stats):
     """Reference: the lazy greedy loop that re-prices every row entry of
     each popped item against the current digests."""
     if matrix.m == 0:
+        stats["pops"] = 0
         return []
     digests = [UtilityDigest(spec) for _ in range(matrix.n_elements)]
     weights = matrix.element_weights

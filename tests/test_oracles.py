@@ -15,7 +15,6 @@ from infmax import (
     GraphProblem,
     MatrixProblem,
     SparseUtilityMatrix,
-    StaleStreamError,
     UtilityFamily,
     add_seed,
     aggregate,
@@ -48,7 +47,6 @@ def digests_for(matrix, spec, seeds):
     for s in seeds:
         for j, u in matrix.rows[s]:
             table[j].update(u)
-        table.mark_seed_added()
     return table
 
 
@@ -160,9 +158,6 @@ def test_stream_contract(make):
     assert isinstance(fwd, ForwardStream)
     assert next(fwd) == (0, 1.0, 1.0)
     assert fwd.visited >= 1
-    table.mark_seed_added()
-    with pytest.raises(StaleStreamError):
-        next(fwd)
 
     # each yield carries the marginal its yield test computed, bit for bit
     yields = 0
@@ -205,7 +200,7 @@ def test_out_of_range_ids_are_rejected(make, past_end):
     for call in fwd_calls:
         with pytest.raises(ValueError, match="unknown item"):
             call(i, table)
-    assert table.version == 0 and all(d.marg(1.0) == 1.0 for d in table)
+    assert all(d.marg(1.0) == 1.0 for d in table)
 
 
 def test_add_seed_keeps_the_seed_set_on_a_bad_item():
@@ -240,14 +235,31 @@ def test_forward_search_filters_by_marginal_gain():
     assert [(j, u) for j, u, _ in MatrixProblem(m, MAX).forward_stream(0, table)] == [(1, 1.0)]
 
 
-def test_forward_search_goes_stale_after_seed_commit():
-    m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 0.5)])
-    table = DigestTable(2, MAX)
-    stream = MatrixProblem(m, MAX).forward_stream(0, table)
-    next(stream)
-    table.mark_seed_added()
-    with pytest.raises(StaleStreamError):
-        next(stream)
+def covered_matrix_problem():
+    # seeding item 1 covers element 0, where item 0 gains before it
+    m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 2.0)])
+    return MatrixProblem(m, MAX)
+
+
+def two_node_cycle_problem():
+    inst = GraphInstanceSet(2, [[(0, 1, 1.0), (1, 0, 1.0)]])
+    return GraphProblem(inst, UtilityFamily("distance", Alpha.exponential(1.0)), MAX)
+
+
+@pytest.mark.parametrize("make", [covered_matrix_problem, two_node_cycle_problem],
+                         ids=["matrix", "graph"])
+def test_forward_stream_sees_the_digests_of_its_first_read(make):
+    problem = make()
+    before = list(problem.forward_stream(0, DigestTable(problem.n_elements, MAX)))
+    table = DigestTable(problem.n_elements, MAX)
+    partly_read = problem.forward_stream(0, table)
+    unread = problem.forward_stream(0, table)
+    first = next(partly_read)
+    add_seed(problem, 1, table)
+    after = list(problem.forward_stream(0, table))
+    assert after != before
+    assert [first] + list(partly_read) == before  # finishes with its first read's triples
+    assert list(unread) == after  # first read after the seed: the state after it
 
 
 def test_forward_search_equals_brute_force_set():

@@ -18,7 +18,6 @@ from infmax import (
     MatrixProblem,
     SkimRun,
     SparseUtilityMatrix,
-    StaleStreamError,
     UtilityDigest,
     UtilityFamily,
     default_sample_size,
@@ -517,13 +516,13 @@ def test_next_seed_takes_the_largest_estimate():
 def test_commit_needs_a_current_validation():
     m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
     run = make_run(m, MAX, k=4, rng_seed=0)
-    with pytest.raises(StaleStreamError):
+    with pytest.raises(RuntimeError):
         run._process_seed(0, 1.0)  # never validated
     run._marg_gain(0)
-    with pytest.raises(StaleStreamError):
+    with pytest.raises(RuntimeError):
         run._process_seed(1, 1.0)  # another item's validation
-    run.digests.mark_seed_added()
-    with pytest.raises(StaleStreamError):
+    run.seeds.add(1)  # stands in for a commit since the validation
+    with pytest.raises(RuntimeError):
         run._process_seed(0, 1.0)  # validated before the last seed
     run._marg_gain(0)
     assert run._process_seed(0, 1.0) == 1.0

@@ -37,6 +37,17 @@ def solve(name, matrix, spec=MAX, epsilon=0.0, stats=None):
                     rank_mode="permutation", stats=stats)
 
 
+@pytest.mark.parametrize("second", [RULE_MATRIX, SparseUtilityMatrix(3, 2, [])],
+                         ids=["same", "empty"])
+@pytest.mark.parametrize("name", ["lazy", "skim"])
+def test_a_reused_stats_dict_holds_the_last_run_alone(name, second):
+    fresh, reused = {}, {}
+    solve(name, second, stats=fresh)
+    solve(name, RULE_MATRIX, stats=reused)
+    solve(name, second, stats=reused)
+    assert reused == fresh
+
+
 def check_rule(seq, n_items):
     """The rule's invariants on one sequence."""
     assert all(type(r.gain) is float for r in seq)
