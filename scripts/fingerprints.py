@@ -21,10 +21,9 @@ import argparse
 import hashlib
 import json
 import os
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from trees import ROOT, import_tree, parse_seeds, run_child
 
 
 def record_texts(seq) -> list[str]:
@@ -49,30 +48,12 @@ def first_difference(a: list[str], b: list[str]) -> dict:
             "change": b[i] if i < len(b) else None}
 
 
-def parse_seeds(text: str) -> list[int]:
-    """'0-39' as the list of seeds from 0 to 39."""
-    lo, hi = map(int, text.split("-"))
-    return list(range(lo, hi + 1))
-
-
-def tree_solves(tree: str, workload: str, seeds: list[int], scale: float) -> list[list[str]]:
-    """Record texts of `tree`'s solves, one list per seed, from a child process."""
-    cmd = [sys.executable, os.path.abspath(__file__), "--tree", tree, "--workload", workload,
-           "--seeds", f"{seeds[0]}-{seeds[-1]}", "--scale", str(scale)]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
-    return json.loads(out)
-
-
 def solve_records(tree: str, workload: str, seeds: list[int], scale: float) -> list[list[str]]:
-    """Record texts of the solves, with `tree`'s sources imported in this process."""
-    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
-    import infmax
+    """Record texts of the solves, one list per seed, with `tree`'s sources
+    imported in this process."""
+    import_tree(tree)
     import workloads
 
-    src = os.path.join(os.path.abspath(tree), "src")
-    if not os.path.abspath(infmax.__file__).startswith(src + os.sep):
-        raise SystemExit(f"imported infmax from {infmax.__file__}, not {src}")
     solves = []
     for seed in seeds:
         wl = workloads.build(workload, seed, scale)
@@ -93,8 +74,8 @@ def main(argv=None) -> int:
         return 0
     if args.parent is None:
         p.error("--parent is required")
-    parent = tree_solves(os.path.abspath(args.parent), args.workload, args.seeds, args.scale)
-    change = tree_solves(ROOT, args.workload, args.seeds, args.scale)
+    parent, change = (run_child(__file__, tree, args.workload, args.seeds, args.scale)
+                      for tree in (os.path.abspath(args.parent), ROOT))
     mismatches = [{"seed": s, "parent": hash_texts(a), "change": hash_texts(b),
                    "first_diff": first_difference(a, b)}
                   for s, a, b in zip(args.seeds, parent, change) if a != b]

@@ -22,16 +22,9 @@ import contextlib
 import importlib.util
 import json
 import os
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def parse_seeds(text: str) -> list[int]:
-    """'3-5' as the list of seeds from 3 to 5."""
-    lo, hi = map(int, text.split("-"))
-    return list(range(lo, hi + 1))
+from trees import ROOT, import_tree, parse_seeds, run_child
 
 
 def count_differences(parent: dict, change: dict) -> list[dict]:
@@ -48,24 +41,9 @@ def count_differences(parent: dict, change: dict) -> list[dict]:
     return out
 
 
-def tree_counts(tree: str, workload: str, seeds: list[int], scale: float) -> list[dict]:
-    """Each seed's traced metrics in `tree`, from a child process."""
-    cmd = [sys.executable, os.path.abspath(__file__), "--tree", tree, "--workload", workload,
-           "--seeds", f"{seeds[0]}-{seeds[-1]}", "--scale", str(scale)]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
-    return json.loads(out)
-
-
 def traced_metrics(tree: str, workload: str, seeds: list[int], scale: float) -> list[dict]:
     """Each seed's traced metrics, with `tree`'s sources imported in this process."""
-    tree = os.path.abspath(tree)
-    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
-    import infmax
-
-    src = os.path.join(tree, "src")
-    if not os.path.abspath(infmax.__file__).startswith(src + os.sep):
-        raise SystemExit(f"imported infmax from {infmax.__file__}, not {src}")
+    tree = import_tree(tree)
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", os.path.join(tree, "perfbench", "run.py"))
     bench = importlib.util.module_from_spec(spec)
@@ -93,8 +71,8 @@ def main(argv=None) -> int:
         return 0
     if args.parent is None:
         p.error("--parent is required")
-    parent = tree_counts(os.path.abspath(args.parent), args.workload, args.seeds, args.scale)
-    change = tree_counts(ROOT, args.workload, args.seeds, args.scale)
+    parent, change = (run_child(__file__, tree, args.workload, args.seeds, args.scale)
+                      for tree in (os.path.abspath(args.parent), ROOT))
     differences = [dict(seed=s, **d) for s, a, b in zip(args.seeds, parent, change)
                    for d in count_differences(a, b)]
     print(json.dumps({"workload": args.workload, "scale": args.scale,

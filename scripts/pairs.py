@@ -32,7 +32,7 @@ import statistics
 import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from trees import ROOT, parse_seeds
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -82,12 +82,6 @@ def regressions(end_to_end: list[dict], parent: dict, change: dict) -> list[dict
             out.append({"metric": name, "parent_median": p, "change_median": c,
                         "relative_worse": worse / abs(p) if p else None, "bound": m["bound"]})
     return out
-
-
-def parse_seeds(text: str) -> list[int]:
-    """'2101-2110' as the list of seeds from 2101 to 2110."""
-    lo, hi = map(int, text.split("-"))
-    return list(range(lo, hi + 1))
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:

@@ -160,36 +160,52 @@ class RankTable:
 
     tables[h][src][dst] counts the nodes src reaches at least as cheaply
     as it reaches dst in instance h (weak inequality, so equidistant nodes
-    share a rank); unreachable pairs get inf.  Each table is an n x n
-    float64 array: instance h's all-pairs distance matrix, ranked in place.
+    share a rank), so a reachable pair's rank is at least 1.  An
+    unreachable pair holds 0, a cell no oracle reads: a reverse stream
+    walks adj from the element node and a forward search walks tadj to
+    the item, so both settle reachable pairs only.  Each table is an
+    n x n array of _rank_dtype(n), the smallest unsigned integer that
+    holds n.
     """
 
     def __init__(self, tables: list[np.ndarray]):
         self.tables = tables
 
 
-# rows of a distance matrix ranked at once by _rank_rows_in_place; bounds
-# the temporaries to a few arrays of _RANK_BLOCK x n
+# rank_table() asks scipy for about _DIJKSTRA_CELLS distances at a time
+# (n <= 256: one call per instance; n = 2000: 32 rows), and
+# _rank_rows_in_place ranks _RANK_BLOCK of those rows at once, which bounds
+# its temporaries to a few arrays of _RANK_BLOCK x n
+_DIJKSTRA_CELLS = 2 ** 16
 _RANK_BLOCK = 32
 
 
+def _rank_dtype(n: int) -> np.dtype:
+    """The unsigned integer type of an n-node rank table: uint8 up to
+    n = 255, uint16 up to 65,535, uint32 above."""
+    return np.min_scalar_type(n)
+
+
 def _rank_rows_in_place(dist: np.ndarray) -> None:
-    """Overwrite each row of dist with its weak-inequality ranks (inf stays
-    inf), one block of rows at a time.  In a row sorted ascending, every
-    member of a run of equal finite distances gets the 1-based position
-    of the run's last member: the least run end at or after it."""
+    """Overwrite each row of dist with its weak-inequality ranks, as
+    floats, and each inf with 0, one block of rows at a time.  In a row
+    sorted ascending, every member of a run of equal finite distances gets
+    the 1-based position of the run's last member: the least run end at or
+    after it."""
     n = dist.shape[1]
     positions = np.arange(1.0, n + 1.0)
     for start in range(0, dist.shape[0], _RANK_BLOCK):
         block = dist[start:start + _RANK_BLOCK]
         order = np.argsort(block, axis=1)
         ordered = np.take_along_axis(block, order, axis=1)
+        finite = np.isfinite(ordered)
         run_end = np.empty(ordered.shape, dtype=bool)
         np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_end[:, :-1])
         run_end[:, -1] = True
-        run_end &= np.isfinite(ordered)
+        run_end &= finite
         ends = np.where(run_end, positions, np.inf)
         ranks = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        ranks[~finite] = 0.0
         np.put_along_axis(block, order, ranks, axis=1)
 
 
@@ -263,22 +279,28 @@ class GraphInstanceSet:
             )
         return self._csr_cache[h]
 
-    def distances(self, h: int, source: int | None = None) -> np.ndarray:
-        mat = self.csr(h)
-        if source is None:
-            return _sp_dijkstra(mat)
-        return _sp_dijkstra(mat, indices=[source])[0]
+    def distances(self, h: int, source: int) -> np.ndarray:
+        """Shortest-path distances from source in instance h (inf if unreachable)."""
+        return _sp_dijkstra(self.csr(h), indices=[source])[0]
 
     def rank_table(self) -> RankTable:
-        """Every instance's ranks, built on first use: each all-pairs
-        distance matrix is ranked in place, so a table costs its n x n
-        array plus a few block-sized temporaries."""
+        """Every instance's ranks, built on first use one block of source
+        rows at a time: scipy's Dijkstra from the block's rows, ranked in
+        place and cast into the table.  A block holds at most
+        _DIJKSTRA_CELLS distances (one row if n is larger), so the build
+        never holds an n x n float64 array."""
         if self._rank_table is None:
+            n = self.n
+            rows = max(1, _DIJKSTRA_CELLS // n)
             tables = []
             for h in range(self.count):
-                dist = self.distances(h)
-                _rank_rows_in_place(dist)
-                tables.append(dist)
+                mat = self.csr(h)
+                table = np.empty((n, n), dtype=_rank_dtype(n))
+                for start in range(0, n, rows):
+                    block = _sp_dijkstra(mat, indices=np.arange(start, min(start + rows, n)))
+                    _rank_rows_in_place(block)
+                    table[start:start + rows] = block
+                tables.append(table)
             self._rank_table = RankTable(tables)
         return self._rank_table
 

@@ -1,6 +1,10 @@
-"""Shared generators for randomized fixtures (all explicitly seeded)."""
+"""Shared generators for randomized fixtures (all explicitly seeded), and
+the loader the script tests import scripts/ with."""
 
+import importlib
+import os
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import settings
@@ -12,6 +16,16 @@ from infmax import DirectedGraph, GraphInstanceSet, SparseUtilityMatrix
 # slow any single example past one
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+SCRIPTS = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
+
+
+def load_script(name: str):
+    """scripts/<name>.py as a module, with scripts/ on sys.path for the
+    helpers the scripts share (scripts/trees.py)."""
+    if SCRIPTS not in sys.path:
+        sys.path.insert(0, SCRIPTS)
+    return importlib.import_module(name)
 
 
 def random_matrix(

@@ -1,16 +1,13 @@
 """The full-record fingerprints of scripts/fingerprints.py."""
 
 import hashlib
-import importlib.util
 import json
-import os
 
 from infmax import SeedRecord
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "fingerprints.py")
-_spec = importlib.util.spec_from_file_location("fingerprints", _PATH)
-fingerprints = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(fingerprints)
+from conftest import load_script
+
+fingerprints = load_script("fingerprints")
 
 RECORDS = [
     SeedRecord(3, 2.5, 2.25, 2.25),
@@ -40,7 +37,7 @@ def test_first_difference_names_the_first_changed_record():
 
 
 def test_tree_against_itself_has_no_mismatch(capsys):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(_PATH)))
+    root = fingerprints.ROOT
     code = fingerprints.main(["--parent", root, "--workload", "lazy-matrix",
                               "--seeds", "0-1", "--scale", "0.02"])
     doc = json.loads(capsys.readouterr().out)

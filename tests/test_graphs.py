@@ -301,11 +301,14 @@ def tied_instance_sets(draw):
 
 @given(tied_instance_sets())
 def test_rank_table_equals_per_row_reference_ranks_bit_for_bit(inst):
-    with mock.patch.object(graphs, "_RANK_BLOCK", 2):  # several blocks per table
+    # several scipy blocks per table, several ranked pieces per block
+    with mock.patch.multiple(graphs, _DIJKSTRA_CELLS=32, _RANK_BLOCK=2):
         tables = inst.rank_table().tables
     for h, table in enumerate(tables):
-        dist = inst.distances(h)
-        want = np.vstack([ranks_from_distances(row) for row in dist])
+        rows = [inst.distances(h, source=v) for v in range(inst.n)]
+        ranks = np.vstack([ranks_from_distances(row) for row in rows])
+        ranks[np.isinf(ranks)] = 0.0  # an unreachable pair is stored as 0
+        want = ranks.astype(np.min_scalar_type(inst.n))
         assert table.dtype == want.dtype and table.shape == want.shape
         assert table.tobytes() == want.tobytes()
 
@@ -317,10 +320,24 @@ def test_rank_table_diagonal_and_reference_agreement():
     for h in range(2):
         for v in range(12):
             row = table.tables[h][v]
-            assert row[v] == 1.0
+            assert row[v] == 1
             ranks = ranks_from_distances(inst.distances(h, source=v))
             finite = sorted(r for r in ranks if math.isfinite(r))
-            assert finite == sorted(row[m] for m in range(12) if math.isfinite(row[m]))
+            assert finite == sorted(row[m] for m in range(12) if row[m] > 0)
+
+
+@pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_rank_table_takes_the_smallest_unsigned_type_that_holds_n(n, dtype):
+    # a path from node 0: its last node has rank n, the largest a table holds
+    inst = GraphInstanceSet(n, [[(v, v + 1, 1.0) for v in range(n - 1)]])
+    table = inst.rank_table().tables[0]
+    assert table.dtype == dtype
+    assert table[0, n - 1] == n and table[n - 1, 0] == 0
+
+
+def test_rank_dtype_widens_past_65535():
+    assert graphs._rank_dtype(65535) == np.uint16
+    assert graphs._rank_dtype(65536) == np.uint32
 
 
 # -- reverse sorted access ------------------------------------------------------------

@@ -1,13 +1,10 @@
 """The per-layer count comparison of scripts/layer_counts.py."""
 
-import importlib.util
 import json
-import os
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "layer_counts.py")
-_spec = importlib.util.spec_from_file_location("layer_counts", _PATH)
-layer_counts = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(layer_counts)
+from conftest import load_script
+
+layer_counts = load_script("layer_counts")
 
 
 def metrics(values: dict) -> dict:
@@ -33,7 +30,7 @@ def test_a_metric_one_side_lacks_differs():
 
 
 def test_tree_against_itself_has_no_difference(capsys):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(_PATH)))
+    root = layer_counts.ROOT
     code = layer_counts.main(["--parent", root, "--workload", "skim-reach-ic",
                               "--seeds", "3-3", "--scale", "0.05"])
     doc = json.loads(capsys.readouterr().out)

@@ -1,15 +1,12 @@
 """The paired-run verdict of scripts/pairs.py, on fixed numbers."""
 
-import importlib.util
 import json
-import os
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "pairs.py")
-_spec = importlib.util.spec_from_file_location("pairs", _PATH)
-pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(pairs)
+from conftest import load_script
+
+pairs = load_script("pairs")
 
 PARENT = [0.150, 0.152, 0.149, 0.155, 0.151, 0.153, 0.150, 0.154, 0.152, 0.151]
 
@@ -104,7 +101,7 @@ def test_a_zero_parent_median_tolerates_no_worsening():
 def fake_run_once(values):
     """run_once replaced by fixed end-to-end values per (tree, seed)."""
     def run_once(tree, workload, seed, seconds):
-        setup_s, solve_s = values[(os.path.basename(tree), seed)]
+        setup_s, solve_s = values[(tree, seed)]
         metrics = {"setup_s": setup_s, "solve_s": solve_s, "peak_rss_mb": 100.0,
                    "quality_s50": 1.0, "pass_ratio": 1.0}
         return {"failed": 0, "attempted": 4,
@@ -113,14 +110,14 @@ def fake_run_once(values):
 
 
 def test_metric_flag_picks_the_verdict_metric(monkeypatch, tmp_path, capsys):
-    # set-up halves on every seed while solve_s barely moves
-    change = os.path.basename(pairs.ROOT)
+    # set-up halves on every seed while solve_s barely moves; the trees
+    # are keyed by absolute path, so a checkout named "parent" is no clash
+    parent = str(tmp_path / "parent")
     values = {}
     for k, seed in enumerate(range(11, 21)):
-        values[("parent", seed)] = (0.020 + 0.0002 * k, PARENT[k])
-        values[(change, seed)] = (0.010 + 0.0002 * k, PARENT[k] - 0.0001)
+        values[(parent, seed)] = (0.020 + 0.0002 * k, PARENT[k])
+        values[(pairs.ROOT, seed)] = (0.010 + 0.0002 * k, PARENT[k] - 0.0001)
     monkeypatch.setattr(pairs, "run_once", fake_run_once(values))
-    parent = str(tmp_path / "parent")
     args = ["--parent", parent, "--workload", "lazy-matrix", "--seeds", "11-20", "--seconds", "1"]
 
     def doc(extra):
