@@ -8,16 +8,16 @@ anything in between (e.g. (1, 1/2, 1/3)) discounts lower-ranked seeds.
 
 A UtilityDigest summarizes the utilities of the current seed set at one
 element just well enough to answer marginal-gain queries in O(k); the
-maximization algorithms keep one digest per element instead of the full
-utility multiset.  A gain is summed from non-negative differences of the
-stored values, never as a difference of two totals, so it is zero
-exactly when the exact gain is and otherwise within a few units of
-rounding of it.
+maximization algorithms keep one digest per element, in a plain list
+indexed by element id (DigestTable), instead of the full utility
+multiset.  A gain is summed from non-negative differences of the stored
+values, never as a difference of two totals, so it is zero exactly when
+the exact gain is and otherwise within a few units of rounding of it.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ class AggregationSpec:
             prev = g
         # float coefficients make every gain a float, whatever the utilities
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-
-    @cached_property
-    def ell(self) -> int:
-        return len(self.gamma)
 
     @cached_property
     def effective_ell(self) -> int:
@@ -178,15 +174,7 @@ class UtilityDigest:
         self._thresh = top[eff - 1] if len(top) == eff else 0.0
 
 
-class DigestTable:
-    """One digest per element, held in a plain list, .digests, that hot
-    loops index directly."""
-
-    def __init__(self, n_elements: int, spec: AggregationSpec):
-        self.digests = [UtilityDigest(spec) for _ in range(n_elements)]
-
-    def __getitem__(self, j: int) -> UtilityDigest:
-        return self.digests[j]
-
-    def __iter__(self) -> Iterator[UtilityDigest]:
-        return iter(self.digests)
+def DigestTable(n_elements: int, spec: AggregationSpec) -> list[UtilityDigest]:
+    """One empty digest per element, in a plain list indexed by element id
+    (CPython specializes indexing for exact lists only)."""
+    return [UtilityDigest(spec) for _ in range(n_elements)]

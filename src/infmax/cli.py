@@ -219,13 +219,13 @@ def run(args: argparse.Namespace) -> int:
     if args.rng_seed < 0:  # checked here: numpy's error would surface under another flag
         raise ConfigError("--rng-seed: seed must be a non-negative integer")
     spec = _aggregation(args.gamma)
-    matrix = None
+    matrix = instances = None
     if args.kind == "matrix":
         for flag in ("family", "alpha", "model", "instances"):
             if getattr(args, flag) is not None:
                 raise ConfigError(f"--{flag} applies only to graph inputs")
         matrix = read_matrix(args.input)
-        problem = MatrixProblem(matrix, spec)
+        n_items = matrix.n_items
     else:
         if args.family is None:
             raise ConfigError("graph inputs need --family")
@@ -237,15 +237,16 @@ def run(args: argparse.Namespace) -> int:
         model = args.model or "fixed"
         instances = _prefixed(args.input, simulate_instances, read_graph(args.input),
                               model, count, args.rng_seed, error=ParseError)
-        problem = GraphProblem(instances, family, spec)
+        n_items = instances.n
 
-    if args.verify and problem.n_items > 1000:
+    if args.verify and n_items > 1000:
         raise ConfigError("verify refuses more than 1000 items (greedy baseline)")
-    needs_matrix = args.verify or args.algorithm in ("lazy", "exact")
-    if needs_matrix and matrix is None:
-        matrix = to_utility_matrix(problem.instances, problem.family)
+    if instances is not None and (args.verify or not skim):
+        matrix = to_utility_matrix(instances, family)
 
-    if skim:
+    if skim:  # only SKIM reads the oracles, so only it builds a graph's bundle
+        problem = (MatrixProblem(matrix, spec) if instances is None
+                   else GraphProblem(instances, family, spec))
         k = args.k
         if k is None:
             k = default_sample_size(args.epsilon, problem.n_items, problem.n_elements)

@@ -25,8 +25,9 @@ GraphProblem resolves its family's row once, at construction, and is the
 only way into the graph oracles: rev_stream(j) is one frontier, which is
 itself the reverse stream (no generator, no wrapper), and
 forward_stream(i, digests) runs one pruned search per instance, all of
-them at the stream's first read; oracles.marg_gain/add_seed read it as
-they read a MatrixProblem.
+them at the stream's first read, against a plain list of digests indexed
+by element id h * n + v; oracles.marg_gain/add_seed read it as they read
+a MatrixProblem.
 
 Reference (brute-force) utilities are computed through scipy.sparse.csgraph
 and a descending threshold sweep, deliberately independent code paths from
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .aggregation import DigestTable
+from .aggregation import UtilityDigest
 from .matrix import SparseUtilityMatrix
 from .oracles import ForwardStream, RevStream
 
@@ -127,7 +128,7 @@ class UtilityFamily:
     def __post_init__(self):
         if self.kind not in _FAMILY_TABLE:
             raise ValueError(f"unknown utility family {self.kind!r}")
-        if _FAMILY_TABLE[self.kind].needs_alpha:
+        if _FAMILY_TABLE[self.kind].alpha_of is not None:
             if self.alpha is None:
                 raise ValueError(f"{self.kind} utility requires an alpha map")
         elif self.alpha is not None:
@@ -259,12 +260,6 @@ class GraphInstanceSet:
     @property
     def n_elements(self) -> int:
         return self.n * self.count
-
-    def node_of(self, e: int) -> int:
-        return e % self.n
-
-    def instance_of(self, e: int) -> int:
-        return e // self.n
 
     def csr(self, h: int):
         """Sparse matrix of instance h; parallel edges collapse to the minimum."""
@@ -505,14 +500,6 @@ class _FamilyRow:
     prune: Callable
     zero_skips: bool = False
 
-    @property
-    def needs_alpha(self) -> bool:
-        return self.alpha_of is not None
-
-    @property
-    def needs_ranks(self) -> bool:
-        return self.alpha_of == "rank"
-
 
 # Distance and survival walk paths into the element node, so the reverse
 # stream runs on the transposed instance.  Reverse rank runs forward from
@@ -541,8 +528,6 @@ class GraphProblem:
 
     def __init__(self, instances: GraphInstanceSet, family: UtilityFamily, spec):
         row = _FAMILY_TABLE[family.kind]
-        self.instances = instances
-        self.family = family
         self.spec = spec
         self.n_items = instances.n
         self.n_elements = instances.n_elements
@@ -550,8 +535,8 @@ class GraphProblem:
         self._rev_adj = getattr(instances, row.rev_adj)
         self._fwd_adj = instances.adj if row.rev_adj == "tadj" else instances.tadj
         self._caps = instances.caps
-        self._amap = family.alpha.map if row.needs_alpha else None
-        self._ranks = instances.rank_table().tables if row.needs_ranks else None
+        self._amap = family.alpha.map if row.alpha_of is not None else None
+        self._ranks = instances.rank_table().tables if row.alpha_of == "rank" else None
         self._prune = row.prune
         self._zero_skips = row.zero_skips
 
@@ -567,7 +552,7 @@ class GraphProblem:
         return self._frontier(self._rev_adj[h], v, self._caps[h],
                               None if ranks is None else ranks[h][v], self._amap)
 
-    def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
+    def forward_stream(self, i: int, digests: list[UtilityDigest]) -> ForwardStream:
         """Pruned forward search from item i across all instances.
 
         Expansion stops at an element whose threshold (digest.thresh())
@@ -580,11 +565,10 @@ class GraphProblem:
             raise ValueError(f"unknown item {i}")
         return ForwardStream(partial(self._forward_triples, i, digests))
 
-    def _forward_triples(self, i: int, digests: DigestTable) -> tuple[list, int]:
+    def _forward_triples(self, i: int, digests: list[UtilityDigest]) -> tuple[list, int]:
         """The search's (element, utility, gain) triples and its settle count."""
         frontier_of, adj, caps, tables = self._frontier, self._fwd_adj, self._caps, self._ranks
         amap, prune, zero_skips, n = self._amap, self._prune, self._zero_skips, self.n_items
-        elements = digests.digests
         triples = []
         append = triples.append
         settles = 0
@@ -604,7 +588,7 @@ class GraphProblem:
                     if zero_skips:
                         continue
                     break  # settle order is by label, the rest are zero too
-                digest = elements[base + node]
+                digest = digests[base + node]
                 if not prune(u, digest.thresh()):
                     expand(node)
                 c = digest.marg(u)
@@ -674,7 +658,7 @@ def pairwise_utility(
     instances: GraphInstanceSet, family: UtilityFamily, i: int, j: int
 ) -> float:
     """Reference non-incremental utility of item i to element j."""
-    v, h = instances.node_of(j), instances.instance_of(j)
+    h, v = divmod(j, instances.n)
     if family.kind == REVERSE_RANK:
         return _reference_row(instances, family, h, v)[i]
     return _reference_row(instances, family, h, i)[v]

@@ -12,15 +12,16 @@ Two access patterns drive the sketch-based maximizer:
 
 A problem bundle (MatrixProblem here, GraphProblem in graphs.py) is the
 only way into its oracles, rev_stream and forward_stream, built on one
-stream pair; marg_gain and add_seed read either.  The slow, obviously-correct
-references (exact influence by enumeration, exact greedy by full
-recomputation, exhaustive optimum) are the test baselines.
+stream pair; marg_gain and add_seed read either, against digests held in
+a plain list, one UtilityDigest per element id (DigestTable).  The slow,
+obviously-correct references (exact influence by enumeration, exact
+greedy by full recomputation, exhaustive optimum) are the test baselines.
 """
 
 import itertools
 from typing import Iterable, Iterator
 
-from .aggregation import AggregationSpec, DigestTable, aggregate
+from .aggregation import AggregationSpec, DigestTable, UtilityDigest, aggregate
 from .greedy import GreedySequence, SeedRecord, selection_cutoff
 from .matrix import SparseUtilityMatrix
 
@@ -99,7 +100,7 @@ class MatrixProblem:
             raise ValueError(f"unknown element {j}")
         return RevStream(iter(self.matrix.sorted_cols[j]))
 
-    def forward_stream(self, i: int, digests: DigestTable) -> ForwardStream:
+    def forward_stream(self, i: int, digests: list[UtilityDigest]) -> ForwardStream:
         """Entries of row i whose element still gains from the item, with the gain."""
         if not 0 <= i < self.n_items:
             raise ValueError(f"unknown item {i}")
@@ -111,13 +112,15 @@ class MatrixProblem:
         return ForwardStream(scan)
 
 
-def marg_gain(problem, i: int, digests: DigestTable) -> float:
+def marg_gain(problem, i: int, digests: list[UtilityDigest]) -> float:
     """Marginal influence of item i against the current digests; no mutation."""
     weight = problem.weight
     return sum((weight(j) * c for j, _, c in problem.forward_stream(i, digests)), 0.0)
 
 
-def add_seed(problem, i: int, digests: DigestTable, seeds: set[int] | None = None) -> float:
+def add_seed(
+    problem, i: int, digests: list[UtilityDigest], seeds: set[int] | None = None
+) -> float:
     """Add item i to the seed set: fold its utilities into every digest it
     still improves and return the marginal gain.  A bad or repeated item
     raises ValueError and leaves seeds and digests as they were."""

@@ -16,21 +16,23 @@ computation and, if it holds up, commit the item as the next seed.
 Samples are stored inverted: index[j] lists the items that sampled
 element j as (item, utility, c) entries, in the utility order delivered
 by the element's reverse sorted access stream, where c is the item's
-weighted marginal utility w * marg(u) against the element's digest.  The
-digest changes only when a seed is committed: move_down folds the seed's
-utility in first and then prices each surviving entry once against the
-updated digest, so a stored c is never stale and no pass recomputes a
-marginal it already holds.  Until a seed reaches an element, its digest
-holds no value and marg(u) is exactly u, as gamma_0 = 1, so a drain
-prices such an entry as w * u without calling the kernel.  A utility at
-or below the digest's threshold lies past the last positive gamma
-coefficient, so its marginal is exactly zero: a reverse stream is
-retired at the first such utility, and move_down stops pricing at the
-first such entry, because utilities do not increase along a list.  Two
-counts per element split the list into segments: entries [0, nh[j]) are
-H (counted at face value), [nh[j], nm[j]) are M (below tau but still
-sampled, counted as tau) and the rest are L (lapsed, kept because a
-lower tau may revive them).
+weighted marginal utility w * marg(u) against the element's digest.
+index, the digests, the reverse streams and the two counts below are
+plain lists indexed by element id; an unsampled element's list is empty.
+A digest changes only when a seed is committed: move_down folds the
+seed's utility in first and then prices each surviving entry once
+against the updated digest, so a stored c is never stale and no pass
+recomputes a marginal it already holds.  Until a seed reaches an
+element, its digest holds no value and marg(u) is exactly u, as
+gamma_0 = 1, so a drain prices such an entry as w * u without calling
+the kernel.  A utility at or below the digest's threshold lies past the
+last positive gamma coefficient, so its marginal is exactly zero: a
+reverse stream is retired at the first such utility, and move_down stops
+pricing at the first such entry, because utilities do not increase along
+a list.  Two counts per element split the list into segments: entries
+[0, nh[j]) are H (counted at face value), [nh[j], nm[j]) are M (below
+tau but still sampled, counted as tau) and the rest are L (lapsed, kept
+because a lower tau may revive them).
 
 One method, _reclassify_up, assigns classes.  From the two counts on, it
 promotes entries to H while their marginal c is at least tau, then to M
@@ -148,7 +150,6 @@ class SkimRun:
         if k < 2:
             raise ValueError("sample-size parameter k must be at least 2")
         self.problem = problem
-        self.spec = problem.spec
         self.k = k
         self.stats = stats if stats is not None else {}
         # every counter from zero, so a reused dict holds this run alone
@@ -163,9 +164,9 @@ class SkimRun:
         else:
             raise ValueError(f"unknown rank mode {rank_mode!r}")
 
-        self.digests = DigestTable(n_el, self.spec)
+        self.digests = DigestTable(n_el, problem.spec)
         self.rev = [problem.rev_stream(j) for j in range(n_el)]
-        self.index: dict[int, list[tuple[int, float, float]]] = {}
+        self.index: list[list[tuple[int, float, float]]] = [[] for _ in range(n_el)]
         # index[j][:nh[j]] is H, index[j][nh[j]:nm[j]] is M, the rest is L
         self.nh = [0] * n_el
         self.nm = [0] * n_el
@@ -266,11 +267,11 @@ class SkimRun:
         top, pop = stream.top, stream.pop
         w, r = self.problem.weight(j), self.rank[j]
         rtau = r * self.tau
-        digest = self.digests.digests[j]
+        digest = self.digests[j]
         marg = digest.marg if digest.top else None
         thresh = digest.thresh()
         seeds = self.seeds
-        entries = self.index.setdefault(j, [])
+        entries = self.index[j]
         start = len(entries)
         while (t := top()) is not None:
             i, u = t
@@ -291,9 +292,7 @@ class SkimRun:
             entries.append((i, u, c))
         n = len(entries)
         self.stats["rev_pops"] += n - start
-        if not entries:
-            del self.index[j]
-        elif n > start and self.nm[j] == start:  # no L entry before the new ones
+        if n > start and self.nm[j] == start:  # no L entry before the new ones
             self._reclassify_up(j)
 
     # -- seed selection ------------------------------------------------------
@@ -371,7 +370,7 @@ class SkimRun:
         promoted entry's contribution and marking its item dirty.
         Reprice j from the marginals at which the two loops stopped.  Both
         loops only add to h_count, so no est_h needs snapping here."""
-        entries = self.index.get(j, [])
+        entries = self.index[j]
         n = len(entries)
         r, tau = self.rank[j], self.tau
         rtau = r * tau
@@ -423,7 +422,7 @@ class SkimRun:
         """
         digest = self.digests[j]
         digest.update(x)
-        entries = self.index.get(j)
+        entries = self.index[j]
         if not entries:
             return
         w = self.problem.weight(j)
@@ -446,11 +445,10 @@ class SkimRun:
                 if nc > 0.0:
                     kept.append((i, u, nc))
         self.nh[j] = self.nm[j] = 0
+        self.index[j] = kept
         if kept:
-            self.index[j] = kept
             self._reclassify_up(j)
         else:
-            del self.index[j]
             self.qhml.remove(j)  # nothing left to revive
         for i, _, _ in entries[:old_h]:
             if h_count[i] == 0:

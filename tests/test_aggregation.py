@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_value
-from infmax import AggregationSpec, UtilityDigest, aggregate, dominates
+from infmax import AggregationSpec, DigestTable, UtilityDigest, aggregate, dominates
 
 MAX = AggregationSpec.maximum()
 HALF = AggregationSpec((1.0, 0.5))
@@ -19,7 +19,7 @@ def brute_value(spec, values):
     """Direct evaluation of the aggregation on a full multiset, summed left
     to right (the order of sum() before Python 3.12)."""
     total = 0
-    for g, v in zip(spec.gamma, sorted(values, reverse=True)[: spec.ell]):
+    for g, v in zip(spec.gamma, sorted(values, reverse=True)[: len(spec.gamma)]):
         total += g * v
     return total
 
@@ -159,6 +159,13 @@ def test_digest_init_state():
     assert d.marg(x) == x  # single seed is worth its utility
 
 
+def test_digest_table_is_a_plain_list_of_distinct_empty_digests():
+    table = DigestTable(3, HALF)
+    assert type(table) is list  # an exact list: the hot loops index it
+    assert len({id(d) for d in table}) == 3
+    assert all(type(d) is UtilityDigest and d.top == [] and d.gamma == HALF.gamma for d in table)
+
+
 def test_digest_thresh_weighted_pair():
     d = UtilityDigest(HALF)
     d.update(1.0)
@@ -293,7 +300,7 @@ def test_digest_never_stores_more_than_ell():
     d = UtilityDigest(spec)
     for _ in range(50):
         d.update(rng.random())
-        assert len(d.top) <= spec.ell
+        assert len(d.top) <= len(spec.gamma)
         assert all(a >= b for a, b in zip(d.top, d.top[1:]))
         assert all(v > 0 for v in d.top)
 
@@ -328,7 +335,7 @@ def order_statistic(ordered, i):
 def rounding_bound(spec):
     """Relative error bound of marg(): (m + 1) * u / (1 - (m + 1) * u) with
     u = 2**-53 and m <= ell terms, as derived in the UtilityDigest docstring."""
-    return Fraction(spec.ell + 1, 2**53 - (spec.ell + 1))
+    return Fraction(len(spec.gamma) + 1, 2**53 - (len(spec.gamma) + 1))
 
 
 def assert_prices_exactly(spec, d, x):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from infmax import DirectedGraph, SeedRecord, SparseUtilityMatrix
+from infmax import DirectedGraph, GraphInstanceSet, SeedRecord, SparseUtilityMatrix
 from infmax.cli import (
     ConfigError,
     ParseError,
@@ -367,6 +367,26 @@ def test_cli_exact_verify_output_is_pinned(pinned_graph, tmp_path, capsys, famil
     report = capsys.readouterr().out
     digest = hashlib.sha256(out.read_bytes() + report.encode()).hexdigest()
     assert digest == PINNED_EXACT_VERIFY[family]
+
+
+@pytest.mark.parametrize("algorithm", ["lazy", "exact"])
+def test_lazy_and_exact_build_no_rank_table(pinned_graph, tmp_path, monkeypatch, algorithm):
+    # both solve on the reference matrix; only the graph oracles, which
+    # SKIM alone reads, need reverse rank's tables
+    argv = [
+        "--input", pinned_graph, "--kind", "graph", "--family", "reverse-rank",
+        "--alpha", "inverse", "--model", "exponential", "--instances", "2",
+        "--gamma", "1,0.5", "--rng-seed", "5", "--algorithm", algorithm,
+    ]
+    expected, out = tmp_path / "expected.csv", tmp_path / "r.csv"
+    assert main(argv + ["--output", str(expected)]) == 0
+
+    def refuse(self):
+        raise AssertionError("rank table built")
+
+    monkeypatch.setattr(GraphInstanceSet, "rank_table", refuse)
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 # every reader and configuration error: (kind, file text, extra flags,

@@ -151,9 +151,10 @@ def test_element_ids_enumerate_node_instance_pairs():
     g = single([(0, 1, 1.0)], 3)
     gg = GraphInstanceSet(3, [[(0, 1, 1.0)], [(1, 2, 1.0)]])
     assert g.n_elements == 3 and gg.n_elements == 6
-    assert gg.node_of(5) == 2 and gg.instance_of(5) == 1
-    pairs = [(gg.node_of(e), gg.instance_of(e)) for e in range(gg.n_elements)]
-    assert pairs == [(v, h) for h in range(2) for v in range(3)]  # e = h * n + v
+    # e = h * n + v: item 1 reaches node 2 in instance 1 alone, element 5
+    assert [pairwise_utility(gg, REACH, 1, e) for e in range(6)] == [0, 1, 0, 0, 1, 1]
+    # element 4 is node 1 of instance 1, which reaches itself, then node 2
+    assert [pairwise_utility(gg, RANK_INV, i, 4) for i in range(3)] == [0.0, 1.0, 0.5]
 
 
 # -- simulation -------------------------------------------------------------------

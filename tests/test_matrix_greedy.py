@@ -397,7 +397,7 @@ def assert_picks_exact_argmax_up_to_rounding(m, spec, seq):
     satisfy (1 + delta) g >= (1 - delta) g*, i.e. g* - g <= 2 delta g*.
     """
     r = max(len(row) for row in m.rows)
-    t = spec.ell + r + 1
+    t = len(spec.gamma) + r + 1
     delta = Fraction(t, 2**53 - t)
     seen = [[] for _ in range(m.n_elements)]
     remaining = set(range(m.n_items))

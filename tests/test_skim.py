@@ -50,7 +50,8 @@ def validate_state(run):
     est_m = [0] * run.problem.n_items
     h_count = [0] * run.problem.n_items
     samples = [0] * run.problem.n_items
-    for j, entries in run.index.items():
+    assert len(run.index) == run.problem.n_elements
+    for j, entries in enumerate(run.index):
         w = run.problem.weight(j)
         r = run.rank[j]
         digest = run.digests[j]
@@ -238,7 +239,7 @@ def test_move_up_promotes_m_entry_to_h():
     run = fixture_run()
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: index_entries(run, 0, [(0, 1.5), (1, 0.6)])}
+    run.index = [index_entries(run, 0, [(0, 1.5), (1, 0.6)])]
     run.nh, run.nm = [1], [2]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
@@ -256,21 +257,21 @@ def test_move_up_promotes_m_entry_to_h():
 def test_move_up_without_candidates_is_a_noop():
     run = fixture_run()
     run.tau = 1.0
-    run.index = {0: index_entries(run, 0, [(0, 1.5)])}
+    run.index = [index_entries(run, 0, [(0, 1.5)])]
     run.nh, run.nm = [1], [1]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
-    before = (dict(run.index), list(run.est_h), list(run.est_m))
+    before = ([list(e) for e in run.index], list(run.est_h), list(run.est_m))
     run.tau = 0.9
     run.move_up()
-    assert (dict(run.index), list(run.est_h), list(run.est_m)) == before
+    assert ([list(e) for e in run.index], list(run.est_h), list(run.est_m)) == before
 
 
 def test_move_up_revives_l_entry_to_m():
     run = fixture_run()
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: index_entries(run, 0, [(0, 1.5), (1, 0.4)])}
+    run.index = [index_entries(run, 0, [(0, 1.5), (1, 0.4)])]
     run.nh, run.nm = [1], [1]  # the 0.4 entry lapsed: 0.4/0.5 = 0.8 < tau
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
@@ -289,7 +290,7 @@ def test_move_down_truncates_everything_under_max_aggregation():
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: index_entries(run, 0, [(0, 1.0), (1, 0.5)])}
+    run.index = [index_entries(run, 0, [(0, 1.0), (1, 0.5)])]
     run.nh, run.nm = [1], [2]
     run.est_h = [1.0, 0.0, 0.0]
     run.h_count = [1, 0, 0]
@@ -299,7 +300,7 @@ def test_move_down_truncates_everything_under_max_aggregation():
     run.move_down(0, 2.0, 2)  # seed item 2 arrives with utility 2.0
     assert run.est_h == [0.0, 0.0, 0.0]
     assert run.est_m == [0, 0, 0]
-    assert 0 not in run.index
+    assert run.index[0] == []
     assert run.qhml.peek() is None
 
 
@@ -307,7 +308,7 @@ def test_move_down_with_zero_utility_changes_nothing():
     run = fixture_run()
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: index_entries(run, 0, [(0, 1.5), (1, 0.6)])}
+    run.index = [index_entries(run, 0, [(0, 1.5), (1, 0.6)])]
     run.nh, run.nm = [1], [2]
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
@@ -324,7 +325,7 @@ def test_move_down_demotes_h_entry_to_m():
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0] = 0.3
     run.tau = 1.0
-    run.index = {0: index_entries(run, 0, [(0, 1.0)])}
+    run.index = [index_entries(run, 0, [(0, 1.0)])]
     run.nh, run.nm = [1], [1]
     run.est_h = [1.0, 0.0]
     run.h_count = [1, 0]
@@ -343,7 +344,7 @@ def test_move_down_drops_the_new_seeds_own_entry():
     run = make_run(m, HALF, k=4, rng_seed=0)
     run.rank[0] = 0.5
     run.tau = 1.0
-    run.index = {0: index_entries(run, 0, [(0, 1.0), (1, 0.9)])}
+    run.index = [index_entries(run, 0, [(0, 1.0), (1, 0.9)])]
     run.nh, run.nm = [1], [2]
     run.est_h = [1.0, 0.0, 0.0]
     run.h_count = [1, 0, 0]
@@ -351,7 +352,7 @@ def test_move_down_drops_the_new_seeds_own_entry():
 
     run.move_down(0, 0.9, 1)  # item 1 becomes a seed at this element
     assert run.est_m[1] == 0  # its own sample entry is removed
-    assert all(i != 1 for i, *_ in run.index.get(0, []))
+    assert all(i != 1 for i, *_ in run.index[0])
     # item 0 stays: move_down folded 0.9 into the digest, so its marginal
     # is now marg(1.0) = 0.55 under gamma=(1, .5)
     assert run.digests[0].top == [0.9]
@@ -367,7 +368,7 @@ def test_move_down_drops_the_zero_tail_unpriced():
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0] = 0.5
     run.tau = 1.5  # H: c >= 1.5, M: c >= 0.75
-    run.index = {0: index_entries(run, 0, [(0, 4.0), (1, 2.0), (2, 1.0), (3, 0.5)])}
+    run.index = [index_entries(run, 0, [(0, 4.0), (1, 2.0), (2, 1.0), (3, 0.5)])]
     run.nh, run.nm = [2], [3]
     run.est_h = [4.0, 2.0, 0.0, 0.0, 0.0]
     run.h_count = [1, 1, 0, 0, 0]
@@ -390,7 +391,7 @@ def test_reclassify_up_prices_both_boundaries():
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0] = 0.5
     run.tau = 2.0
-    run.index = {0: index_entries(run, 0, [(0, 0.4), (1, 0.3)])}
+    run.index = [index_entries(run, 0, [(0, 0.4), (1, 0.3)])]
     run.nh, run.nm = [0], [1]
     run._reclassify_up(0)
     assert run.qhml.peek() == (pytest.approx(0.6), 0)  # max(0.4, 0.3/0.5)
@@ -398,7 +399,7 @@ def test_reclassify_up_prices_both_boundaries():
 
 def test_reclassify_up_unqueues_all_h_elements():
     run = fixture_run()
-    run.index = {0: index_entries(run, 0, [(0, 1.5)])}
+    run.index = [index_entries(run, 0, [(0, 1.5)])]
     run.nh, run.nm = [1], [1]
     run.qhml.push(0, 1.0)
     run._reclassify_up(0)
@@ -429,7 +430,7 @@ def test_priorities_rounding_up_to_tau_wait_for_the_next_step():
 
     run = make_run(m, MAX, k=4, rng_seed=0)
     run.rank[0], run.tau = r, tau
-    run.index = {0: index_entries(run, 0, [(0, 1.5), (1, c)])}
+    run.index = [index_entries(run, 0, [(0, 1.5), (1, c)])]
     run.nh, run.nm = [1], [1]
     run.est_h, run.h_count = [1.5, 0.0], [1, 0]
     run.qhml.push(0, c / r)
@@ -443,7 +444,7 @@ def test_priorities_rounding_up_to_tau_wait_for_the_next_step():
     run.qelements.push(0, 1.5 / r)
     bound_pops(run.qelements)
     run._drain()
-    assert run.index == {0: index_entries(run, 0, [(0, 1.5)])}  # the c entry is not sampled yet
+    assert run.index == [index_entries(run, 0, [(0, 1.5)])]  # the c entry is not sampled yet
     assert run.qelements.peek() == (c / r, 0)
     validate_state(run)
 
@@ -732,7 +733,7 @@ def test_each_commit_prices_only_the_surviving_entries(source, monkeypatch):
         for v in run.digests[j].top + [x]:
             after.update(v)
         t = after.thresh()
-        for i, u, _ in run.index.get(j, []):
+        for i, u, _ in run.index[j]:
             if i == new_seed or i in run.seeds:
                 continue
             if u > t:
