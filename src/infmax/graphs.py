@@ -17,7 +17,9 @@ Forward search runs one pruned search per instance from the item; a
 branch is cut once the item's utility falls below the element's
 threshold, its stored seed utility at the last positive gamma
 coefficient, which provably cannot hide any element where the item
-still has positive marginal utility.
+still has positive marginal utility.  Both read a search's next(), the
+one place a label or rank is mapped to a utility; it hands out positive
+utilities only, so a zero-utility node is never expanded.
 
 Each oracle is one loop over a row of the family table (_FAMILY_TABLE),
 so a new family is one table row plus one branch of _reference_row.  A
@@ -343,18 +345,18 @@ def simulate_instances(
 
 
 class _Frontier(RevStream):
-    """One incremental search from a source.  next() settles the next node
-    and returns it with its label; expand(v) pushes a settled node's
+    """One incremental search from a source.  next() settles nodes until
+    one has positive utility, the family's alpha map already applied, and
+    returns it with that utility; a zero-utility node is settled but never
+    returned, so no caller expands it.  expand(v) pushes a settled node's
     neighbours, so a pruned forward search can refuse to expand one.
 
-    A frontier is also its source's reverse stream: top() settles the next
-    node and maps its label, or for reverse rank its rank, to the utility
-    (ranks and amap as in GraphProblem), ending the stream at the first
-    zero; pop() expands the node it hands out, so a node that is peeked
-    but never popped is never expanded.  Ending or closing the stream
-    empties the pending container.  RevStream's iterator slot stays unset.
-    cap, the instance's longest edge lifetime, is read by the widest
-    search only.
+    A frontier is also its source's reverse stream (RevStream.top() reads
+    next()); pop() expands the node it hands out, so a node that is peeked
+    but never popped is never expanded.  Closing the stream empties the
+    pending container.  RevStream's iterator slot stays unset.  Only the
+    widest search reads cap, the instance's longest edge lifetime, and only
+    Dijkstra reads amap and ranks (reverse rank's rank row or column).
     """
 
     __slots__ = ("adj", "_pending", "_ranks", "_amap")
@@ -366,25 +368,8 @@ class _Frontier(RevStream):
         self._head = None
         self._start(source, cap)
 
-    def top(self) -> tuple[int, float] | None:
-        head = self._head
-        if head is None:
-            step = self.next()
-            if step is None:
-                return None
-            node, u = step
-            if self._ranks is not None:
-                u = float(self._ranks[node])
-            if self._amap is not None:
-                u = self._amap(u)
-            if u <= 0.0:
-                self._pending.clear()
-                return None
-            head = self._head = (node, u)
-        return head
-
     def pop(self) -> tuple[int, float] | None:
-        head = self._head or self.top()
+        head = self._head or self.next()
         if head is not None:
             self._head = None
             self.expand(head[0])
@@ -406,13 +391,20 @@ class _DijkstraFrontier(_Frontier):
         self._pending = [(0.0, source)]
 
     def next(self) -> tuple[int, float] | None:
-        heap, dist = self._pending, self.dist
+        heap, dist, ranks, amap = self._pending, self.dist, self._ranks, self._amap
         while heap:
             d, v = heappop(heap)
             if v in dist:
                 continue
             dist[v] = d
-            return v, d
+            u = amap(d if ranks is None else float(ranks[v]))
+            if u > 0.0:
+                return v, u
+            # Leaving a zero node unexpanded hides no positive one.  Labels,
+            # and ranks seen from the element node, settle non-decreasing, so
+            # the rest of the heap is zero too.  Seen from an item i, a zero
+            # node v's search-tree descendants w rank i no earlier than v: each
+            # x with d(v, x) <= d(v, i) has d(w, x) <= d(w, v) + d(v, i) = d(w, i).
         return None
 
     def expand(self, v: int) -> None:
@@ -428,14 +420,15 @@ class _DijkstraFrontier(_Frontier):
 class _WidestFrontier(_Frontier):
     """Max-min (bottleneck) variant: labels are the best minimum edge
     lifetime over paths from the source; nodes settle by decreasing label.
-    The source's own label is cap, the instance's longest lifetime."""
+    The source's own label is cap, the instance's longest lifetime; an
+    edgeless instance's cap is 0, so its search settles nothing."""
 
     __slots__ = ("label", "_seen")
 
     def _start(self, source: int, cap: float) -> None:
         self.label: dict[int, float] = {}
         self._seen = {source: cap}
-        self._pending = [(-cap, source)]
+        self._pending = [(-cap, source)] if cap > 0.0 else []
 
     def next(self) -> tuple[int, float] | None:
         heap, label = self._pending, self.label
@@ -490,24 +483,22 @@ class _FamilyRow:
     the other adjacency from the item.  alpha_of says what the family's
     alpha maps to a utility: the settled node's label ("label"), the
     element-item rank ("rank"), or nothing, the label being the utility
-    (None).  In forward search a zero utility ends the instance's search,
-    or with zero_skips only skips that branch.
+    (None).  Either way the frontier hands out positive utilities only.
     """
 
     frontier: type
     rev_adj: str
     alpha_of: str | None
     prune: Callable
-    zero_skips: bool = False
 
 
 # Distance and survival walk paths into the element node, so the reverse
 # stream runs on the transposed instance.  Reverse rank runs forward from
-# the element node, whose ranks are monotone in its own distances; the
-# same ranks are only tree-monotone seen from an item, hence zero_skips.
+# the element node, whose ranks are monotone in its own distances; seen
+# from an item, the same ranks are only monotone along the search tree.
 _FAMILY_TABLE = {
     DISTANCE: _FamilyRow(_DijkstraFrontier, "tadj", "label", operator.lt),
-    REVERSE_RANK: _FamilyRow(_DijkstraFrontier, "adj", "rank", operator.lt, zero_skips=True),
+    REVERSE_RANK: _FamilyRow(_DijkstraFrontier, "adj", "rank", operator.lt),
     REACHABILITY: _FamilyRow(_ReachFrontier, "tadj", None, operator.le),
     SURVIVAL: _FamilyRow(_WidestFrontier, "tadj", None, operator.le),
 }
@@ -520,8 +511,8 @@ class GraphProblem:
     adjacency each oracle walks, the instances' caps, the alpha map (None
     when the label is the utility) and, for reverse rank only, the rank
     tables.  A reverse stream is then one frontier, built with the
-    element's rank row and the alpha map, and a forward search reads the
-    same bound state.
+    element's rank row and the alpha map, and a forward search one per
+    instance, built with the item's rank column and the same map.
     spec is the aggregation the maximizer reads; the oracles ignore it,
     so a problem built only to query them may pass None.
     """
@@ -538,7 +529,6 @@ class GraphProblem:
         self._amap = family.alpha.map if row.alpha_of is not None else None
         self._ranks = instances.rank_table().tables if row.alpha_of == "rank" else None
         self._prune = row.prune
-        self._zero_skips = row.zero_skips
 
     def weight(self, j: int) -> float:
         return 1.0
@@ -555,39 +545,33 @@ class GraphProblem:
     def forward_stream(self, i: int, digests: list[UtilityDigest]) -> ForwardStream:
         """Pruned forward search from item i across all instances.
 
-        Expansion stops at an element whose threshold (digest.thresh())
+        Expansion stops at a node of zero utility, which the frontier
+        never hands out, and at an element whose threshold (digest.thresh())
         already beats the item's utility there, strictly or weakly as the
         family's pruning argument allows.  Yielded (element, utility, gain)
         triples are exactly the elements where the item's marginal gain is
-        positive, each with that gain.
+        positive, each with that gain; visited counts the nodes of positive
+        utility settled.
         """
         if not 0 <= i < self.n_items:
             raise ValueError(f"unknown item {i}")
         return ForwardStream(partial(self._forward_triples, i, digests))
 
     def _forward_triples(self, i: int, digests: list[UtilityDigest]) -> tuple[list, int]:
-        """The search's (element, utility, gain) triples and its settle count."""
+        """The search's (element, utility, gain) triples and its count of positive settles."""
         frontier_of, adj, caps, tables = self._frontier, self._fwd_adj, self._caps, self._ranks
-        amap, prune, zero_skips, n = self._amap, self._prune, self._zero_skips, self.n_items
+        amap, prune, n = self._amap, self._prune, self.n_items
         triples = []
         append = triples.append
         settles = 0
         for h in range(len(adj)):
             base = h * n
-            ranks = tables[h][:, i] if tables is not None else None
-            frontier = frontier_of(adj[h], i, caps[h])
+            frontier = frontier_of(adj[h], i, caps[h],
+                                   None if tables is None else tables[h][:, i], amap)
             next_, expand = frontier.next, frontier.expand
             while (step := next_()) is not None:
                 node, u = step
                 settles += 1
-                if ranks is not None:
-                    u = float(ranks[node])
-                if amap is not None:
-                    u = amap(u)
-                if u <= 0.0:
-                    if zero_skips:
-                        continue
-                    break  # settle order is by label, the rest are zero too
                 digest = digests[base + node]
                 if not prune(u, digest.thresh()):
                     expand(node)

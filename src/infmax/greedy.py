@@ -30,7 +30,7 @@ SKIM flags one validated seed and stops.  Gains are always floats.
 import heapq
 from dataclasses import dataclass
 
-from .aggregation import AggregationSpec, UtilityDigest
+from .aggregation import AggregationSpec, DigestTable
 from .matrix import SparseUtilityMatrix
 
 
@@ -80,7 +80,7 @@ def lazy_greedy(
         if stats is not None:
             stats.update(digest_ops=0, pops=0, stop="exhausted")
         return []
-    digests = [UtilityDigest(spec) for _ in range(matrix.n_elements)]
+    digests = DigestTable(matrix.n_elements, spec)
     weights = matrix.element_weights
     rows = matrix.rows
     # terms[i][k] is weights[j] * marg(u) for the k-th entry (j, u) of

@@ -3,8 +3,8 @@ brute-force baselines.
 
 Two access patterns drive the sketch-based maximizer:
 
-* reverse sorted access: for one element, stream (item, utility) pairs by
-  non-increasing utility;
+* reverse sorted access: for one element, stream the (item, utility)
+  pairs of positive utility by non-increasing utility (RevStream);
 * forward search: for one item, every element where the item still has
   positive marginal utility given the current digests, with the utility
   and that marginal.  The search runs whole at the stream's first read,
@@ -27,10 +27,12 @@ from .matrix import SparseUtilityMatrix
 
 
 class RevStream:
-    """Peekable single-pass stream over an iterator of (item, utility)
-    pairs by non-increasing utility: a sorted matrix column or a graph
-    search.  top() peeks, pop() consumes; both return None once the
-    stream is exhausted or closed."""
+    """Peekable single-pass stream of (item, utility) pairs of positive
+    utility by non-increasing utility: a sorted matrix column, or a graph
+    search (graphs._Frontier), which overrides next().  next() returns the
+    next pair, None once the stream is exhausted; top() peeks at it and
+    pop() consumes it, and both return None once it is exhausted or
+    closed."""
 
     __slots__ = ("_pairs", "_head")
 
@@ -38,17 +40,19 @@ class RevStream:
         self._pairs = pairs
         self._head: tuple[int, float] | None = None
 
+    def next(self) -> tuple[int, float] | None:
+        return next(self._pairs, None)
+
     def top(self) -> tuple[int, float] | None:
-        if self._head is None:
-            self._head = next(self._pairs, None)
-        return self._head
+        head = self._head
+        if head is None:
+            head = self._head = self.next()
+        return head
 
     def pop(self) -> tuple[int, float] | None:
-        t = self._head
-        if t is None:
-            return next(self._pairs, None)
+        head = self._head or self.next()
         self._head = None
-        return t
+        return head
 
     def close(self) -> None:
         self._pairs = iter(())

@@ -277,6 +277,37 @@ def test_cli_output_is_pinned(pinned_graph, tmp_path, family, model):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV[(family, model)]
 
 
+# SHA-256 of the CSV for alphas that reach 0 at a finite distance or rank,
+# so the graph oracles settle zero-utility nodes; the table has a 0 tail
+# and a blank line, which the reader skips
+ZERO_TAIL_TABLE = "1 1.0\n3 0.5\n\n6 0.25\n10 0\n"
+PINNED_ZERO_TAIL_CSV = {
+    ("distance", "lazy"): "739c7eab270dc78dc2529cf2038971a4d32d0c7c00d618bbbd960a557ccb0a8e",
+    ("distance", "skim"): "739c7eab270dc78dc2529cf2038971a4d32d0c7c00d618bbbd960a557ccb0a8e",
+    ("reverse-rank", "lazy"): "f526ff818687c242bca52d1154981a266e184c9629485ffa828a2d3c8db8058a",
+    ("reverse-rank", "skim"): "4ce5c39311855a36259e2b546d30abc8858a1bc77312a1dc852e3e14b53af6e8",
+}
+
+
+@pytest.mark.parametrize("family,algorithm", sorted(PINNED_ZERO_TAIL_CSV))
+def test_cli_zero_tail_alpha_output_is_pinned(pinned_graph, tmp_path, family, algorithm):
+    if family == "distance":
+        alpha = "threshold:1.5"
+    else:
+        alpha = "table:" + write(tmp_path / "alpha.txt", ZERO_TAIL_TABLE)
+    out = tmp_path / "r.csv"
+    argv = [
+        "--input", pinned_graph, "--kind", "graph", "--family", family,
+        "--alpha", alpha, "--model", "exponential", "--instances", "2",
+        "--gamma", "1,0.5", "--rng-seed", "5", "--algorithm", algorithm,
+        "--output", str(out),
+    ]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) > 3  # several seeds, not a trivial run
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_ZERO_TAIL_CSV[(family, algorithm)]
+
+
 # SHA-256 of the CSV followed by the verify lines, for lazy greedy with
 # --verify on pinned_graph; covers the reference utility matrix, lazy greedy
 # and the verify report, none of which the skim pins run
@@ -545,6 +576,40 @@ def test_verify_reports_per_seed_ratios(tmp_path, capsys):
     assert len(influence_lines) == 1
     reported, recomputed = influence_lines[0].split()[2::2]
     assert float(reported) == pytest.approx(float(recomputed), rel=1e-9)
+
+
+# SHA-256 of the CSV followed by the verify lines on a matrix of at most 20
+# items, the only size at which the report adds its prefix-optimum lines
+PINNED_SMALL_VERIFY = {
+    "exact": "a64fbf942077a4140bf44a34a1f62a38346aa85f6a1ee1c74511d75970d31441",
+    "lazy": "de905140ae73f4b2048052e09937ec5b417c32b1ded2af918f778d66f0337d71",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED_SMALL_VERIFY))
+def test_verify_reports_prefix_optima_on_small_inputs(tmp_path, capsys, algorithm):
+    # dyadic utilities; greedy misses the optimum at prefixes 3 and 4
+    rng = random.Random(2053)
+    cells = sorted(rng.sample(range(10 * 16), 50))
+    entries = [(c // 16, c % 16, rng.randrange(1, 33) / 8.0) for c in cells]
+    src = tmp_path / "m.txt"
+    write_matrix(str(src), SparseUtilityMatrix(10, 16, entries))
+    out = tmp_path / "r.csv"
+    assert main([
+        "--input", str(src), "--kind", "matrix", "--gamma", "1,0.5",
+        "--algorithm", algorithm, "--epsilon", "0", "--verify", "--output", str(out),
+    ]) == 0
+    report = capsys.readouterr().out
+    prefixes = [l.split() for l in report.splitlines() if l.startswith("verify prefix")]
+    assert [int(p[2]) for p in prefixes] == [1, 2, 3, 4]
+    for _, _, s, _, pref, _, opt, _, bound in prefixes:
+        s = int(s)
+        exact_bound = 1.0 - (1.0 - 1.0 / s) ** s
+        assert bound == f"{exact_bound:.6f}"
+        # greedy at epsilon 0 holds the (1 - (1 - 1/s)**s) guarantee
+        assert float(pref) >= exact_bound * float(opt)
+    digest = hashlib.sha256(out.read_bytes() + report.encode()).hexdigest()
+    assert digest == PINNED_SMALL_VERIFY[algorithm]
 
 
 def test_main_exit_codes(tmp_path, capsys):

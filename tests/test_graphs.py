@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instances, singleton_influence
+from conftest import random_graph, random_instances, singleton_influence
 from infmax import (
     AggregationSpec,
     Alpha,
@@ -38,6 +38,14 @@ DIST_INV = UtilityFamily("distance", INV)
 RANK_INV = UtilityFamily("reverse_rank", INV)
 REACH = UtilityFamily("reachability")
 SURV = UtilityFamily("survival")
+
+# alphas that reach 0 at a finite distance or rank, so the oracles settle
+# zero-utility nodes: a distance search can stop there, a forward search for
+# reverse rank must pass them by (a later-settled node can rank the item
+# higher), and neither may expand them
+DIST_TABLE_ZERO = UtilityFamily("distance", Alpha.table([(0.0, 1.0), (1.0, 0.5), (2.5, 0.0)]))
+RANK_THRESHOLD = UtilityFamily("reverse_rank", Alpha.threshold(2.0))
+RANK_TABLE_ZERO = UtilityFamily("reverse_rank", Alpha.table([(1.0, 1.0), (2.0, 0.5), (4.0, 0.0)]))
 
 
 def single(edges, n):
@@ -375,7 +383,10 @@ def test_rev_streams_match_reference_columns():
     fams = [
         UtilityFamily("distance", Alpha.exponential(1.5)),
         UtilityFamily("distance", Alpha.threshold(2.5)),
+        DIST_TABLE_ZERO,
         RANK_INV,
+        RANK_THRESHOLD,
+        RANK_TABLE_ZERO,
         REACH,
         SURV,
     ]
@@ -462,13 +473,19 @@ def test_pruned_search_equals_brute_force_sets():
     fams = [
         UtilityFamily("distance", Alpha.exponential(1.5)),
         UtilityFamily("distance", Alpha.threshold(2.0)),
+        DIST_TABLE_ZERO,
         RANK_INV,
+        UtilityFamily("reverse_rank", Alpha.threshold(3.0)),
+        RANK_TABLE_ZERO,
         REACH,
         SURV,
     ]
     specs = [MAX, HALF, AggregationSpec((1.0, 1.0, 0.5)), AggregationSpec((1.0, 0.0))]
-    for trial in range(4):
-        inst = random_instances(rng, 18, 2)
+    for trial in range(5):
+        if trial < 4:
+            inst = random_instances(rng, 18, 2)
+        else:  # an edgeless instance, whose survival cap is 0, beside another
+            inst = GraphInstanceSet(5, [[], list(random_graph(rng, 5).edges)])
         for fam in fams:
             ref = to_utility_matrix(inst, fam)
             spec = specs[trial % len(specs)]
@@ -636,7 +653,10 @@ def test_reachability_equals_unit_survival():
 NX_FAMILIES = {
     "distance-exp": UtilityFamily("distance", Alpha.exponential(1.5)),
     "distance-threshold": UtilityFamily("distance", Alpha.threshold(1.0)),
+    "distance-table-zero": DIST_TABLE_ZERO,
     "reverse_rank": RANK_INV,
+    "reverse_rank-threshold": RANK_THRESHOLD,
+    "reverse_rank-table-zero": RANK_TABLE_ZERO,
     "reachability": REACH,
     "survival": SURV,
 }
