@@ -17,9 +17,13 @@ Forward search runs one pruned search per instance from the item; a
 branch is cut once the item's utility falls below the element's
 threshold, its stored seed utility at the last positive gamma
 coefficient, which provably cannot hide any element where the item
-still has positive marginal utility.  Both read a search's next(), the
-one place a label or rank is mapped to a utility; it hands out positive
-utilities only, so a zero-utility node is never expanded.
+still has positive marginal utility, and prices (digest.marg) only a
+utility above that threshold.  Both read a search's next(), the one
+place a label or rank is mapped to a utility, reverse rank's through a
+per-rank list of alpha values; it hands out positive utilities only, so
+a zero-utility node is never expanded, and a search whose utilities
+settle non-increasing ends at its first zero.  A Dijkstra-family search
+keeps one dict of labels, best so far and final once settled.
 
 Each oracle is one loop over a row of the family table (_FAMILY_TABLE),
 so a new family is one table row plus one branch of _reference_row.  A
@@ -356,15 +360,18 @@ class _Frontier(RevStream):
     but never popped is never expanded.  Closing the stream empties the
     pending container.  RevStream's iterator slot stays unset.  Only the
     widest search reads cap, the instance's longest edge lifetime, and only
-    Dijkstra reads amap and ranks (reverse rank's rank row or column).
+    Dijkstra reads amap, ranks (reverse rank's rank row or column, indexed
+    by node) and monotone (whether utilities settle non-increasing).
     """
 
-    __slots__ = ("adj", "_pending", "_ranks", "_amap")
+    __slots__ = ("adj", "_pending", "_ranks", "_amap", "_monotone")
 
-    def __init__(self, adj, source: int, cap: float = 0.0, ranks=None, amap=None):
+    def __init__(self, adj, source: int, cap: float = 0.0, ranks=None, amap=None,
+                 monotone: bool = True):
         self.adj = adj
         self._ranks = ranks
         self._amap = amap
+        self._monotone = monotone
         self._head = None
         self._start(source, cap)
 
@@ -381,72 +388,74 @@ class _Frontier(RevStream):
 
 
 class _DijkstraFrontier(_Frontier):
-    """Hand-rolled incremental Dijkstra; dist holds the settled labels."""
+    """Hand-rolled incremental Dijkstra.  labels holds each node's best
+    label so far, final once the node settles: a heap entry is live only
+    while it equals its node's label, and with positive weights no
+    relaxation beats a settled label."""
 
-    __slots__ = ("dist", "_seen")
+    __slots__ = ("labels",)
 
     def _start(self, source: int, cap: float) -> None:
-        self.dist: dict[int, float] = {}
-        self._seen = {source: 0.0}
+        self.labels = {source: 0.0}
         self._pending = [(0.0, source)]
 
     def next(self) -> tuple[int, float] | None:
-        heap, dist, ranks, amap = self._pending, self.dist, self._ranks, self._amap
+        heap, labels, ranks, amap = self._pending, self.labels, self._ranks, self._amap
         while heap:
             d, v = heappop(heap)
-            if v in dist:
+            if d != labels[v]:
                 continue
-            dist[v] = d
-            u = amap(d if ranks is None else float(ranks[v]))
+            u = amap(d if ranks is None else ranks[v])
             if u > 0.0:
                 return v, u
             # Leaving a zero node unexpanded hides no positive one.  Labels,
             # and ranks seen from the element node, settle non-decreasing, so
-            # the rest of the heap is zero too.  Seen from an item i, a zero
-            # node v's search-tree descendants w rank i no earlier than v: each
-            # x with d(v, x) <= d(v, i) has d(w, x) <= d(w, v) + d(v, i) = d(w, i).
+            # the rest of the heap is zero too and a monotone search ends
+            # here.  Seen from an item i, a zero node v's search-tree
+            # descendants w rank i no earlier than v: each x with
+            # d(v, x) <= d(v, i) has d(w, x) <= d(w, v) + d(v, i) = d(w, i).
+            if self._monotone:
+                heap.clear()
         return None
 
     def expand(self, v: int) -> None:
-        dist, seen, heap, inf = self.dist, self._seen, self._pending, math.inf
-        d = dist[v]
+        labels, heap, inf = self.labels, self._pending, math.inf
+        d = labels[v]
         for w, weight in self.adj[v]:
             nd = d + weight
-            if w not in dist and nd < seen.get(w, inf):
-                seen[w] = nd
+            if nd < labels.get(w, inf):
+                labels[w] = nd
                 heappush(heap, (nd, w))
 
 
 class _WidestFrontier(_Frontier):
     """Max-min (bottleneck) variant: labels are the best minimum edge
-    lifetime over paths from the source; nodes settle by decreasing label.
-    The source's own label is cap, the instance's longest lifetime; an
-    edgeless instance's cap is 0, so its search settles nothing."""
+    lifetime over paths from the source; nodes settle by decreasing label,
+    with one label dict as in Dijkstra.  The source's own label is cap,
+    the instance's longest lifetime; an edgeless instance's cap is 0, so
+    its search settles nothing."""
 
-    __slots__ = ("label", "_seen")
+    __slots__ = ("labels",)
 
     def _start(self, source: int, cap: float) -> None:
-        self.label: dict[int, float] = {}
-        self._seen = {source: cap}
+        self.labels = {source: cap}
         self._pending = [(-cap, source)] if cap > 0.0 else []
 
     def next(self) -> tuple[int, float] | None:
-        heap, label = self._pending, self.label
+        heap, labels = self._pending, self.labels
         while heap:
             nt, v = heappop(heap)
-            if v in label:
-                continue
-            label[v] = -nt
-            return v, -nt
+            if -nt == labels[v]:
+                return v, -nt
         return None
 
     def expand(self, v: int) -> None:
-        label, seen, heap = self.label, self._seen, self._pending
-        t = label[v]
+        labels, heap = self.labels, self._pending
+        t = labels[v]
         for w, weight in self.adj[v]:
             cand = min(t, weight)
-            if w not in label and cand > seen.get(w, 0.0):
-                seen[w] = cand
+            if cand > labels.get(w, 0.0):
+                labels[w] = cand
                 heappush(heap, (-cand, w))
 
 
@@ -508,11 +517,14 @@ class GraphProblem:
     """Oracle bundle over graph instances, as consumed by the maximizer.
 
     The family's table row is resolved once, here: the frontier class, the
-    adjacency each oracle walks, the instances' caps, the alpha map (None
+    adjacency each oracle walks, the instances' caps, the utility map (None
     when the label is the utility) and, for reverse rank only, the rank
-    tables.  A reverse stream is then one frontier, built with the
-    element's rank row and the alpha map, and a forward search one per
-    instance, built with the item's rank column and the same map.
+    tables.  Reverse rank's map is a lookup in a per-rank list holding
+    alpha(float(r)) at index r = 1..n, and 0.0 at index 0, the cell of an
+    unreachable pair that no search reads.  A reverse stream is then one
+    frontier, built with the element's rank row and the map, and a forward
+    search one per instance, built with the item's rank column and the
+    same map; both rank reads are memoryviews, so a rank is a plain int.
     spec is the aggregation the maximizer reads; the oracles ignore it,
     so a problem built only to query them may pass None.
     """
@@ -526,8 +538,11 @@ class GraphProblem:
         self._rev_adj = getattr(instances, row.rev_adj)
         self._fwd_adj = instances.adj if row.rev_adj == "tadj" else instances.tadj
         self._caps = instances.caps
-        self._amap = family.alpha.map if row.alpha_of is not None else None
-        self._ranks = instances.rank_table().tables if row.alpha_of == "rank" else None
+        alpha = family.alpha.map if row.alpha_of is not None else None
+        self._amap, self._ranks = alpha, None
+        if row.alpha_of == "rank":
+            self._amap = ([0.0] + [alpha(float(r)) for r in range(1, instances.n + 1)]).__getitem__
+            self._ranks = instances.rank_table().tables
         self._prune = row.prune
 
     def weight(self, j: int) -> float:
@@ -540,7 +555,7 @@ class GraphProblem:
         h, v = divmod(j, self.n_items)
         ranks = self._ranks
         return self._frontier(self._rev_adj[h], v, self._caps[h],
-                              None if ranks is None else ranks[h][v], self._amap)
+                              None if ranks is None else memoryview(ranks[h][v]), self._amap)
 
     def forward_stream(self, i: int, digests: list[UtilityDigest]) -> ForwardStream:
         """Pruned forward search from item i across all instances.
@@ -548,10 +563,11 @@ class GraphProblem:
         Expansion stops at a node of zero utility, which the frontier
         never hands out, and at an element whose threshold (digest.thresh())
         already beats the item's utility there, strictly or weakly as the
-        family's pruning argument allows.  Yielded (element, utility, gain)
-        triples are exactly the elements where the item's marginal gain is
-        positive, each with that gain; visited counts the nodes of positive
-        utility settled.
+        family's pruning argument allows.  Only a utility above the
+        threshold is priced, as digest.marg() is exactly 0.0 at or below
+        it.  Yielded (element, utility, gain) triples are exactly the
+        elements where the item's marginal gain is positive, each with
+        that gain; visited counts the nodes of positive utility settled.
         """
         if not 0 <= i < self.n_items:
             raise ValueError(f"unknown item {i}")
@@ -564,19 +580,20 @@ class GraphProblem:
         triples = []
         append = triples.append
         settles = 0
+        monotone = tables is None  # seen from the item, ranks settle in no order
         for h in range(len(adj)):
             base = h * n
-            frontier = frontier_of(adj[h], i, caps[h],
-                                   None if tables is None else tables[h][:, i], amap)
+            column = None if tables is None else memoryview(tables[h][:, i])
+            frontier = frontier_of(adj[h], i, caps[h], column, amap, monotone)
             next_, expand = frontier.next, frontier.expand
             while (step := next_()) is not None:
                 node, u = step
                 settles += 1
                 digest = digests[base + node]
-                if not prune(u, digest.thresh()):
+                thresh = digest.thresh()
+                if not prune(u, thresh):
                     expand(node)
-                c = digest.marg(u)
-                if c > 0.0:
+                if u > thresh and (c := digest.marg(u)) > 0.0:
                     append((base + node, u, c))
         return triples, settles
 

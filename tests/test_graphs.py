@@ -1,6 +1,7 @@
 """Graph instance sets, the four utility families, and their oracles."""
 
 import hashlib
+import heapq
 import math
 import random
 from unittest import mock
@@ -349,6 +350,49 @@ def test_rank_dtype_widens_past_65535():
     assert graphs._rank_dtype(65536) == np.uint32
 
 
+@pytest.mark.parametrize("alpha", [
+    INV,
+    Alpha.exponential(2.5),
+    Alpha.threshold(3.0),
+    Alpha.table([(1.0, 1.0), (2.0, 0.5), (4.0, 0.0)]),  # zero from rank 4 on
+], ids=lambda a: a.kind)
+def test_rank_utility_table_holds_alpha_of_every_rank(alpha):
+    # reverse rank maps a rank r = 1..n through a per-rank list: entry r is
+    # alpha(float(r)) bit for bit, and entry 0, an unreachable pair's cell,
+    # is 0.0 (inverse alpha alone would map 0 to 1)
+    n = 9
+    inst = GraphInstanceSet(n, [[(v, v + 1, 1.0) for v in range(n - 1)]])
+    amap = GraphProblem(inst, UtilityFamily("reverse_rank", alpha), None)._amap
+    got = [amap(r) for r in range(n + 1)]
+    want = [0.0] + [alpha(float(r)) for r in range(1, n + 1)]
+    assert [u.hex() for u in got] == [u.hex() for u in want]
+    assert all(type(u) is float for u in got)
+    with pytest.raises(IndexError):  # no rank exceeds n
+        amap(n + 1)
+
+
+@pytest.mark.parametrize("fam", [RANK_INV, RANK_TABLE_ZERO], ids=["inverse", "table-zero"])
+def test_reverse_rank_oracles_on_a_uint16_table(fam):
+    # n = 300 stores ranks as uint16, and a forward search reads the item's
+    # column, a strided memoryview; both oracles must match _reference_row
+    rng = random.Random(83)
+    inst = random_instances(rng, 300, 2)
+    problem = GraphProblem(inst, fam, None)
+    assert all(t.dtype == np.uint16 for t in inst.rank_table().tables)
+    n = inst.n
+    rows = {(h, v): graphs._reference_row(inst, fam, h, v) for h in range(2) for v in range(n)}
+    for j in rng.sample(range(inst.n_elements), 12):
+        stream = problem.rev_stream(j)
+        assert stream._ranks.format == "H"
+        want = [(i, u) for i, u in enumerate(rows[divmod(j, n)]) if u > 0.0]
+        assert sorted(drain(stream)) == sorted(want)
+    for i in rng.sample(range(n), 12):
+        table = DigestTable(inst.n_elements, MAX)
+        got = [(j, u) for j, u, _ in problem.forward_stream(i, table)]
+        want = [(h * n + v, row[i]) for (h, v), row in rows.items() if row[i] > 0.0]
+        assert sorted(got) == sorted(want)
+
+
 # -- reverse sorted access ------------------------------------------------------------
 
 
@@ -399,6 +443,57 @@ def test_rev_streams_match_reference_columns():
                 utilities = [u for _, u in got]
                 assert all(a >= b - 1e-12 for a, b in zip(utilities, utilities[1:]))
                 assert sorted(got) == sorted(ref.cols[j])
+
+
+def pops_after_first_zero(search):
+    """Run search() with graphs.heappop counted; for each Dijkstra frontier
+    it built, the number of heap pops after the frontier settled its first
+    zero-utility node (None if it settled none).  A popped entry was live,
+    and so settled its node, when it equals the node's final label."""
+    frontiers, pops = [], []
+    start = graphs._DijkstraFrontier._start
+
+    def recording_start(self, source, cap):
+        frontiers.append(self)
+        start(self, source, cap)
+
+    def counting_heappop(heap):
+        entry = heapq.heappop(heap)
+        pops.append((id(heap), entry))
+        return entry
+
+    with mock.patch.object(graphs._DijkstraFrontier, "_start", recording_start), \
+            mock.patch.object(graphs, "heappop", counting_heappop):
+        search()
+    out = []
+    for f in frontiers:
+        mine = [entry for heap, entry in pops if heap == id(f._pending)]
+        zeros = [k for k, (d, v) in enumerate(mine) if d == f.labels[v]
+                 and f._amap(d if f._ranks is None else f._ranks[v]) == 0.0]
+        out.append(len(mine) - 1 - zeros[0] if zeros else None)
+    return out
+
+
+@pytest.mark.parametrize("fam", [
+    UtilityFamily("distance", Alpha.threshold(1.5)),
+    DIST_TABLE_ZERO,
+    RANK_THRESHOLD,
+    RANK_TABLE_ZERO,
+], ids=["distance-threshold", "distance-table-zero", "rank-threshold", "rank-table-zero"])
+def test_monotone_frontiers_pop_nothing_after_their_first_zero(fam):
+    # utilities settle non-increasing in every distance search and in
+    # reverse rank's reverse streams, so the first zero clears the heap;
+    # seen from an item, ranks do not, and that search passes zeros by
+    inst = random_instances(random.Random(89), 40, 2)
+    problem = GraphProblem(inst, fam, None)
+    rev = pops_after_first_zero(lambda: [drain(problem.rev_stream(j)) for j in range(inst.n_elements)])
+    fwd = pops_after_first_zero(lambda: [list(problem.forward_stream(i, DigestTable(inst.n_elements, MAX)))
+                                         for i in range(inst.n)])
+    assert set(rev) == {0, None} and rev.count(0) > inst.n_elements // 2
+    if fam.kind == "distance":
+        assert set(fwd) == {0, None} and fwd.count(0) > inst.n // 2
+    else:
+        assert max(p for p in fwd if p is not None) > 0
 
 
 def test_rev_stream_top_is_stable():
@@ -596,10 +691,12 @@ def test_survival_tree_paths_carry_the_threshold():
     edges = inst.instances[0]
     for src in range(0, 15, 4):
         frontier = _WidestFrontier(inst.adj[0], src, inst.caps[0])
+        label = {}  # settled labels, in settle order
         while (step := frontier.next()) is not None:
+            label[step[0]] = step[1]
             frontier.expand(step[0])
-        label = frontier.label
-        order = {v: k for k, v in enumerate(label)}  # settle order
+        assert label == frontier.labels  # a full search settles every labelled node
+        order = {v: k for k, v in enumerate(label)}
         assert order[src] == 0
         for node, t in label.items():
             assert t == pairwise_utility(inst, SURV, src, node)
