@@ -10,22 +10,28 @@ For each seed and each tree it builds `perfbench/workloads.build(workload,
 seed, scale)` and sets it up once, in a fresh child process that imports
 that tree's own sources, so no earlier set-up hides the peak.  It prints
 one JSON object with, per seed and tree, the rise of the process's peak
-RSS (`ru_maxrss`) over the set-up in MB and the bytes that the set-up
-problem's reverse-rank tables hold (0 for a workload without them).
+RSS (`ru_maxrss`) over the set-up in MB, the bytes that the set-up
+problem's reverse-rank tables hold (0 for a workload without them), and
+the bytes that the set-up problem retains.  Those are measured with
+`tracemalloc` over a second set-up in the same child, after the RSS
+reading, so tracing does not disturb the RSS figure.
 """
 
 import argparse
+import gc
 import json
 import os
 import resource
 import sys
+import tracemalloc
 
 from trees import ROOT, import_tree, parse_seeds, run_child
 
 
 def setup_peak(tree: str, workload: str, seed: int, scale: float) -> dict:
-    """One set-up of `tree`'s workload in this process: the peak RSS rise
-    over it and the bytes its rank tables hold."""
+    """Two set-ups of `tree`'s workload in this process: the peak RSS rise
+    over the first and the bytes its rank tables hold, then the bytes
+    that the second set-up's problem holds once its garbage is freed."""
     import_tree(tree)
     import workloads
 
@@ -34,8 +40,14 @@ def setup_peak(tree: str, workload: str, seed: int, scale: float) -> dict:
     problem = wl.setup()
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tables = getattr(problem, "_ranks", None) or []  # a GraphProblem's; None unless reverse rank
+    tracemalloc.start()  # counts only blocks allocated from here on
+    problem = wl.setup()  # held while its bytes are read
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
     return {"peak_rss_rise_mb": (after - before) / 1024.0,  # ru_maxrss is in KiB
-            "rank_table_bytes": sum(t.nbytes for t in tables)}
+            "rank_table_bytes": sum(t.nbytes for t in tables),
+            "retained_bytes": retained}
 
 
 def main(argv=None) -> int:

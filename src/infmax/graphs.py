@@ -671,11 +671,13 @@ def to_utility_matrix(
     """Materialize the full utility matrix through the reference routines."""
     n = instances.n
     by_element = family.kind == REVERSE_RANK
-    entries = []
-    for h in range(instances.count):
-        base = h * n
-        for src in range(n):
-            for x, u in enumerate(_reference_row(instances, family, h, src)):
-                if u > 0.0:
-                    entries.append((x, base + src, u) if by_element else (src, base + x, u))
-    return SparseUtilityMatrix(n, instances.n_elements, entries)
+
+    def entries():  # generated, so no list of every entry is held beside the matrix
+        for h in range(instances.count):
+            base = h * n
+            for src in range(n):
+                for x, u in enumerate(_reference_row(instances, family, h, src)):
+                    if u > 0.0:
+                        yield (x, base + src, u) if by_element else (src, base + x, u)
+
+    return SparseUtilityMatrix(n, instances.n_elements, entries())

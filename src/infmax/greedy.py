@@ -18,7 +18,10 @@ digest was updated since the item was last priced; the other entries keep
 their stored weighted marginal.  This is exact, because marg() is a pure
 function of the digest's state and a digest changes only when a seed is
 committed.  The gain is the sum of the same terms in row order, so every
-gain and priority equals a full re-evaluation's bit for bit.
+gain and priority equals a full re-evaluation's bit for bit.  A row is
+the matrix's pair of parallel lists, elements[i] and utilities[i]: the
+re-pricing scan walks the elements and reads a utility only for a stale
+entry, and a commit walks both together.
 
 One stopping rule serves lazy greedy, oracles.exact_greedy and SKIM: the
 first record is selected if its gain is positive, a later one only if its
@@ -82,12 +85,12 @@ def lazy_greedy(
         return []
     digests = DigestTable(matrix.n_elements, spec)
     weights = matrix.element_weights
-    rows = matrix.rows
-    # terms[i][k] is weights[j] * marg(u) for the k-th entry (j, u) of
-    # rows[i], priced when priced[i] seeds were committed; updated[j] is
-    # the seed count at element j's last update.  Against an empty digest
-    # marg(u) is u, so the terms start as w * u.
-    terms = [[weights[j] * u for j, u in row] for row in rows]
+    elements, utilities = matrix.elements, matrix.utilities
+    # terms[i][k] is weights[j] * marg(u) for j, u = elements[i][k],
+    # utilities[i][k], priced when priced[i] seeds were committed;
+    # updated[j] is the seed count at element j's last update.  Against an
+    # empty digest marg(u) is u, so the terms start as w * u.
+    terms = [[weights[j] * u for j, u in zip(row, us)] for row, us in zip(elements, utilities)]
     priced = [0] * matrix.n_items
     updated = [0] * matrix.n_elements
     heap = [(-sum(t, 0.0), i) for i, t in enumerate(terms)]  # keys distinct: order is fixed
@@ -104,11 +107,12 @@ def lazy_greedy(
         neg_p, i = heapq.heappop(heap)
         priority = -neg_p
         pops += 1
-        row, t, since = rows[i], terms[i], priced[i]
+        row, t, since = elements[i], terms[i], priced[i]
         if since < n_seeds:
-            for k, (j, u) in enumerate(row):
+            us = utilities[i]
+            for k, j in enumerate(row):
                 if updated[j] > since:
-                    t[k] = weights[j] * digests[j].marg(u)
+                    t[k] = weights[j] * digests[j].marg(us[k])
                     digest_ops += 1
             priced[i] = n_seeds
         gain = sum(t, 0.0)
@@ -116,7 +120,7 @@ def lazy_greedy(
             dropped.append(SeedRecord(i, priority, gain, cumulative, below_cutoff=True))
         elif gain >= (1.0 - epsilon) * priority:
             n_seeds += 1
-            for j, u in row:
+            for j, u in zip(row, utilities[i]):
                 digests[j].update(u)
                 updated[j] = n_seeds
             digest_ops += len(row)

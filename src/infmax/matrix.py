@@ -11,13 +11,14 @@ from typing import Iterable, Sequence
 
 
 class SparseUtilityMatrix:
-    """Utilities stored by item: rows[i] lists item i's (element, utility)
-    pairs in entry order, and m counts them.
+    """Utilities stored by item as two parallel lists: elements[i] and
+    utilities[i] list item i's entries in entry order, and m counts them.
 
     Each entry is checked in turn for an id out of range, then a utility
     that is not positive and finite, then an (item, element) pair seen
-    before; the first failure raises ValueError.  The rows are all lazy
-    greedy reads; cols and sorted_cols are derived from them on first use.
+    before; the first failure raises ValueError.  The two lists are all
+    lazy greedy and forward streams read.  rows, cols and sorted_cols are
+    derived from them on first use; no pair is kept per entry otherwise.
     """
 
     def __init__(
@@ -31,10 +32,10 @@ class SparseUtilityMatrix:
             raise ValueError("matrix dimensions must be positive")
         self.n_items = n_items
         self.n_elements = n_elements
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(n_items)]
-        # duplicates are keyed on the int i * n_elements + j: an (i, j) key
-        # tuple shares the row tuples' allocator size class, so one made
-        # between each two of them would spread a row's tuples apart
+        elements: list[list[int]] = [[] for _ in range(n_items)]
+        utilities: list[list[float]] = [[] for _ in range(n_items)]
+        # duplicates are keyed on the int i * n_elements + j, which is
+        # smaller than an (i, j) tuple
         seen = set()
         m = 0
         inf = math.inf
@@ -47,9 +48,11 @@ class SparseUtilityMatrix:
             if key in seen:
                 raise ValueError(f"duplicate entry ({i}, {j})")
             seen.add(key)
-            rows[i].append((j, float(u)))
+            elements[i].append(j)
+            utilities[i].append(float(u))
             m += 1
-        self.rows = rows
+        self.elements = elements
+        self.utilities = utilities
         self.m = m
         if element_weights is None:
             self.element_weights = [1.0] * n_elements
@@ -61,14 +64,23 @@ class SparseUtilityMatrix:
             self.element_weights = [float(w) for w in element_weights]
 
     @cached_property
+    def rows(self) -> list[list[tuple[int, float]]]:
+        """(element, utility) pairs of each item, in entry order.
+
+        Built on first use, for readers that want pairs; no library code
+        reads them.
+        """
+        return [list(zip(e, u)) for e, u in zip(self.elements, self.utilities)]
+
+    @cached_property
     def cols(self) -> list[list[tuple[int, float]]]:
         """(item, utility) pairs of each element, in ascending item id.
 
-        Built from the rows on first use; lazy greedy never reads them.
+        Built on first use; lazy greedy never reads them.
         """
         cols: list[list[tuple[int, float]]] = [[] for _ in range(self.n_elements)]
-        for i, row in enumerate(self.rows):
-            for j, u in row:
+        for i, (row_e, row_u) in enumerate(zip(self.elements, self.utilities)):
+            for j, u in zip(row_e, row_u):
                 cols[j].append((i, u))
         return cols
 

@@ -87,7 +87,12 @@ class ForwardStream:
 
 
 class MatrixProblem:
-    """Oracle bundle over an explicit matrix, as consumed by the maximizer."""
+    """Oracle bundle over an explicit matrix, as consumed by the maximizer.
+
+    A forward stream scans item i's parallel lists, matrix.elements[i] and
+    matrix.utilities[i]; a reverse stream reads matrix.sorted_cols.  Neither
+    builds the matrix's (element, utility) pairs.
+    """
 
     def __init__(self, matrix: SparseUtilityMatrix, spec: AggregationSpec):
         self.matrix = matrix
@@ -108,10 +113,11 @@ class MatrixProblem:
         """Entries of row i whose element still gains from the item, with the gain."""
         if not 0 <= i < self.n_items:
             raise ValueError(f"unknown item {i}")
-        row = self.matrix.rows[i]
+        row, us = self.matrix.elements[i], self.matrix.utilities[i]
 
         def scan():
-            return [(j, u, c) for j, u in row if (c := digests[j].marg(u)) > 0.0], len(row)
+            triples = [(j, u, c) for j, u in zip(row, us) if (c := digests[j].marg(u)) > 0.0]
+            return triples, len(row)
 
         return ForwardStream(scan)
 

@@ -232,6 +232,11 @@ def test_skim_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+# Every SHA-256 pin below was recorded with numpy 2.4.6, scipy 1.17.1 and
+# CPython 3.11.7.  numpy does not promise Generator streams stable across
+# versions (NEP 19), and from Python 3.12 builtin sum() adds floats with
+# compensation, so another version may change a pinned byte.
+
 # SHA-256 of the CSV for each (family, model) on the graph built by
 # pinned_graph; any change to an oracle that alters a byte of output shows here
 PINNED_CSV = {

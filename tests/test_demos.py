@@ -1,6 +1,8 @@
 """The demos print byte-identical output: SHA-256 of each script's stdout.
 
 A change that alters a digest must say why the demo's output changed.
+The digests were recorded with numpy 2.4.6, scipy 1.17.1 and CPython
+3.11.7; see the pins of test_cli.py for why the versions matter.
 """
 
 import hashlib

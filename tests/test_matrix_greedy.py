@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import exact_value, random_matrix, singleton_influence
 from infmax import (
     AggregationSpec,
+    DigestTable,
+    MatrixProblem,
     SeedRecord,
     SparseUtilityMatrix,
     exact_greedy,
@@ -127,6 +129,30 @@ def test_columns_are_sorted_on_first_use_only():
     assert m.cols == [[(0, 0.5), (1, 0.9)], [(1, 0.3)]]
     assert m.cols is m.cols
     assert m.sorted_cols is m.sorted_cols
+
+
+def test_rows_are_two_parallel_lists_and_no_library_read_builds_pairs():
+    entries = [(1, 2, 0.4), (0, 1, 0.5), (1, 0, 0.9), (0, 2, 0.7), (2, 1, 0.3)]
+    m = SparseUtilityMatrix(3, 3, entries)
+    for i in range(m.n_items):
+        in_order = [(j, u) for item, j, u in entries if item == i]
+        assert [*zip(m.elements[i], m.utilities[i])] == in_order
+    problem = MatrixProblem(m, HALF)
+
+    def read_streams():
+        digests = DigestTable(m.n_elements, HALF)
+        for i in range(m.n_items):
+            list(problem.forward_stream(i, digests))
+        for j in range(m.n_elements):
+            stream = problem.rev_stream(j)
+            while stream.pop() is not None:
+                pass
+
+    for read in (lambda: lazy_greedy(m, HALF, 0.0), read_streams,
+                 lambda: exact_influence(m, HALF, [0, 1, 2])):
+        read()
+        assert "rows" not in vars(m)
+    assert m.rows == [[(1, 0.5), (2, 0.7)], [(2, 0.4), (0, 0.9)], [(1, 0.3)]]
 
 
 # -- lazy greedy behaviour -------------------------------------------------------
