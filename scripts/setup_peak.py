@@ -11,10 +11,12 @@ seed, scale)` and sets it up once, in a fresh child process that imports
 that tree's own sources, so no earlier set-up hides the peak.  It prints
 one JSON object with, per seed and tree, the rise of the process's peak
 RSS (`ru_maxrss`) over the set-up in MB, the bytes that the set-up
-problem's reverse-rank tables hold (0 for a workload without them), and
-the bytes that the set-up problem retains.  Those are measured with
-`tracemalloc` over a second set-up in the same child, after the RSS
-reading, so tracing does not disturb the RSS figure.
+problem's reverse-rank tables hold (0 for a workload without them), the
+bytes that the set-up problem retains (`retained_bytes`) and the peak of
+one solve of that problem above them (`solve_peak_bytes`).  The last two
+are measured with `tracemalloc` over a second set-up and its solve in the
+same child, after the RSS reading, so tracing does not disturb the RSS
+figure.
 """
 
 import argparse
@@ -31,7 +33,8 @@ from trees import ROOT, import_tree, parse_seeds, run_child
 def setup_peak(tree: str, workload: str, seed: int, scale: float) -> dict:
     """Two set-ups of `tree`'s workload in this process: the peak RSS rise
     over the first and the bytes its rank tables hold, then the bytes
-    that the second set-up's problem holds once its garbage is freed."""
+    that the second set-up's problem holds once its garbage is freed and
+    the traced peak of one solve of it above those bytes."""
     import_tree(tree)
     import workloads
 
@@ -44,10 +47,14 @@ def setup_peak(tree: str, workload: str, seed: int, scale: float) -> dict:
     problem = wl.setup()  # held while its bytes are read
     gc.collect()
     retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    wl.solve(problem, {})
+    solve_peak = tracemalloc.get_traced_memory()[1] - retained
     tracemalloc.stop()
     return {"peak_rss_rise_mb": (after - before) / 1024.0,  # ru_maxrss is in KiB
             "rank_table_bytes": sum(t.nbytes for t in tables),
-            "retained_bytes": retained}
+            "retained_bytes": retained,
+            "solve_peak_bytes": solve_peak}
 
 
 def main(argv=None) -> int:

@@ -44,7 +44,6 @@ pairwise_utility and to_utility_matrix both read _reference_row.
 import bisect
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -358,10 +357,13 @@ class _Frontier(RevStream):
     A frontier is also its source's reverse stream (RevStream.top() reads
     next()); pop() expands the node it hands out, so a node that is peeked
     but never popped is never expanded.  Closing the stream empties the
-    pending container.  RevStream's iterator slot stays unset.  Only the
-    widest search reads cap, the instance's longest edge lifetime, and only
-    Dijkstra reads amap, ranks (reverse rank's rank row or column, indexed
-    by node) and monotone (whether utilities settle non-increasing).
+    pending heap or queue; its labels or visited set live as long as the
+    frontier, so a caller done with a stream drops it, as SKIM does once
+    the stream is retired or exhausted.  RevStream's iterator slot stays
+    unset.  Only the widest search reads cap, the instance's longest edge
+    lifetime, and only Dijkstra reads amap, ranks (reverse rank's rank row
+    or column, indexed by node) and monotone (whether utilities settle
+    non-increasing).
     """
 
     __slots__ = ("adj", "_pending", "_ranks", "_amap", "_monotone")
@@ -460,17 +462,24 @@ class _WidestFrontier(_Frontier):
 
 
 class _ReachFrontier(_Frontier):
-    """Plain BFS; every node is labelled 1."""
+    """Plain BFS; every node is labelled 1.  The queue is a plain list
+    read from position _pos, not a deque: a queue of a few nodes costs a
+    deque a whole block of slots.  The nodes already read stay in the
+    list, which so never outgrows visited."""
 
-    __slots__ = ("visited",)
+    __slots__ = ("visited", "_pos")
 
     def _start(self, source: int, cap: float) -> None:
         self.visited = {source}
-        self._pending = deque([source])
+        self._pending = [source]
+        self._pos = 0
 
     def next(self) -> tuple[int, float] | None:
-        queue = self._pending
-        return (queue.popleft(), 1.0) if queue else None
+        queue, pos = self._pending, self._pos
+        if pos < len(queue):
+            self._pos = pos + 1
+            return queue[pos], 1.0
+        return None
 
     def expand(self, v: int) -> None:
         visited, append = self.visited, self._pending.append

@@ -7,6 +7,7 @@ finite weights (default 1) that scale their contribution to influence.
 
 import math
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -72,12 +73,8 @@ class SparseUtilityMatrix:
         """
         return [list(zip(e, u)) for e, u in zip(self.elements, self.utilities)]
 
-    @cached_property
-    def cols(self) -> list[list[tuple[int, float]]]:
-        """(item, utility) pairs of each element, in ascending item id.
-
-        Built on first use; lazy greedy never reads them.
-        """
+    def _columns(self) -> list[list[tuple[int, float]]]:
+        """(item, utility) pairs of each element, in ascending item id."""
         cols: list[list[tuple[int, float]]] = [[] for _ in range(self.n_elements)]
         for i, (row_e, row_u) in enumerate(zip(self.elements, self.utilities)):
             for j, u in zip(row_e, row_u):
@@ -85,12 +82,25 @@ class SparseUtilityMatrix:
         return cols
 
     @cached_property
+    def cols(self) -> list[list[tuple[int, float]]]:
+        """(item, utility) pairs of each element, in ascending item id.
+
+        Built on first use; lazy greedy and sorted_cols never read them.
+        """
+        return self._columns()
+
+    @cached_property
     def sorted_cols(self) -> list[list[tuple[int, float]]]:
         """Columns for reverse sorted access: utility desc, id asc.
 
-        Sorted on first use; lazy greedy never reads them.
+        Built and sorted in place on first use, with no cols kept beside
+        them; lazy greedy never reads them.  The sort is stable, so equal
+        utilities keep the columns' ascending item order.
         """
-        return [sorted(col, key=lambda t: (-t[1], t[0])) for col in self.cols]
+        cols = self._columns()
+        for col in cols:
+            col.sort(key=itemgetter(1), reverse=True)
+        return cols
 
     def weight(self, j: int) -> float:
         return self.element_weights[j]

@@ -150,13 +150,19 @@ def add_seed(
 def exact_influence(
     matrix: SparseUtilityMatrix, spec: AggregationSpec, seeds: Iterable[int]
 ) -> float:
-    """Influence of a seed set by direct enumeration (no digests)."""
-    seed_list = list(seeds)
+    """Influence of a seed set by direct enumeration (no digests): each
+    element's seed utilities, gathered from the seeds' rows in seed order,
+    aggregated and summed in ascending element id.  An unknown item
+    raises ValueError."""
+    vals: dict[int, list[float]] = {}
+    for i in seeds:
+        if not 0 <= i < matrix.n_items:
+            raise ValueError(f"unknown item {i}")
+        for j, u in zip(matrix.elements[i], matrix.utilities[i]):
+            vals.setdefault(j, []).append(u)
     total = 0.0
-    for j in range(matrix.n_elements):
-        vals = matrix.column_utilities(j, seed_list)
-        if vals:
-            total += matrix.weight(j) * aggregate(spec, vals)
+    for j in sorted(vals):
+        total += matrix.weight(j) * aggregate(spec, vals[j])
     return total
 
 

@@ -19,6 +19,10 @@ by the element's reverse sorted access stream, where c is the item's
 weighted marginal utility w * marg(u) against the element's digest.
 index, the digests, the reverse streams and the two counts below are
 plain lists indexed by element id; an unsampled element's list is empty.
+An element's slot in rev holds its stream only while the stream can
+still be read: once it is retired (see below) or exhausted, nothing
+requeues the element, so the slot is set to None and the search's heap,
+labels or visited set are freed at once, not when the run returns.
 A digest changes only when a seed is committed: move_down folds the
 seed's utility in first and then prices each surviving entry once
 against the updated digest, so a stored c is never stale and no pass
@@ -189,6 +193,9 @@ class SkimRun:
         # utility over its rank
         weight, rank = problem.weight, self.rank
         tops = [stream.top() for stream in self.rev]
+        for j, t in enumerate(tops):
+            if t is None:
+                self.rev[j] = None  # empty: never drained
         self.qelements = LazyMaxQueue(
             [(j, weight(j) * t[1] / rank[j]) for j, t in enumerate(tops) if t is not None]
         )
@@ -261,7 +268,9 @@ class SkimRun:
         at the first utility at or below the digest's threshold: such a
         utility lands past the last positive gamma coefficient, so its
         marginal and every later one is exactly zero, and the threshold
-        never falls.
+        never falls.  A retired or exhausted stream is dropped from rev:
+        neither path requeues j, so nothing reads its slot again.  The
+        stream is read only through top, pop and close.
         """
         stream = self.rev[j]
         top, pop = stream.top, stream.pop
@@ -277,6 +286,7 @@ class SkimRun:
             i, u = t
             if u <= thresh:
                 stream.close()  # utilities only shrink from here; retire
+                self.rev[j] = None
                 break
             if i in seeds:
                 pop()
@@ -290,6 +300,8 @@ class SkimRun:
                 break
             pop()
             entries.append((i, u, c))
+        else:
+            self.rev[j] = None  # exhausted
         n = len(entries)
         self.stats["rev_pops"] += n - start
         if n > start and self.nm[j] == start:  # no L entry before the new ones

@@ -496,15 +496,22 @@ def test_monotone_frontiers_pop_nothing_after_their_first_zero(fam):
         assert max(p for p in fwd if p is not None) > 0
 
 
-def test_rev_stream_top_is_stable():
-    g = single([(0, 1, 1.0), (2, 1, 3.0)], 3)
-    s = GraphProblem(g, SURV, None).rev_stream(1)
-    assert s.top() == s.top()
-    first = s.pop()
-    assert first[0] == 1
-    assert s.top()[0] == 2
+@pytest.mark.parametrize("fam", [DIST_INV, RANK_INV, REACH, SURV], ids=lambda f: f.kind)
+def test_rev_stream_top_is_stable(fam):
+    # every frontier, heap or BFS list queue, keeps RevStream's contract:
+    # top() peeks without consuming, pop() hands out the head, and a
+    # closed stream hands out nothing, its peeked head included
+    g = single([(0, 1, 1.0), (2, 1, 3.0), (1, 2, 2.0)], 3)
+    problem = GraphProblem(g, fam, None)
+    want = drain(problem.rev_stream(1))
+    assert len(want) >= 2 and want[0][0] == 1  # the element node first
+    s = problem.rev_stream(1)
+    assert s.top() == s.top() == want[0]
+    assert s.pop() == want[0]
+    assert s.top() == s.top() == want[1]
     s.close()
     assert s.pop() is None
+    assert s.top() is None
 
 
 @pytest.mark.parametrize("fam", [DIST_INV, RANK_INV, REACH, SURV], ids=lambda f: f.kind)

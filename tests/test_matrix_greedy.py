@@ -129,6 +129,10 @@ def test_columns_are_sorted_on_first_use_only():
     assert m.cols == [[(0, 0.5), (1, 0.9)], [(1, 0.3)]]
     assert m.cols is m.cols
     assert m.sorted_cols is m.sorted_cols
+    # sorted_cols read first leaves no cols cached beside it
+    fresh = SparseUtilityMatrix(2, 2, [(1, 0, 0.9), (0, 0, 0.5), (1, 1, 0.3)])
+    assert fresh.sorted_cols == [[(1, 0.9), (0, 0.5)], [(1, 0.3)]]
+    assert "cols" not in vars(fresh)
 
 
 def test_rows_are_two_parallel_lists_and_no_library_read_builds_pairs():

@@ -306,6 +306,14 @@ def test_exact_influence_weighted_element():
     assert exact_influence(m, MAX, [0, 1, 2]) == 1.0
 
 
+@pytest.mark.parametrize("seeds", [[3], [0, -1]])
+def test_exact_influence_rejects_unknown_items(seeds):
+    # a seed's row is read by index, so -1 would read the last item's
+    m = SparseUtilityMatrix(3, 1, [(0, 0, 1.0), (1, 0, 0.5), (2, 0, 0.2)])
+    with pytest.raises(ValueError, match="unknown item"):
+        exact_influence(m, MAX, seeds)
+
+
 def test_exact_influence_singleton_is_row_sum():
     rng = random.Random(8)
     m = random_matrix(rng, 5, 9, density=0.6)

@@ -18,6 +18,7 @@ def test_tree_against_itself_reports_each_setup(capsys):
             # two instances of a 12-node graph, one byte per rank
             assert row[side]["rank_table_bytes"] == 2 * 12 * 12
             assert row[side]["retained_bytes"] >= row[side]["rank_table_bytes"]
+            assert row[side]["solve_peak_bytes"] > 0
             assert row[side]["peak_rss_rise_mb"] >= 0.0
 
 
@@ -31,4 +32,5 @@ def test_lazy_matrix_setup_reports_the_bytes_its_matrix_retains(capsys):
     for side in ("parent", "change"):
         assert row[side]["rank_table_bytes"] == 0
         assert row[side]["retained_bytes"] >= 2 * 8 * 37 * 40
+        assert row[side]["solve_peak_bytes"] > 0
         assert row[side]["peak_rss_rise_mb"] >= 0.0

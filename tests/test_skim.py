@@ -752,6 +752,47 @@ def test_each_commit_prices_only_the_surviving_entries(source, monkeypatch):
     assert priced[0] == expected[0]
 
 
+class RecordingStream:
+    """A reverse stream that notes when it is closed or reads as exhausted."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self.done = False
+
+    def top(self):
+        t = self._stream.top()
+        self.done |= t is None
+        return t
+
+    def pop(self):
+        t = self._stream.pop()
+        self.done |= t is None
+        return t
+
+    def close(self):
+        self._stream.close()
+        self.done = True
+
+
+@pytest.mark.parametrize("source", sorted(GRAPH_FAMILIES) + ["matrix"])
+def test_a_run_drops_each_stream_it_is_done_with(source):
+    # a retired or exhausted stream is never read again, so the run sets
+    # its slot to None, freeing the search, and keeps every other stream
+    problem = fixture_problem(source, "top3")
+    streams = []
+    rev_stream = problem.rev_stream
+
+    def recording_rev_stream(j):
+        streams.append(RecordingStream(rev_stream(j)))
+        return streams[-1]
+
+    problem.rev_stream = recording_rev_stream
+    run = SkimRun(problem, k=8, rng_seed=3, rank_mode="permutation")
+    assert run.run()
+    assert any(s.done for s in streams)
+    assert run.rev == [None if s.done else s for s in streams]
+
+
 @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
 def test_items_are_pushed_once_per_pass(family):
     # a pass pushes an item at most once, the first time it is seen or
