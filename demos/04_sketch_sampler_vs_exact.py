@@ -37,9 +37,8 @@ seq = run_skim(GraphProblem(inst, family, spec), k=32, rng_seed=3, stats=stats)
 
 ref = to_utility_matrix(inst, family)
 dense = np.zeros((ref.n_items, ref.n_elements))
-for i, row in enumerate(ref.rows):
-    for j, u in row:
-        dense[i, j] = u
+for i in range(ref.n_items):
+    dense[i, ref.elements[i]] = ref.utilities[i]
 
 print(f"{n}-node graph, 2 instances, {inst.n_elements} elements, k=32")
 print(f"forward-search yields: {stats['forward_yields']}, "

@@ -76,11 +76,15 @@ def dominates(a: Iterable[float], b: Iterable[float]) -> bool:
 
 
 def aggregate(spec: AggregationSpec, values: Iterable[float]) -> float:
-    """Apply the aggregation to a multiset of non-negative utilities."""
+    """Apply the aggregation to a multiset of non-negative utilities,
+    summed left to right (sum() compensates from Python 3.12)."""
     ordered = sorted(values, reverse=True)
     if ordered and ordered[-1] < 0:
         raise ValueError("utilities must be non-negative")
-    return sum(g * v for g, v in zip(spec.gamma, ordered))
+    total = 0.0
+    for g, v in zip(spec.gamma, ordered):
+        total += g * v
+    return total
 
 
 class UtilityDigest:

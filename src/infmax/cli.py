@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return run(args)
-    except (ParseError, ConfigError, ValueError) as e:
+    except ValueError as e:  # ParseError and ConfigError included
         print(f"infmax: {e}", file=sys.stderr)
         return 2
 

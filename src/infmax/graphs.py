@@ -227,8 +227,10 @@ def ranks_from_distances(dist_row: np.ndarray) -> np.ndarray:
 class GraphInstanceSet:
     """A set of directed graph instances over one shared node set.
 
-    Element ids enumerate (node, instance) pairs as h * n + v.  Transposed
-    adjacency keeps incoming edges sorted by weight.
+    Element ids enumerate (node, instance) pairs as h * n + v.  adj and
+    tadj list each node's outgoing and incoming edges in edge order, which
+    no utility depends on: Dijkstra-family searches pop by (label, node)
+    and keep each node's best label, and BFS hands out every node at 1.
     """
 
     def __init__(self, n: int, instances: list[list[tuple[int, int, float]]]):
@@ -250,8 +252,6 @@ class GraphInstanceSet:
                 fwd[s].append((d, float(w)))
                 rev[d].append((s, float(w)))
                 cap = max(cap, float(w))
-            for lst in rev:
-                lst.sort(key=lambda t: (t[1], t[0]))
             self.adj.append(fwd)
             self.tadj.append(rev)
             self.caps.append(cap)
@@ -331,8 +331,11 @@ def simulate_instances(
                 [(s, d, 1.0) for (s, d, w), x in zip(base.edges, draws) if x < w]
             )
     elif model == "exponential":
-        # one draw per edge, in edge order
-        scales = 1.0 / np.array([w for _, _, w in base.edges], dtype=float)
+        # one draw per edge, in edge order; Python's 1.0 / rate overflows unwarned
+        scales = [1.0 / float(w) for _, _, w in base.edges]
+        for (s, d, w), scale in zip(base.edges, scales):
+            if scale == math.inf:
+                raise ValueError(f"edge ({s}, {d}) has rate {w!r}, too small: 1/rate overflows")
         for _ in range(count):
             lengths = rng.exponential(scales).tolist()
             instances.append(

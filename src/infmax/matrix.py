@@ -18,8 +18,8 @@ class SparseUtilityMatrix:
     Each entry is checked in turn for an id out of range, then a utility
     that is not positive and finite, then an (item, element) pair seen
     before; the first failure raises ValueError.  The two lists are all
-    lazy greedy and forward streams read.  rows, cols and sorted_cols are
-    derived from them on first use; no pair is kept per entry otherwise.
+    lazy greedy and forward streams read; only sorted_cols, the columns
+    reverse streams read, is derived from them, on first use.
     """
 
     def __init__(
@@ -65,47 +65,21 @@ class SparseUtilityMatrix:
             self.element_weights = [float(w) for w in element_weights]
 
     @cached_property
-    def rows(self) -> list[list[tuple[int, float]]]:
-        """(element, utility) pairs of each item, in entry order.
+    def sorted_cols(self) -> list[list[tuple[int, float]]]:
+        """(item, utility) pairs of each element for reverse sorted access:
+        utility desc, id asc.
 
-        Built on first use, for readers that want pairs; no library code
-        reads them.
+        Built on first use; lazy greedy never reads them.  Each column is
+        filled in ascending item id and sorted stably, so equal utilities
+        keep that order.
         """
-        return [list(zip(e, u)) for e, u in zip(self.elements, self.utilities)]
-
-    def _columns(self) -> list[list[tuple[int, float]]]:
-        """(item, utility) pairs of each element, in ascending item id."""
         cols: list[list[tuple[int, float]]] = [[] for _ in range(self.n_elements)]
         for i, (row_e, row_u) in enumerate(zip(self.elements, self.utilities)):
             for j, u in zip(row_e, row_u):
                 cols[j].append((i, u))
-        return cols
-
-    @cached_property
-    def cols(self) -> list[list[tuple[int, float]]]:
-        """(item, utility) pairs of each element, in ascending item id.
-
-        Built on first use; lazy greedy and sorted_cols never read them.
-        """
-        return self._columns()
-
-    @cached_property
-    def sorted_cols(self) -> list[list[tuple[int, float]]]:
-        """Columns for reverse sorted access: utility desc, id asc.
-
-        Built and sorted in place on first use, with no cols kept beside
-        them; lazy greedy never reads them.  The sort is stable, so equal
-        utilities keep the columns' ascending item order.
-        """
-        cols = self._columns()
         for col in cols:
             col.sort(key=itemgetter(1), reverse=True)
         return cols
 
     def weight(self, j: int) -> float:
         return self.element_weights[j]
-
-    def column_utilities(self, j: int, items: Iterable[int]) -> list[float]:
-        """Utilities of the given items at element j (zeros dropped)."""
-        lookup = dict(self.cols[j])
-        return [lookup[i] for i in items if i in lookup]

@@ -123,9 +123,13 @@ class MatrixProblem:
 
 
 def marg_gain(problem, i: int, digests: list[UtilityDigest]) -> float:
-    """Marginal influence of item i against the current digests; no mutation."""
+    """Marginal influence of item i against the current digests, summed
+    left to right as add_seed sums it; no mutation."""
     weight = problem.weight
-    return sum((weight(j) * c for j, _, c in problem.forward_stream(i, digests)), 0.0)
+    gain = 0.0
+    for j, _, c in problem.forward_stream(i, digests):
+        gain += weight(j) * c
+    return gain
 
 
 def add_seed(

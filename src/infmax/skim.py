@@ -65,10 +65,11 @@ the only code that raises an estimate, marks its items dirty for _flush.
 
 A seed is committed from the forward search that validated it.  Forward
 streams yield (element, utility, marginal) triples, the marginal being
-the one the search's yield test computed, so the validation sums them
-without pricing a pair again.  It keeps the (element, utility) pairs it
-consumed, and nothing changes a digest between the two, so the commit
-walks those pairs instead of searching again.
+the one the search's yield test computed, so next_seed sums them
+without pricing a pair again.  It returns the (element, utility) pairs
+it consumed with the gain, and run commits those values at once, with
+no digest changed in between, so the commit walks the pairs instead of
+searching again.
 """
 
 import heapq
@@ -184,8 +185,6 @@ class SkimRun:
         self.qhml = LazyMaxQueue()
         self.dirty: set[int] = set()  # items touched since the last _flush
         self.seeds: set[int] = set()
-        # (item, seed count, exact gain, consumed pairs) of the last validation
-        self._validated: tuple[int, int, float, list[tuple[int, float]]] | None = None
         self.records: GreedySequence = []
         self.coverage = 0.0
 
@@ -309,33 +308,20 @@ class SkimRun:
 
     # -- seed selection ------------------------------------------------------
 
-    def next_seed(self) -> tuple[int, float] | None:
+    def next_seed(self) -> tuple[int, float, float, list[tuple[int, float]]] | None:
         """Try to certify the largest estimate, _top's, as the next seed.
 
-        Returns None when it is below k * tau, or when it fails its
-        exact-gain validation (its priority is then the exact gain, and
-        sampling continues).
+        One forward search gives its exact gain, the sum of w * c over the
+        search's (j, u, c) triples, c being the marginal the search already
+        computed.  Returns (item, estimate, gain, consumed (j, u) pairs)
+        when the gain holds up; None when the estimate is below k * tau or
+        the gain fails (the item's priority is then the gain).
         """
         top = self._top()
         if top is None or top[0] < self.k * self.tau:
             return None
         est, i = top
         self.qitems.pop()
-        exact = self._marg_gain(i)
-        self.stats["exact_evals"] += 1
-        if exact >= (1.0 - 1.0 / math.sqrt(self.k)) * est:
-            return i, est
-        self.qitems.push(i, exact)
-        return None
-
-    def _marg_gain(self, i: int) -> float:
-        """Exact marginal gain of i by one forward search.
-
-        The gain sums w * c over the search's (j, u, c) triples; c is the
-        marginal the search already computed, so no pair is priced twice.
-        The consumed (j, u) pairs are kept with the gain and the seed
-        count, so that committing i (_process_seed) needs no second search.
-        """
         pairs = []
         append, weight = pairs.append, self.problem.weight
         gain = 0.0
@@ -343,29 +329,25 @@ class SkimRun:
             append((j, u))
             gain += weight(j) * c
         self.stats["forward_yields"] += len(pairs)
-        self._validated = (i, len(self.seeds), gain, pairs)
-        return gain
+        self.stats["exact_evals"] += 1
+        if gain >= (1.0 - 1.0 / math.sqrt(self.k)) * est:
+            return i, est, gain, pairs
+        self.qitems.push(i, gain)
+        return None
 
-    def _process_seed(self, i: int, est: float) -> float:
-        """Commit i from the pairs its validation search consumed.
-
-        A search yields each element at most once and only update()
-        changes a digest, so these are the pairs, and the validation's
-        gain the sum, that a fresh search would give now.  move_down folds
-        each pair's utility into its element's digest.
+    def _process_seed(self, i: int, est: float, gain: float, pairs: list) -> None:
+        """Commit i with the gain and pairs next_seed just returned: no
+        digest has changed since, so a fresh search would give the same.
+        i joins the seeds first, so move_down, which folds each pair's
+        utility into its element's digest, drops i's entries unpriced.
         """
-        if self._validated is None or self._validated[:2] != (i, len(self.seeds)):
-            raise RuntimeError(f"item {i} was not validated against the current seeds")
-        _, _, gain, pairs = self._validated
-        self._validated = None
-        for j, u in pairs:
-            self.move_down(j, u, i)
         self.seeds.add(i)
+        for j, u in pairs:
+            self.move_down(j, u)
         self._flush()
         self.coverage += gain
         self.records.append(SeedRecord(i, est, gain, self.coverage))
         self.stats["tau"].append(self.tau)
-        return gain
 
     # -- segment maintenance ---------------------------------------------------
 
@@ -417,14 +399,15 @@ class SkimRun:
         else:
             self.qhml.remove(j)  # every entry is H, or none is left
 
-    def move_down(self, j: int, x: float, new_seed: int) -> None:
-        """Fold utility x of the new seed into element j's digest, then
-        reclassify j's entries against the updated digest.
+    def move_down(self, j: int, x: float) -> None:
+        """Fold utility x of the newest seed, already in seeds, into
+        element j's digest, then reclassify j's entries against the
+        updated digest.
 
         One loop takes off every H and M entry's old contribution, which
         only lowers estimates, and prices the entries once, nc = w *
-        marg(u), keeping them in order with nc; the new seed's and other
-        seeds' entries are dropped unpriced, and so is any with nc zero.
+        marg(u), keeping them in order with nc; seeds' entries, the new
+        seed's included, are dropped unpriced, and so is any with nc zero.
         Pricing stops at the first utility at or below the digest's
         threshold: its marginal, like every later one, is exactly zero.
         _reclassify_up then classes the kept entries from counts of 0.
@@ -452,7 +435,7 @@ class SkimRun:
                     est_m[i] -= 1
             elif u <= thresh:
                 break  # an L entry with a zero marginal, and so is the rest
-            if u > thresh and i != new_seed and i not in seeds:
+            if u > thresh and i not in seeds:
                 nc = w * marg(u)
                 if nc > 0.0:
                     kept.append((i, u, nc))
@@ -478,9 +461,9 @@ class SkimRun:
         while len(self.seeds) < n:
             res = self.next_seed()
             if res is not None:
-                gain = self._validated[2]
+                i, est, gain, _ = res
                 if gain <= selection_cutoff(self.records, n):
-                    self.records.append(SeedRecord(*res, gain, self.coverage, below_cutoff=True))
+                    self.records.append(SeedRecord(i, est, gain, self.coverage, below_cutoff=True))
                     stop = "cutoff"
                     break
                 self._process_seed(*res)

@@ -77,9 +77,43 @@ def random_instances(
     return GraphInstanceSet(n, sets)
 
 
+def row(matrix: SparseUtilityMatrix, i: int) -> list[tuple[int, float]]:
+    """Item i's (element, utility) pairs, in entry order."""
+    return list(zip(matrix.elements[i], matrix.utilities[i]))
+
+
+def column(matrix: SparseUtilityMatrix, j: int, items=None) -> list[tuple[int, float]]:
+    """(item, utility) pairs at element j, in the order of items (ascending
+    item id by default); an item with no entry there is left out.  Read
+    from the rows, independently of sorted_cols, for brute-force references."""
+    pairs = []
+    for i in range(matrix.n_items) if items is None else items:
+        elements = matrix.elements[i]
+        if j in elements:
+            pairs.append((i, matrix.utilities[i][elements.index(j)]))
+    return pairs
+
+
+def column_utilities(matrix: SparseUtilityMatrix, j: int, items) -> list[float]:
+    """Utilities of the given items at element j, in the items' order;
+    an item with no entry there is left out."""
+    return [u for _, u in column(matrix, j, items)]
+
+
 def singleton_influence(matrix: SparseUtilityMatrix, i: int) -> float:
     """Influence of {i} alone: the weighted sum of its row, in row order."""
-    return sum(matrix.element_weights[j] * u for j, u in matrix.rows[i])
+    return sum(matrix.element_weights[j] * u for j, u in row(matrix, i))
+
+
+def compensated_sum(values, start=0.0) -> float:
+    """Python 3.12's float sum(): Neumaier compensation (CPython gh-100425),
+    patched in for sum() to show which results would change from 3.12 on."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
 
 
 def exact_value(spec, values) -> Fraction:

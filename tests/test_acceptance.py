@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_instances, random_matrix
+from conftest import column_utilities, random_instances, random_matrix, row
 from infmax import (
     AggregationSpec,
     Alpha,
@@ -117,14 +117,14 @@ def test_criterion_3_greedy_guarantee():
 
 
 def brute_positive_sets(ref, spec, seeds):
-    base_vals = [ref.column_utilities(j, seeds) for j in range(ref.n_elements)]
+    base_vals = [column_utilities(ref, j, seeds) for j in range(ref.n_elements)]
     base = [aggregate(spec, vals) for vals in base_vals]
     out = {}
     for i in range(ref.n_items):
         if i in seeds:
             continue
         want = set()
-        for j, u in ref.rows[i]:
+        for j, u in row(ref, i):
             if aggregate(spec, base_vals[j] + [u]) - base[j] > 0:
                 want.add(j)
         out[i] = want
@@ -155,7 +155,7 @@ def test_criterion_4_oracle_equivalence():
                 seeds = rng.sample(range(inst.n), size)
                 table = DigestTable(ref.n_elements, spec)
                 for s in seeds:
-                    for j, u in ref.rows[s]:
+                    for j, u in row(ref, s):
                         table[j].update(u)
                 want = brute_positive_sets(ref, spec, seeds)
                 for i in range(inst.n):
@@ -179,11 +179,11 @@ def test_criterion_5_estimator_unbiasedness():
     ref = to_utility_matrix(inst, fam)
     seeds = [3, 11]
     item = 7
-    base_vals = [ref.column_utilities(j, seeds) for j in range(ref.n_elements)]
+    base_vals = [column_utilities(ref, j, seeds) for j in range(ref.n_elements)]
     margs = np.array(
         [
             aggregate(HALF, base_vals[j] + [u]) - aggregate(HALF, base_vals[j])
-            for j, u in ref.rows[item]
+            for j, u in row(ref, item)
         ]
     )
     margs = margs[margs > 0]
@@ -212,9 +212,8 @@ def test_criterion_6_skim_step_quality():
         fam = UtilityFamily("distance", Alpha.exponential(1.0))
         ref = to_utility_matrix(inst, fam)
         dense = np.zeros((ref.n_items, ref.n_elements))
-        for i, row in enumerate(ref.rows):
-            for j, u in row:
-                dense[i, j] = u
+        for i in range(ref.n_items):
+            dense[i, ref.elements[i]] = ref.utilities[i]
         for rng_seed in range(4):
             seq = run_skim(GraphProblem(inst, fam, MAX), k=64, rng_seed=rng_seed)
             covered = np.zeros(ref.n_elements)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_value
-from infmax import AggregationSpec, DigestTable, UtilityDigest, aggregate, dominates
+from conftest import compensated_sum, exact_value
+from infmax import AggregationSpec, DigestTable, UtilityDigest, aggregate, aggregation, dominates
 
 MAX = AggregationSpec.maximum()
 HALF = AggregationSpec((1.0, 0.5))
@@ -128,6 +128,12 @@ def test_aggregate_weighted_pair_example():
 
 def test_aggregate_max_example():
     assert aggregate(MAX, [1.0, 0.5, 0.2]) == 1.0
+
+
+def test_aggregate_sums_left_to_right(monkeypatch):
+    # a compensated sum, as sum() is from Python 3.12, gives 1 + 2**-52 here
+    monkeypatch.setattr(aggregation, "sum", compensated_sum, raising=False)
+    assert aggregate(AggregationSpec.top(3), [1e-16, 1.0, 1e-16]) == 1.0
 
 
 def test_aggregate_empty_is_zero():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, row
 from infmax import DirectedGraph, GraphInstanceSet, SeedRecord, SparseUtilityMatrix
 from infmax.cli import (
     ConfigError,
@@ -43,8 +43,8 @@ def write_graph(path: str, graph: DirectedGraph) -> None:
 def write_matrix(path: str, matrix: SparseUtilityMatrix) -> None:
     with open(path, "w") as fh:
         fh.write(f"{matrix.n_items} {matrix.n_elements}\n")
-        for i, row in enumerate(matrix.rows):
-            for j, u in row:
+        for i in range(matrix.n_items):
+            for j, u in row(matrix, i):
                 fh.write(f"{i} {j} {float(u)!r}\n")
 
 
@@ -112,13 +112,14 @@ def test_matrix_round_trip(tmp_path):
     p = write(tmp_path / "m.txt", "3 2\n0 0 0.25\n2 1 1.75\n1 0 0.5\n")
     m = read_matrix(p)
     # a utility not exact in 12 digits, and a numpy scalar
-    entries = [(i, j, u) for i, row in enumerate(m.rows) for j, u in row]
+    entries = [(i, j, u) for i in range(m.n_items) for j, u in row(m, i)]
     entries += [(0, 1, 0.1 + 0.2), (1, 1, np.float64(2.0) / 3.0)]
     m = SparseUtilityMatrix(m.n_items, m.n_elements, entries)
     q = tmp_path / "m2.txt"
     write_matrix(str(q), m)
     back = read_matrix(str(q))
-    assert back.rows == m.rows and back.n_items == m.n_items
+    assert back.elements == m.elements and back.utilities == m.utilities
+    assert back.n_items == m.n_items
 
 
 def test_parse_alpha_forms(tmp_path):
@@ -634,10 +635,16 @@ def test_main_exit_codes(tmp_path, capsys):
         "--input", graph, "--kind", "graph", "--family", "distance",
         "--alpha", f"table:{missing}",
     ]) == 2
+    tiny = write(tmp_path / "tiny.txt", "2 1\n0 1 1e-310\n")  # positive and finite
+    assert main([
+        "--input", tiny, "--kind", "graph", "--family", "distance",
+        "--alpha", "exp:1", "--model", "exponential",
+    ]) == 2
     unwritable = str(tmp_path / "no-such-dir" / "r.csv")
     assert main(["--input", src, "--kind", "matrix", "--output", unwritable]) == 2
     err = capsys.readouterr().err
     assert err.count(f"infmax: {missing}: cannot read") == 2
+    assert f"infmax: {tiny}: edge (0, 1) has rate 1e-310, too small: 1/rate overflows\n" in err
     assert f"infmax: {unwritable}: cannot write: " in err
     assert "Traceback" not in err
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_value, random_matrix, singleton_influence
+from conftest import exact_value, random_matrix, row, singleton_influence
 from infmax import (
     AggregationSpec,
     DigestTable,
@@ -108,11 +108,15 @@ def outcome(build, *args):
 @example(2, 2, [(0, 0, 1.0), (0, 0, math.nan)])
 @example(2, 2, [(2, 0, 0.0)])
 def test_matrix_rows_and_errors_match_a_tuple_keyed_reference(n_items, n_elements, entries):
-    got = outcome(lambda *a: SparseUtilityMatrix(*a).rows, n_items, n_elements, entries)
+    def matrix_rows(*args):
+        m = SparseUtilityMatrix(*args)
+        return [row(m, i) for i in range(m.n_items)]
+
+    got = outcome(matrix_rows, n_items, n_elements, entries)
     assert got == outcome(tuple_keyed_rows, n_items, n_elements, entries)
     if got[0] == "rows":
         assert SparseUtilityMatrix(n_items, n_elements, entries).m == len(entries)
-        assert all(type(u) is float for row in got[1] for _, u in row)
+        assert all(type(u) is float for pairs in got[1] for _, u in pairs)
 
 
 def test_sorted_columns_break_ties_by_item():
@@ -122,17 +126,11 @@ def test_sorted_columns_break_ties_by_item():
 
 def test_columns_are_sorted_on_first_use_only():
     m = SparseUtilityMatrix(2, 2, [(1, 0, 0.9), (0, 0, 0.5), (1, 1, 0.3)])
-    assert "cols" not in vars(m) and "sorted_cols" not in vars(m)
+    assert "sorted_cols" not in vars(m)
     lazy_greedy(m, HALF, 0.0)
-    # lazy greedy reads neither
-    assert "cols" not in vars(m) and "sorted_cols" not in vars(m)
-    assert m.cols == [[(0, 0.5), (1, 0.9)], [(1, 0.3)]]
-    assert m.cols is m.cols
+    assert "sorted_cols" not in vars(m)  # lazy greedy never reads them
+    assert m.sorted_cols == [[(1, 0.9), (0, 0.5)], [(1, 0.3)]]
     assert m.sorted_cols is m.sorted_cols
-    # sorted_cols read first leaves no cols cached beside it
-    fresh = SparseUtilityMatrix(2, 2, [(1, 0, 0.9), (0, 0, 0.5), (1, 1, 0.3)])
-    assert fresh.sorted_cols == [[(1, 0.9), (0, 0.5)], [(1, 0.3)]]
-    assert "cols" not in vars(fresh)
 
 
 def test_rows_are_two_parallel_lists_and_no_library_read_builds_pairs():
@@ -152,11 +150,12 @@ def test_rows_are_two_parallel_lists_and_no_library_read_builds_pairs():
             while stream.pop() is not None:
                 pass
 
+    fields = {"n_items", "n_elements", "elements", "utilities", "m", "element_weights"}
     for read in (lambda: lazy_greedy(m, HALF, 0.0), read_streams,
                  lambda: exact_influence(m, HALF, [0, 1, 2])):
         read()
-        assert "rows" not in vars(m)
-    assert m.rows == [[(1, 0.5), (2, 0.7)], [(2, 0.4), (0, 0.9)], [(1, 0.3)]]
+        # no read caches pairs beside the two lists but the reverse streams' columns
+        assert set(vars(m)) <= fields | {"sorted_cols"}
 
 
 # -- lazy greedy behaviour -------------------------------------------------------
@@ -300,13 +299,13 @@ def full_reevaluation_lazy_greedy(matrix, spec, epsilon, stats):
         neg_p, i = heapq.heappop(heap)
         priority = -neg_p
         pops += 1
-        row = matrix.rows[i]
-        gain = sum((weights[j] * digests[j].marg(u) for j, u in row), 0.0)
+        pairs = row(matrix, i)
+        gain = sum((weights[j] * digests[j].marg(u) for j, u in pairs), 0.0)
         if gain <= cutoff:
             dropped.append(SeedRecord(i, priority, gain, cumulative, below_cutoff=True))
         elif gain >= (1.0 - epsilon) * priority:
             cutoff = max_single / (matrix.n_items ** 2)
-            for j, u in row:
+            for j, u in pairs:
                 digests[j].update(u)
             cumulative += gain
             seq.append(SeedRecord(i, priority, gain, cumulative))
@@ -380,7 +379,7 @@ def exact_gain(matrix, spec, seen, i):
     return sum(
         (Fraction(matrix.element_weights[j])
          * (exact_value(spec, seen[j] + [u]) - exact_value(spec, seen[j]))
-         for j, u in matrix.rows[i]),
+         for j, u in row(matrix, i)),
         Fraction(0),
     )
 
@@ -426,7 +425,7 @@ def assert_picks_exact_argmax_up_to_rounding(m, spec, seq):
     shrink, so the picked item's exact gain g and the exact maximum g*
     satisfy (1 + delta) g >= (1 - delta) g*, i.e. g* - g <= 2 delta g*.
     """
-    r = max(len(row) for row in m.rows)
+    r = max(map(len, m.elements))
     t = len(spec.gamma) + r + 1
     delta = Fraction(t, 2**53 - t)
     seen = [[] for _ in range(m.n_elements)]
@@ -443,7 +442,7 @@ def assert_picks_exact_argmax_up_to_rounding(m, spec, seq):
         assert best - picked <= 2 * delta * best
         assert abs(Fraction(rec.gain) - picked) <= delta * picked
         remaining.remove(rec.item)
-        for j, u in m.rows[rec.item]:
+        for j, u in row(m, rec.item):
             seen[j].append(u)
 
 

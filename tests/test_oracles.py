@@ -6,7 +6,14 @@ from functools import partial
 
 import pytest
 
-from conftest import random_matrix, singleton_influence
+from conftest import (
+    column,
+    column_utilities,
+    compensated_sum,
+    random_matrix,
+    row,
+    singleton_influence,
+)
 from infmax import (
     AggregationSpec,
     Alpha,
@@ -25,6 +32,7 @@ from infmax import (
     optimal_subset,
     sequence_items,
 )
+from infmax import oracles
 from infmax.oracles import ForwardStream, RevStream
 
 MAX = AggregationSpec.maximum()
@@ -35,8 +43,8 @@ def brute_positive_set(matrix, spec, seeds, i):
     """Elements where item i strictly gains, by full enumeration."""
     out = set()
     for j in range(matrix.n_elements):
-        base = matrix.column_utilities(j, seeds)
-        plus = matrix.column_utilities(j, list(seeds) + [i])
+        base = column_utilities(matrix, j, seeds)
+        plus = column_utilities(matrix, j, list(seeds) + [i])
         if aggregate(spec, plus) - aggregate(spec, base) > 0:
             out.add(j)
     return out
@@ -45,7 +53,7 @@ def brute_positive_set(matrix, spec, seeds, i):
 def digests_for(matrix, spec, seeds):
     table = DigestTable(matrix.n_elements, spec)
     for s in seeds:
-        for j, u in matrix.rows[s]:
+        for j, u in row(matrix, s):
             table[j].update(u)
     return table
 
@@ -101,9 +109,7 @@ def test_rev_stream_matches_sorted_column_on_random_matrices():
             drained.append(t)
         utilities = [u for _, u in drained]
         assert utilities == sorted(utilities, reverse=True)
-        assert sorted(drained) == sorted(
-            (i, u) for i, u in m.cols[j]
-        )
+        assert sorted(drained) == sorted(column(m, j))
 
 
 # -- the stream contract, shared by matrix and graph oracles --------------------
@@ -203,6 +209,15 @@ def test_out_of_range_ids_are_rejected(make, past_end):
     assert all(d.marg(1.0) == 1.0 for d in table)
 
 
+def test_marg_gain_sums_left_to_right_as_add_seed_does(monkeypatch):
+    # a compensated sum, as sum() is from Python 3.12, gives 1 + 2**-52 here
+    monkeypatch.setattr(oracles, "sum", compensated_sum, raising=False)
+    m = SparseUtilityMatrix(1, 3, [(0, 0, 1.0), (0, 1, 1e-16), (0, 2, 1e-16)])
+    problem = MatrixProblem(m, MAX)
+    assert marg_gain(problem, 0, DigestTable(3, MAX)) == 1.0
+    assert add_seed(problem, 0, DigestTable(3, MAX)) == 1.0
+
+
 def test_add_seed_keeps_the_seed_set_on_a_bad_item():
     inst, fam = two_instance_graph()
     seeds = {0}
@@ -286,7 +301,7 @@ def test_marginal_order_follows_utility_order():
         seeds = rng.sample(range(8), rng.randrange(0, 5))
         table = digests_for(m, spec, seeds)
         for j in range(m.n_elements):
-            col = sorted(m.cols[j], key=lambda t: t[1])
+            col = sorted(column(m, j), key=lambda t: t[1])
             margs = [table[j].marg(u) for _, u in col]
             assert all(a <= b + 1e-12 for a, b in zip(margs, margs[1:]))
 

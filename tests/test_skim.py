@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instances, random_matrix
+from conftest import random_graph, random_instances, random_matrix, row
 from infmax import (
     AggregationSpec,
     Alpha,
@@ -111,10 +111,11 @@ class AuditedRun(SkimRun):
         validate_state(self)
         self.audits += 1
         evals = self.stats["exact_evals"]
+        top = self._top()  # the item next_seed validates, if it gets that far
         out = super().next_seed()
         if out is None and self.stats["exact_evals"] > evals:
-            i, _, exact, _ = self._validated
-            self.demoted[i] = exact
+            i = top[1]
+            self.demoted[i] = self.qitems.priority(i)  # its failed exact gain
         return out
 
 
@@ -297,7 +298,8 @@ def test_move_down_truncates_everything_under_max_aggregation():
     run.est_m = [0, 1, 0]
     run.qhml.push(0, 0.5)
 
-    run.move_down(0, 2.0, 2)  # seed item 2 arrives with utility 2.0
+    run.seeds.add(2)
+    run.move_down(0, 2.0)  # seed item 2 arrives with utility 2.0
     assert run.est_h == [0.0, 0.0, 0.0]
     assert run.est_m == [0, 0, 0]
     assert run.index[0] == []
@@ -313,7 +315,7 @@ def test_move_down_with_zero_utility_changes_nothing():
     run.est_h = [1.5, 0.0]
     run.h_count = [1, 0]
     run.est_m = [0, 1]
-    run.move_down(0, 0.0, 2)
+    run.move_down(0, 0.0)
     assert run.est_h == [1.5, 0.0]
     assert run.est_m == [0, 1]
     assert run.index[0] == index_entries(run, 0, [(0, 1.5), (1, 0.6)])
@@ -333,7 +335,8 @@ def test_move_down_demotes_h_entry_to_m():
 
     # new seed with utility 0.6: item 0's marginal falls to 0.4,
     # which sits in [r*tau, tau) and so becomes an M entry
-    run.move_down(0, 0.6, 1)
+    run.seeds.add(1)
+    run.move_down(0, 0.6)
     assert run.est_h == [0.0, 0.0]
     assert run.est_m == [1, 0]
     assert run.nh[0] == 0 and run.nm[0] == 1
@@ -350,7 +353,8 @@ def test_move_down_drops_the_new_seeds_own_entry():
     run.h_count = [1, 0, 0]
     run.est_m = [0, 1, 0]
 
-    run.move_down(0, 0.9, 1)  # item 1 becomes a seed at this element
+    run.seeds.add(1)  # item 1 becomes a seed at this element
+    run.move_down(0, 0.9)
     assert run.est_m[1] == 0  # its own sample entry is removed
     assert all(i != 1 for i, *_ in run.index[0])
     # item 0 stays: move_down folded 0.9 into the digest, so its marginal
@@ -374,7 +378,8 @@ def test_move_down_drops_the_zero_tail_unpriced():
     run.h_count = [1, 1, 0, 0, 0]
     run.est_m = [0, 0, 1, 0, 0]
 
-    run.move_down(0, 2.0, 4)
+    run.seeds.add(4)
+    run.move_down(0, 2.0)
     assert run.index[0] == [(0, 4.0, 2.0)]  # the kept entry, repriced, still H
     assert run.nh[0] == run.nm[0] == 1
     assert run.est_h == [2.0, 0.0, 0.0, 0.0, 0.0]  # the tail's H contribution is gone
@@ -464,7 +469,8 @@ def test_next_seed_accepts_exact_estimate():
     run.est_h = [4.0]
     run.qitems.push(0, 4.0)
     got = run.next_seed()
-    assert got == (0, 4.0)  # estimate equals the exact gain, accepted
+    # estimate equals the exact gain, accepted with the search's pairs
+    assert got == (0, 4.0, 4.0, [(j, 1.0) for j in range(4)])
 
 
 def test_next_seed_demotes_overestimates():
@@ -494,7 +500,7 @@ def test_next_seed_three_item_trace():
     run.qitems.push(1, 3.0)
     run.qitems.push(2, 1.0)
     got = run.next_seed()
-    assert got == (1, 3.0)
+    assert got == (1, 3.0, 3.0, [(1, 2.0), (2, 1.0)])
     assert run.qitems.peek() == (2.0, 0)  # refreshed during the trace
 
 
@@ -510,23 +516,8 @@ def test_next_seed_takes_the_largest_estimate():
     run.h_count = [2, 1, 3]
     for i, p in enumerate((5.0, 4.0, 3.0)):
         run.qitems.push(i, p)
-    assert run.next_seed() == (2, 3.0)
+    assert run.next_seed() == (2, 3.0, 3.0, [(3, 1.0), (4, 1.0), (5, 1.0)])
     assert run.qitems.peek() == (2.0, 0)
-
-
-def test_commit_needs_a_current_validation():
-    m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
-    run = make_run(m, MAX, k=4, rng_seed=0)
-    with pytest.raises(RuntimeError):
-        run._process_seed(0, 1.0)  # never validated
-    run._marg_gain(0)
-    with pytest.raises(RuntimeError):
-        run._process_seed(1, 1.0)  # another item's validation
-    run.seeds.add(1)  # stands in for a commit since the validation
-    with pytest.raises(RuntimeError):
-        run._process_seed(0, 1.0)  # validated before the last seed
-    run._marg_gain(0)
-    assert run._process_seed(0, 1.0) == 1.0
 
 
 def test_next_seed_skips_seed_items():
@@ -564,7 +555,7 @@ def weighted_matrix():
     rng = random.Random(72)
     base = random_matrix(rng, 10, 24, density=0.4)
     weights = [0.5 + rng.random() * 3.0 for _ in range(base.n_elements)]
-    entries = [(i, j, u) for i, row in enumerate(base.rows) for j, u in row]
+    entries = [(i, j, u) for i in range(base.n_items) for j, u in row(base, i)]
     return SparseUtilityMatrix(base.n_items, base.n_elements, entries, weights)
 
 
@@ -671,6 +662,35 @@ def test_skim_sequences_are_pinned(n, k, source, gamma, rank_mode, expected):
     assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("gamma", ["max", "half", "top3"])
+@pytest.mark.parametrize("rank_mode", ["uniform", "permutation"])
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+def test_skim_sequences_do_not_depend_on_edge_order(family, rank_mode, gamma):
+    # Dijkstra-family searches pop by (label, node) and keep each node's
+    # best label, and BFS hands out every node at utility 1, so shuffled
+    # edge lists, parallel edges included, give every record bit for bit.
+    # The forward BFS sums its gains in adj order, which is exact only
+    # because gamma and the utilities are dyadic
+    rng = random.Random(74)
+    sets = []
+    for _ in range(2):
+        edges = list(random_graph(rng, 16).edges)
+        edges += [(s, d, rng.randrange(13, 129) / 64.0) for s, d, _ in rng.sample(edges, 8)]
+        edges += rng.sample(edges, 4)  # parallel edges of equal weight
+        sets.append(edges)
+    spec = AggregationSpec(GAMMAS[gamma])
+    runs = []
+    for shuffle in (False, True, True):
+        if shuffle:
+            for edges in sets:
+                rng.shuffle(edges)
+        problem = GraphProblem(GraphInstanceSet(16, sets), GRAPH_FAMILIES[family], spec)
+        seq = run_skim(problem, k=8, rng_seed=3, rank_mode=rank_mode)
+        runs.append([repr((r.item, r.estimate, r.gain, r.cumulative, r.below_cutoff))
+                     for r in seq])
+    assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
+
+
 @pytest.mark.parametrize("source", sorted(GRAPH_FAMILIES) + ["matrix"])
 def test_each_seed_costs_one_forward_search(source):
     # the commit reuses the validation's pairs and gain, so a run searches
@@ -681,28 +701,27 @@ def test_each_seed_costs_one_forward_search(source):
 
     def counting_search(i, digests):
         searches.append(i)
-        for pair in search(i, digests):
-            yielded.append(pair)
-            yield pair
+        gain = 0.0
+        for triple in search(i, digests):
+            yielded.append(triple)
+            gain += problem.weight(triple[0]) * triple[2]
+            yield triple
+        validated.append((i, gain))  # the search was read to its end
 
     problem.forward_stream = counting_search
     stats = {}
     run = SkimRun(problem, k=8, rng_seed=3, rank_mode="permutation", stats=stats)
-    marg_gain, next_seed = run._marg_gain, run.next_seed
-
-    def recording_marg_gain(i):
-        exact = marg_gain(i)
-        validated.append((i, exact))
-        return exact
+    next_seed = run.next_seed
 
     def recording_next_seed():
         validated.clear()
         out = next_seed()
         if out is not None:
+            assert out[::2] == validated[-1]  # (item, gain) of the last search
             accepted.append(validated[-1])
         return out
 
-    run._marg_gain, run.next_seed = recording_marg_gain, recording_next_seed
+    run.next_seed = recording_next_seed
     seq = run.run()
     assert seq
     assert len(searches) == stats["exact_evals"]
@@ -728,13 +747,13 @@ def test_each_commit_prices_only_the_surviving_entries(source, monkeypatch):
     monkeypatch.setattr(UtilityDigest, "marg", counting_marg)
     move_down = run.move_down
 
-    def counting_move_down(j, x, new_seed):
+    def counting_move_down(j, x):
         after = UtilityDigest(problem.spec)  # j's digest once x is folded in
         for v in run.digests[j].top + [x]:
             after.update(v)
         t = after.thresh()
         for i, u, _ in run.index[j]:
-            if i == new_seed or i in run.seeds:
+            if i in run.seeds:  # the new seed is already one
                 continue
             if u > t:
                 expected[0] += 1
@@ -742,7 +761,7 @@ def test_each_commit_prices_only_the_surviving_entries(source, monkeypatch):
                 skipped[0] += 1
         inside[0] = True
         try:
-            move_down(j, x, new_seed)
+            move_down(j, x)
         finally:
             inside[0] = False
 
@@ -891,9 +910,8 @@ def test_selected_gains_near_the_step_maxima():
     for trial in range(5):
         m = random_matrix(rng, 50, 100, density=0.3)
         dense = np.zeros((m.n_items, m.n_elements))
-        for i, row in enumerate(m.rows):
-            for j, u in row:
-                dense[i, j] = u
+        for i in range(m.n_items):
+            dense[i, m.elements[i]] = m.utilities[i]
         for seed in range(4):
             seq = run_skim(MatrixProblem(m, MAX), k=64, rng_seed=10 * trial + seed)
             covered = np.zeros(m.n_elements)
