@@ -16,7 +16,6 @@ the exact gain is and otherwise within a few units of rounding of it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 
@@ -27,7 +26,9 @@ class AggregationSpec:
     gamma[i] is the coefficient of the (i+1)-th largest utility.  Validity:
     gamma[0] == 1 (a single seed is worth its utility), entries are
     non-negative and non-increasing, which makes the aggregation monotone
-    under domination and gives diminishing returns for insertions.
+    under domination and gives diminishing returns for insertions.  The
+    stored gamma is float and ends at its last positive coefficient: a
+    trailing zero weighs nothing, so (1, 0.5, 0) and (1, 0.5) are one spec.
     """
 
     gamma: tuple[float, ...]
@@ -44,16 +45,9 @@ class AggregationSpec:
             if prev is not None and g > prev:
                 raise ValueError("gamma coefficients must be non-increasing")
             prev = g
-        # float coefficients make every gain a float, whatever the utilities
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-
-    @cached_property
-    def effective_ell(self) -> int:
-        """Index of the last strictly positive coefficient (trailing zeros are inert)."""
-        k = len(self.gamma)
-        while k > 1 and self.gamma[k - 1] == 0.0:
-            k -= 1
-        return k
+        # float coefficients make every gain a float, whatever the utilities;
+        # as gamma is non-increasing, its zeros are the trailing run dropped
+        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma if g > 0))
 
     @classmethod
     def maximum(cls) -> "AggregationSpec":
@@ -91,11 +85,10 @@ class UtilityDigest:
     """Top-k summary of one element's seed utilities.
 
     Stores the largest positive utilities seen so far (descending), one
-    for each coefficient up to the last positive one, and the order
-    statistic the searches test against; update() inserts a value, trims
-    the list and refreshes it, and is the only method that builds a
-    list.  Values past the last positive coefficient are worth nothing
-    and are not stored.  The aggregated value itself is never stored:
+    for each coefficient of the spec, whose last one is positive, and the
+    order statistic the searches test against; update() inserts a value,
+    trims the list and refreshes it, and is the only method that builds a
+    list.  The aggregated value itself is never stored:
     aggregate(spec, digest.top) computes it when wanted.
 
     marg(x) prices x as a sum of differences.  With v_0 >= v_1 >= ... the
@@ -121,7 +114,7 @@ class UtilityDigest:
 
     def __init__(self, spec: AggregationSpec):
         self.gamma = spec.gamma
-        self.eff = spec.effective_ell
+        self.eff = len(spec.gamma)
         self.top: list[float] = []
         self._thresh = 0.0
 
@@ -145,8 +138,8 @@ class UtilityDigest:
             if v < x:
                 break
             p += 1
-        # x > thresh puts p before the last positive coefficient, eff - 1;
-        # at most eff values are stored, and a term past them has gamma 0
+        # x > thresh puts p at or before the last coefficient, eff - 1; at
+        # most eff values are stored, and no coefficient lies past them
         gamma, n = self.gamma, len(top)
         if p == n:
             return gamma[p] * x

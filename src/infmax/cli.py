@@ -34,18 +34,10 @@ from .oracles import (
 from .skim import SkimRun, default_sample_size
 
 
-class ParseError(ValueError):
-    pass
-
-
-class ConfigError(ValueError):
-    pass
-
-
 def _tokens(line: str, n: int, path: str, lineno: int) -> list[str]:
     parts = line.split()
     if len(parts) != n:
-        raise ParseError(f"{path}:{lineno}: expected {n} fields, got {len(parts)}")
+        raise ValueError(f"{path}:{lineno}: expected {n} fields, got {len(parts)}")
     return parts
 
 
@@ -53,29 +45,29 @@ def _to_int(tok: str, path: str, lineno: int) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: {tok!r} is not an integer") from None
+        raise ValueError(f"{path}:{lineno}: {tok!r} is not an integer") from None
 
 
 def _number(tok: str, where: str) -> float:
     try:
         return float(tok)
     except ValueError:
-        raise ParseError(f"{where}: {tok!r} is not a number") from None
+        raise ValueError(f"{where}: {tok!r} is not a number") from None
 
 
-def _prefixed(where: str, call, *args, error=ConfigError):
-    """call(*args), its ValueError raised as error and prefixed with where
-    the arguments came from: the flag or the input file."""
+def _prefixed(where: str, call, *args):
+    """call(*args), its ValueError's message prefixed with where the
+    arguments came from: the flag or the input file."""
     try:
         return call(*args)
     except ValueError as e:
-        raise error(f"{where}: {e}") from None
+        raise ValueError(f"{where}: {e}") from None
 
 
 def _to_float(tok: str, path: str, lineno: int) -> float:
     x = _number(tok, f"{path}:{lineno}")
     if math.isnan(x) or math.isinf(x):
-        raise ParseError(f"{path}:{lineno}: {tok!r} is not finite")
+        raise ValueError(f"{path}:{lineno}: {tok!r} is not finite")
     return x
 
 
@@ -84,7 +76,7 @@ def _read_lines(path: str) -> list[str]:
         with open(path) as fh:
             return fh.read().splitlines()
     except OSError as e:
-        raise ParseError(f"{path}: cannot read: {e.strerror}") from None
+        raise ValueError(f"{path}: cannot read: {e.strerror}") from None
 
 
 def _read_triples(path: str, graph: bool) -> tuple[int, int, list]:
@@ -93,21 +85,21 @@ def _read_triples(path: str, graph: bool) -> tuple[int, int, list]:
     number of lines."""
     lines = _read_lines(path)
     if not lines:
-        raise ParseError(f"{path}:1: empty file")
+        raise ValueError(f"{path}:1: empty file")
     a, b = (_to_int(t, path, 1) for t in _tokens(lines[0], 2, path, 1))
     if graph and len(lines) - 1 != b:
-        raise ParseError(f"{path}: header promises {b} edges, found {len(lines) - 1} lines")
+        raise ValueError(f"{path}: header promises {b} edges, found {len(lines) - 1} lines")
     what = "edge weight" if graph else "utility"
     triples = []
     for off, line in enumerate(lines[1:], start=2):
         if not line.strip():
-            raise ParseError(f"{path}:{off}: blank line")
+            raise ValueError(f"{path}:{off}: blank line")
         x_tok, y_tok, w_tok = _tokens(line, 3, path, off)
         x = _to_int(x_tok, path, off)
         y = _to_int(y_tok, path, off)
         w = _to_float(w_tok, path, off)
         if w <= 0:
-            raise ParseError(f"{path}:{off}: {what} must be positive")
+            raise ValueError(f"{path}:{off}: {what} must be positive")
         triples.append((x, y, w))
     return a, b, triples
 
@@ -115,13 +107,13 @@ def _read_triples(path: str, graph: bool) -> tuple[int, int, list]:
 def read_matrix(path: str) -> SparseUtilityMatrix:
     """Read and strictly validate a matrix file."""
     n_items, n_elements, entries = _read_triples(path, graph=False)
-    return _prefixed(path, SparseUtilityMatrix, n_items, n_elements, entries, error=ParseError)
+    return _prefixed(path, SparseUtilityMatrix, n_items, n_elements, entries)
 
 
 def read_graph(path: str) -> DirectedGraph:
     """Read and strictly validate a graph file."""
     n, _, edges = _read_triples(path, graph=True)
-    return _prefixed(path, DirectedGraph, n, tuple(edges), error=ParseError)
+    return _prefixed(path, DirectedGraph, n, tuple(edges))
 
 
 def emit_results(sequence: GreedySequence, path: str) -> None:
@@ -144,28 +136,23 @@ def emit_results(sequence: GreedySequence, path: str) -> None:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as e:
-            raise ConfigError(f"{path}: cannot write: {e.strerror}") from None
+            raise ValueError(f"{path}: cannot write: {e.strerror}") from None
 
 
 def parse_alpha(spec: str) -> Alpha:
-    """Alpha maps are given as threshold:T, inverse, exp:sigma or table:path."""
-    if spec == "inverse":
-        return Alpha.inverse()
-    if spec.startswith("threshold:"):
-        return _prefixed("--alpha", Alpha.threshold, _number(spec.split(":", 1)[1], "--alpha"))
-    if spec.startswith("exp:"):
-        return _prefixed("--alpha", Alpha.exponential, _number(spec.split(":", 1)[1], "--alpha"))
-    if spec.startswith("table:"):
-        path = spec.split(":", 1)[1]
-        points = []
-        for lineno, line in enumerate(_read_lines(path), start=1):
-            if not line.strip():
-                continue
-            x_tok, v_tok = _tokens(line, 2, path, lineno)
-            x = _to_float(x_tok, path, lineno)
-            points.append((x, _to_float(v_tok, path, lineno)))
-        return _prefixed("--alpha", Alpha.table, points)
-    raise ConfigError(f"cannot parse alpha spec {spec!r}")
+    """threshold:T, inverse, exp:sigma or table:path as an alpha map.  Only
+    table's file is read here; any other spec is split once, as
+    kind[:number], and Alpha judges the kind and its parameter."""
+    kind, colon, rest = spec.partition(":")
+    if kind != "table" or not colon:
+        return _prefixed("--alpha", Alpha, kind, _number(rest, "--alpha") if colon else None)
+    points = []
+    for lineno, line in enumerate(_read_lines(rest), start=1):
+        if not line.strip():
+            continue
+        x_tok, v_tok = _tokens(line, 2, rest, lineno)
+        points.append((_to_float(x_tok, rest, lineno), _to_float(v_tok, rest, lineno)))
+    return _prefixed("--alpha", Alpha.table, points)
 
 
 def _aggregation(gamma: str | None) -> AggregationSpec:
@@ -213,34 +200,34 @@ def run(args: argparse.Namespace) -> int:
     # unused; only SKIM's sample size needs it positive
     skim = args.algorithm == "skim"
     if not (0.0 < args.epsilon < 1.0 if skim else 0.0 <= args.epsilon < 1.0):
-        raise ConfigError(f"--epsilon: epsilon must lie in {'(0, 1)' if skim else '[0, 1)'}")
+        raise ValueError(f"--epsilon: epsilon must lie in {'(0, 1)' if skim else '[0, 1)'}")
     if args.k is not None and not skim:
-        raise ConfigError("--k applies only to --algorithm skim")
+        raise ValueError("--k applies only to --algorithm skim")
     if args.rng_seed < 0:  # checked here: numpy's error would surface under another flag
-        raise ConfigError("--rng-seed: seed must be a non-negative integer")
+        raise ValueError("--rng-seed: seed must be a non-negative integer")
     spec = _aggregation(args.gamma)
     matrix = instances = None
     if args.kind == "matrix":
         for flag in ("family", "alpha", "model", "instances"):
             if getattr(args, flag) is not None:
-                raise ConfigError(f"--{flag} applies only to graph inputs")
+                raise ValueError(f"--{flag} applies only to graph inputs")
         matrix = read_matrix(args.input)
         n_items = matrix.n_items
     else:
         if args.family is None:
-            raise ConfigError("graph inputs need --family")
+            raise ValueError("graph inputs need --family")
         alpha = parse_alpha(args.alpha) if args.alpha is not None else None
         family = _prefixed("--alpha", UtilityFamily, args.family.replace("-", "_"), alpha)
         count = 1 if args.instances is None else args.instances
         if count < 1:  # checked here: simulate_instances's errors name the input file
-            raise ConfigError("--instances: instance count must be at least 1")
+            raise ValueError("--instances: instance count must be at least 1")
         model = args.model or "fixed"
         instances = _prefixed(args.input, simulate_instances, read_graph(args.input),
-                              model, count, args.rng_seed, error=ParseError)
+                              model, count, args.rng_seed)
         n_items = instances.n
 
     if args.verify and n_items > 1000:
-        raise ConfigError("verify refuses more than 1000 items (greedy baseline)")
+        raise ValueError("verify refuses more than 1000 items (greedy baseline)")
     if instances is not None and (args.verify or not skim):
         matrix = to_utility_matrix(instances, family)
 
@@ -276,7 +263,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "the node count), and exact recomputes every gain at every step",
     )
     p.add_argument("--family", choices=["distance", "reverse-rank", "reachability", "survival"])
-    p.add_argument("--alpha", help="threshold:T | inverse | exp:sigma | table:path")
+    p.add_argument("--alpha", help="threshold:T | inverse (takes no parameter) | exp:sigma "
+                   "(exp:inf maps reachable nodes to 1, unreachable ones to 0) | table:path")
     p.add_argument("--gamma", help="comma-separated aggregation weights, e.g. 1,0.5")
     p.add_argument("--model", choices=["ic", "exponential", "fixed"], help="default fixed")
     p.add_argument("--instances", type=int, help="graph instances to draw (default 1)")
@@ -301,7 +289,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return run(args)
-    except ValueError as e:  # ParseError and ConfigError included
+    except ValueError as e:
         print(f"infmax: {e}", file=sys.stderr)
         return 2
 

@@ -67,11 +67,12 @@ class Alpha:
     """Non-increasing map from distance or rank to utility.
 
     Kinds: threshold:T (1 up to T, then 0), inverse (1/x, clamped to 1
-    below x=1 so self-distances stay finite), exp:sigma (exp(-x/sigma)),
-    and table (right-continuous step function over breakpoints).  The
-    kind's map is picked once, at construction, as self.map, which the
-    oracles call directly; every kind maps an infinite x (an unreachable
-    node) to 0.
+    below x=1 so self-distances stay finite; no parameter), exp:sigma
+    (exp(-x/sigma), 1 at every finite x if sigma = inf) and table
+    (right-continuous step function over breakpoints); only this class
+    judges a kind and its parameter.  The map is picked once, at
+    construction, as self.map, which the oracles call directly; every
+    kind maps an infinite x (an unreachable node) to 0.
     """
 
     def __init__(self, kind: str, param: float | None = None,
@@ -99,8 +100,12 @@ class Alpha:
         elif kind == "exp":
             if param is None or not param > 0:
                 raise ValueError("exponential alpha needs sigma > 0")
-            self.map = lambda x: math.exp(-x / param)  # exp(-inf) is 0.0
+            # exp(-inf) is 0.0, but with sigma = inf, -inf / inf is NaN
+            self.map = ((lambda x: math.exp(-x / param)) if param < math.inf
+                        else lambda x: 1.0 if x < math.inf else 0.0)
         elif kind == "inverse":
+            if param is not None:
+                raise ValueError("inverse alpha takes no parameter")
             self.map = lambda x: 1.0 / max(x, 1.0)  # 1/inf is 0.0
         else:
             raise ValueError(f"unknown alpha kind {kind!r}")
@@ -279,10 +284,6 @@ class GraphInstanceSet:
             )
         return self._csr_cache[h]
 
-    def distances(self, h: int, source: int) -> np.ndarray:
-        """Shortest-path distances from source in instance h (inf if unreachable)."""
-        return _sp_dijkstra(self.csr(h), indices=[source])[0]
-
     def rank_table(self) -> RankTable:
         """Every instance's ranks, built on first use one block of source
         rows at a time: scipy's Dijkstra from the block's rows, ranked in
@@ -338,6 +339,9 @@ def simulate_instances(
                 raise ValueError(f"edge ({s}, {d}) has rate {w!r}, too small: 1/rate overflows")
         for _ in range(count):
             lengths = rng.exponential(scales).tolist()
+            if math.inf in lengths:  # a large draw times a scale near the float maximum
+                s, d, w = base.edges[lengths.index(math.inf)]
+                raise ValueError(f"edge ({s}, {d}) has rate {w!r}, too small: a drawn length overflows")
             instances.append(
                 [(s, d, ln) for (s, d, _), ln in zip(base.edges, lengths)]
             )
@@ -654,14 +658,15 @@ def _reference_row(
     """Reference utilities of one search from node src in instance h: of
     every item at element node src for reverse rank (ranks come from the
     element's own distances), else of item src at every element node.
-    The only per-family branch of the references; alpha maps inf to 0."""
+    The only per-family branch of the references; it calls scipy's Dijkstra
+    itself, and alpha maps inf to 0."""
     kind = family.kind
     if kind == REACHABILITY:
         dist = _sp_dijkstra(instances.csr(h), indices=[src], unweighted=True)[0]
         return np.isfinite(dist).astype(float).tolist()
     if kind == SURVIVAL:
         return survival_thresholds_brute(instances, h, src)
-    x = instances.distances(h, source=src)
+    x = _sp_dijkstra(instances.csr(h), indices=[src])[0]
     if kind == REVERSE_RANK:
         x = ranks_from_distances(x)
     return [family.alpha(t) for t in x.tolist()]

@@ -67,9 +67,12 @@ def test_spec_rejects_nan_gamma(gamma):
         AggregationSpec(gamma)
 
 
-def test_effective_ell_skips_trailing_zeros():
-    assert AggregationSpec((1.0, 0.5, 0.0)).effective_ell == 2
-    assert AggregationSpec((1.0,)).effective_ell == 1
+def test_spec_drops_trailing_zero_coefficients():
+    # a zero coefficient weighs nothing, so the spec keeps none
+    assert AggregationSpec((1.0, 0.5, 0.0)) == AggregationSpec((1.0, 0.5))
+    assert AggregationSpec((1.0, 0.0, 0.0)).gamma == (1.0,)
+    assert AggregationSpec((1, 1, 0)).gamma == (1.0, 1.0)
+    assert AggregationSpec((1.0,)).gamma == (1.0,)
 
 
 # -- domination --------------------------------------------------------------
@@ -368,8 +371,8 @@ def test_digest_is_within_rounding_of_exact_rationals(spec, updates, probes):
     for step in range(len(updates) + 1):
         top = list(d.top)
         ordered = sorted((u for u in seen if u > 0.0), reverse=True)
-        assert top == ordered[: spec.effective_ell]
-        assert d.thresh() == order_statistic(ordered, spec.effective_ell)
+        assert top == ordered[: len(spec.gamma)]
+        assert d.thresh() == order_statistic(ordered, len(spec.gamma))
         for y, x in probes:
             assert_prices_exactly(spec, d, x)
             # the gain of x once y is folded in, as move_down prices it

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from conftest import (
     column,
@@ -117,6 +118,7 @@ def test_alpha_forms():
         (INV, lambda x: 1.0 / max(x, 1.0)),
         (Alpha.exponential(2.0), lambda x: math.exp(-x / 2.0)),
         (Alpha.exponential(0.3), lambda x: math.exp(-x / 0.3)),
+        (Alpha.exponential(math.inf), lambda x: 1.0),
         (Alpha.table(steps), lambda x: table_step(steps, x)),
         (Alpha.table(above_zero), lambda x: table_step(above_zero, x)),
     ]
@@ -144,6 +146,28 @@ def test_alpha_rejects_nan():
         with pytest.raises(ValueError):
             make()
     assert Alpha.threshold(math.inf)(1e300) == 1.0  # threshold:inf stays valid
+
+
+@pytest.mark.parametrize("kind, param, message", [
+    ("log", 2.0, "unknown alpha kind 'log'"),
+    ("inverse", 2.0, "inverse alpha takes no parameter"),
+    ("exp", None, "exponential alpha needs sigma > 0"),
+    ("threshold", None, "threshold alpha needs T >= 0"),
+    ("table", None, "table alpha needs breakpoints"),
+])
+def test_alpha_judges_its_kind_and_parameter(kind, param, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Alpha(kind, param)
+
+
+def test_exponential_alpha_of_infinite_sigma_maps_unreachable_to_zero():
+    # -inf / inf is NaN, so exp(-x / sigma) cannot serve sigma = inf
+    alpha = Alpha.exponential(math.inf)
+    assert alpha(math.inf) == 0.0
+    inst = GraphInstanceSet(3, [[(0, 1, 1.0)]])
+    fam = UtilityFamily("distance", alpha)
+    assert pairwise_utility(inst, fam, 0, 2) == 0.0  # node 2 is unreachable
+    assert pairwise_utility(inst, fam, 0, 1) == 1.0
 
 
 def test_instance_set_rejects_bad_edges():
@@ -261,6 +285,16 @@ def test_exponential_rate_without_a_finite_reciprocal_is_named():
         simulate_instances(base, "exponential", 1, rng_seed=0)
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_exponential_length_that_overflows_is_named(seed):
+    # 1/rate = 1e308 is finite, but an Exp(1) draw above ~1.8 times it is not
+    base = DirectedGraph(2, ((0, 1, 1e-308),))
+    message = r"^edge \(0, 1\) has rate 1e-308, too small: a drawn length overflows$"
+    with pytest.raises(ValueError, match=message):
+        simulate_instances(base, "exponential", 4, rng_seed=seed)
+    simulate_instances(base, "exponential", 4, rng_seed=seed - 1)  # seeds 0 and 2 draw no overflow
+
+
 def test_exponential_model_of_an_edgeless_graph():
     inst = simulate_instances(DirectedGraph(3, ()), "exponential", 2, rng_seed=0)
     assert inst.instances == [[], []]
@@ -330,7 +364,7 @@ def test_rank_table_equals_per_row_reference_ranks_bit_for_bit(inst):
     with mock.patch.multiple(graphs, _DIJKSTRA_CELLS=32, _RANK_BLOCK=2):
         tables = inst.rank_table().tables
     for h, table in enumerate(tables):
-        rows = [inst.distances(h, source=v) for v in range(inst.n)]
+        rows = [dijkstra(inst.csr(h), indices=[v])[0] for v in range(inst.n)]
         ranks = np.vstack([ranks_from_distances(row) for row in rows])
         ranks[np.isinf(ranks)] = 0.0  # an unreachable pair is stored as 0
         want = ranks.astype(np.min_scalar_type(inst.n))
@@ -346,7 +380,7 @@ def test_rank_table_diagonal_and_reference_agreement():
         for v in range(12):
             row = table.tables[h][v]
             assert row[v] == 1
-            ranks = ranks_from_distances(inst.distances(h, source=v))
+            ranks = ranks_from_distances(dijkstra(inst.csr(h), indices=[v])[0])
             finite = sorted(r for r in ranks if math.isfinite(r))
             assert finite == sorted(row[m] for m in range(12) if row[m] > 0)
 
