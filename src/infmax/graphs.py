@@ -36,9 +36,9 @@ by element id h * n + v; oracles.marg_gain/add_seed read it as they read
 a MatrixProblem.
 
 Reference (brute-force) utilities are computed through scipy.sparse.csgraph
-and a descending threshold sweep, deliberately independent code paths from
-the incremental searches so the two can cross-check each other;
-pairwise_utility and to_utility_matrix both read _reference_row.
+and one pass over the edges by falling lifetime, deliberately independent
+code paths from the incremental searches so the two can cross-check each
+other; pairwise_utility and to_utility_matrix both read _reference_row.
 """
 
 import bisect
@@ -621,34 +621,28 @@ class GraphProblem:
 def survival_thresholds_brute(
     instances: GraphInstanceSet, h: int, src: int
 ) -> list[float]:
-    """Survival thresholds from src by a descending threshold sweep.
-
-    Adds edges in decreasing lifetime order and reruns plain reachability
-    after each distinct lifetime; the first threshold at which a node
-    becomes reachable is its survival threshold.  Independent of the
-    max-min search used by the oracles.
+    """Survival thresholds from src by one pass over the edges by falling
+    lifetime: each edge joins the adjacency, and when its source is reached
+    a plain search from its target over the edges added so far gives every
+    node it newly reaches the edge's lifetime.  Lifetimes only fall, so the
+    first at which a node is reached is its largest (an equal-lifetime edge
+    added earlier is already in the adjacency).  Independent of the max-min
+    search used by the oracles.
     """
     n = instances.n
     tau = [0.0] * n
     tau[src] = instances.caps[h]
-    edges = sorted(instances.instances[h], key=lambda e: -e[2])
     adj: list[list[int]] = [[] for _ in range(n)]
     reached = {src}
-    pos = 0
-    while pos < len(edges):
-        t = edges[pos][2]
-        while pos < len(edges) and edges[pos][2] == t:
-            s, d, _ = edges[pos]
-            adj[s].append(d)
-            pos += 1
-        queue = [v for v in reached]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in reached:
-                    reached.add(w)
-                    tau[w] = t
-                    queue.append(w)
+    for s, d, t in sorted(instances.instances[h], key=lambda e: -e[2]):
+        adj[s].append(d)
+        stack = [d] if s in reached else []
+        while stack:
+            v = stack.pop()
+            if v not in reached:
+                reached.add(v)
+                tau[v] = t
+                stack.extend(adj[v])
     return tau
 
 

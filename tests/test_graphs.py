@@ -171,10 +171,14 @@ def test_exponential_alpha_of_infinite_sigma_maps_unreachable_to_zero():
 
 
 def test_instance_set_rejects_bad_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         GraphInstanceSet(2, [[(0, 2, 1.0)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive finite weight"):
         GraphInstanceSet(2, [[(0, 1, 0.0)]])
+    with pytest.raises(ValueError, match="node count must be positive"):
+        GraphInstanceSet(0, [[]])
+    with pytest.raises(ValueError, match="at least one instance required"):
+        GraphInstanceSet(3, [])
 
 
 @pytest.mark.parametrize(
@@ -219,6 +223,16 @@ def test_ic_rejects_probability_above_one():
     base = DirectedGraph(2, ((0, 1, 1.5),))
     with pytest.raises(ValueError):
         simulate_instances(base, "ic", 1, rng_seed=0)
+
+
+@pytest.mark.parametrize("model,count,message", [
+    ("fixed", 0, "instance count must be at least 1"),
+    ("bogus", 1, "unknown simulation model 'bogus'"),
+])
+def test_simulation_rejects_bad_count_and_model(model, count, message):
+    base = DirectedGraph(2, ((0, 1, 0.5),))
+    with pytest.raises(ValueError, match=message):
+        simulate_instances(base, model, count, rng_seed=0)
 
 
 def test_ic_binomial_concentration():
@@ -891,6 +905,19 @@ def test_rev_streams_match_networkx(name, inst):
         utilities = [u for _, u in got]
         assert utilities == sorted(utilities, reverse=True)
         assert sorted(got) == sorted((i, u) for (i, e), u in ref.items() if e == j)
+
+
+@pytest.mark.parametrize("name", sorted(NX_FAMILIES))
+@settings(max_examples=60)
+@nx_examples
+@given(inst=instance_sets())
+def test_reference_matrix_matches_networkx(name, inst):
+    # the references behind lazy, exact and --verify, checked directly; for
+    # survival, nx_survival's per-lifetime sweep guards the one-pass sweep
+    family = NX_FAMILIES[name]
+    matrix = to_utility_matrix(inst, family)
+    got = {(i, j): u for i in range(inst.n) for j, u in row(matrix, i)}
+    assert got == nx_utilities(inst, family)
 
 
 @pytest.mark.parametrize("name", sorted(NX_FAMILIES))

@@ -60,8 +60,10 @@ def test_matrix_rejects_bad_element_weight(w):
 
 
 def test_matrix_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"entry \(2, 0\) out of range"):
         SparseUtilityMatrix(2, 2, [(2, 0, 1.0)])
+    with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+        SparseUtilityMatrix(0, 3, [])
 
 
 def test_matrix_rejects_bad_weights():

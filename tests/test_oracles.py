@@ -402,5 +402,8 @@ def test_optimal_subset_matches_reversed_enumeration():
 
 def test_optimal_subset_size_guard():
     m = SparseUtilityMatrix(21, 1, [(i, 0, 1.0) for i in range(21)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="capped at 20 items"):
         optimal_subset(m, MAX, 2)
+    m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+    with pytest.raises(ValueError, match="subset size must be positive"):
+        optimal_subset(m, MAX, 0)

@@ -454,6 +454,17 @@ def test_priorities_rounding_up_to_tau_wait_for_the_next_step():
     validate_state(run)
 
 
+def test_drain_skips_an_entry_its_weight_prices_at_zero():
+    # element 1 weighs 0.5 and prices item 1 at 0.5 * 5e-324, which rounds
+    # to 0.0: the drain pops the entry without indexing it
+    m = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 5e-324)],
+                            element_weights=(1.0, 0.5))
+    stats = {}
+    seq = run_skim(MatrixProblem(m, MAX), k=8, rng_seed=0, stats=stats)
+    assert [(r.item, r.gain) for r in seq] == [(0, 1.5)]
+    assert stats["stop"] == "exhausted"
+
+
 def test_next_seed_returns_none_below_gate():
     run = fixture_run()
     run.tau = 10.0  # gate k*tau = 40 far above any estimate

@@ -21,6 +21,7 @@ from infmax import (
     sequence_items,
 )
 from infmax.cli import main
+from infmax.oracles import ForwardStream
 
 MAX = AggregationSpec.maximum()
 # item 1 gains nothing once item 0 is selected, and item 2 has an empty row
@@ -133,6 +134,25 @@ def test_skim_decay_that_stalls_among_subnormals_ends(rank_mode):
     assert [(r.item, r.estimate, r.gain, r.cumulative, r.below_cutoff) for r in seq] == [
         (1, 2.0, 2.0, 2.0, False), (0, 1.0, 1.0, 3.0, False), (2, 1e-322, 1e-322, 3.0, True)]
     assert stats["stop"] == "cutoff"
+
+
+class HalvedGains(MatrixProblem):
+    """A bundle whose forward searches report half of each marginal, so
+    every validation of a true estimate fails."""
+
+    def forward_stream(self, i, digests):
+        triples = [(j, u, c / 2) for j, u, c in super().forward_stream(i, digests)]
+        return ForwardStream(lambda: (triples, len(triples)))
+
+
+def test_skim_stops_at_tau_underflow_when_validation_fails_at_zero():
+    # with k = 16 a gain must reach 0.75 of its estimate; halved ones never
+    # do, even at tau = 0, so the run ends with tau at 0.0 and no record
+    matrix = SparseUtilityMatrix(2, 2, [(0, 0, 1.0), (1, 1, 0.75)])
+    stats = {}
+    seq = run_skim(HalvedGains(matrix, MAX), k=16, rng_seed=0, stats=stats)
+    assert seq == []
+    assert stats["stop"] == "tau underflow"
 
 
 @given(st.floats(min_value=math.ulp(0.0), allow_nan=False, allow_infinity=False,
