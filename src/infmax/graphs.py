@@ -236,6 +236,9 @@ class GraphInstanceSet:
     tadj list each node's outgoing and incoming edges in edge order, which
     no utility depends on: Dijkstra-family searches pop by (label, node)
     and keep each node's best label, and BFS hands out every node at 1.
+    Each weight is converted to float once, and that one float is stored
+    in both lists and compared against the instance's cap, its largest
+    weight (0.0 without edges).
     """
 
     def __init__(self, n: int, instances: list[list[tuple[int, int, float]]]):
@@ -254,9 +257,11 @@ class GraphInstanceSet:
             rev = [[] for _ in range(n)]
             cap = 0.0
             for s, d, w in edges:
-                fwd[s].append((d, float(w)))
-                rev[d].append((s, float(w)))
-                cap = max(cap, float(w))
+                w = float(w)
+                fwd[s].append((d, w))
+                rev[d].append((s, w))
+                if w > cap:
+                    cap = w
             self.adj.append(fwd)
             self.tadj.append(rev)
             self.caps.append(cap)
@@ -312,7 +317,9 @@ def simulate_instances(
     """Draw edge-set instances from a randomized model, deterministically.
 
     * ic: keep each edge independently with its weight as probability,
-      kept edges get weight 1;
+      kept edges get weight 1; an instance's keeps are one array
+      comparison of its uniform draws, one per edge in edge order, against
+      the weights as doubles;
     * exponential: redraw each edge length from the exponential
       distribution whose rate is the edge weight;
     * fixed: count verbatim copies of the base graph.
@@ -320,30 +327,31 @@ def simulate_instances(
     if count < 1:
         raise ValueError("instance count must be at least 1")
     rng = np.random.default_rng(rng_seed)
+    edges = base.edges
     instances = []
     if model == "fixed":
-        instances = [list(base.edges) for _ in range(count)]
+        instances = [list(edges) for _ in range(count)]
     elif model == "ic":
-        if any(w > 1.0 for _, _, w in base.edges):
+        probs = np.array([w for _, _, w in edges], dtype=float)
+        if (probs > 1.0).any():
             raise ValueError("ic edge probabilities must lie in [0, 1]")
         for _ in range(count):
-            draws = rng.random(len(base.edges))
-            instances.append(
-                [(s, d, 1.0) for (s, d, w), x in zip(base.edges, draws) if x < w]
-            )
+            kept = np.flatnonzero(rng.random(len(edges)) < probs).tolist()
+            instances.append([(edges[k][0], edges[k][1], 1.0) for k in kept])
     elif model == "exponential":
         # one draw per edge, in edge order; Python's 1.0 / rate overflows unwarned
-        scales = [1.0 / float(w) for _, _, w in base.edges]
-        for (s, d, w), scale in zip(base.edges, scales):
-            if scale == math.inf:
-                raise ValueError(f"edge ({s}, {d}) has rate {w!r}, too small: 1/rate overflows")
+        scales = [1.0 / float(w) for _, _, w in edges]
+        if math.inf in scales:
+            s, d, w = edges[scales.index(math.inf)]
+            raise ValueError(f"edge ({s}, {d}) has rate {w!r}, too small: 1/rate overflows")
+        scales = np.array(scales)
         for _ in range(count):
             lengths = rng.exponential(scales).tolist()
             if math.inf in lengths:  # a large draw times a scale near the float maximum
-                s, d, w = base.edges[lengths.index(math.inf)]
+                s, d, w = edges[lengths.index(math.inf)]
                 raise ValueError(f"edge ({s}, {d}) has rate {w!r}, too small: a drawn length overflows")
             instances.append(
-                [(s, d, ln) for (s, d, _), ln in zip(base.edges, lengths)]
+                [(s, d, ln) for (s, d, _), ln in zip(edges, lengths)]
             )
     else:
         raise ValueError(f"unknown simulation model {model!r}")

@@ -201,6 +201,38 @@ def test_element_ids_enumerate_node_instance_pairs():
     assert [pairwise_utility(gg, RANK_INV, i, 4) for i in range(3)] == [0.0, 1.0, 0.5]
 
 
+@st.composite
+def edge_lists(draw):
+    # int and float weights; self-loops, parallel edges and edgeless instances
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    weight = st.one_of(
+        st.integers(1, 5),
+        st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+    )
+    edge = st.tuples(node, node, weight)
+    return n, draw(st.lists(st.lists(edge, max_size=10), min_size=1, max_size=3))
+
+
+@settings(max_examples=100)
+@example(args=(3, [[(0, 0, 2), (0, 1, 0.5), (0, 1, 2.0), (2, 1, 2)], []]))
+@given(args=edge_lists())
+def test_adjacency_and_caps_equal_a_plain_per_edge_build(args):
+    n, instances = args
+    inst = GraphInstanceSet(n, instances)
+    for h, edges in enumerate(instances):
+        fwd = [[] for _ in range(n)]
+        rev = [[] for _ in range(n)]
+        for s, d, w in edges:
+            fwd[s].append((d, float(w)))
+            rev[d].append((s, float(w)))
+        assert inst.adj[h] == fwd and inst.tadj[h] == rev  # edge order kept
+        stored = [w for lists in (inst.adj[h], inst.tadj[h]) for out in lists for _, w in out]
+        assert all(type(w) is float for w in stored)
+        assert inst.caps[h] == max((float(w) for _, _, w in edges), default=0.0)
+        assert type(inst.caps[h]) is float
+
+
 # -- simulation -------------------------------------------------------------------
 
 
@@ -221,7 +253,7 @@ def test_ic_with_certain_edges_keeps_everything():
 
 def test_ic_rejects_probability_above_one():
     base = DirectedGraph(2, ((0, 1, 1.5),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ic edge probabilities must lie in \[0, 1\]$"):
         simulate_instances(base, "ic", 1, rng_seed=0)
 
 
@@ -233,6 +265,15 @@ def test_simulation_rejects_bad_count_and_model(model, count, message):
     base = DirectedGraph(2, ((0, 1, 0.5),))
     with pytest.raises(ValueError, match=message):
         simulate_instances(base, model, count, rng_seed=0)
+
+
+def test_ic_keeps_an_edge_exactly_when_its_draw_is_below_its_probability():
+    # the instance's draws, one per edge in edge order, from the model's generator
+    x = np.random.default_rng(5).random(3).tolist()
+    probs = (x[0], math.nextafter(x[1], math.inf), math.nextafter(x[2], -math.inf))
+    base = DirectedGraph(4, tuple((v, v + 1, p) for v, p in enumerate(probs)))
+    inst = simulate_instances(base, "ic", 1, rng_seed=5)
+    assert inst.instances == [[(1, 2, 1.0)]]  # a draw equal to its probability drops
 
 
 def test_ic_binomial_concentration():
@@ -259,14 +300,15 @@ def test_exponential_lengths_are_positive():
         assert all(w > 0 for _, _, w in edges)
 
 
-def pin_graph(seed, n, m, parallel=False):
-    """Random base graph with non-dyadic rates in [0.05, 3]."""
+def pin_graph(seed, n, m, parallel=False, high=3.0):
+    """Random base graph with non-dyadic weights in [0.05, high]:
+    exponential rates, or IC probabilities with high=1."""
     rng = random.Random(seed)
     edges = []
     for _ in range(m):
         s, d = rng.randrange(n), rng.randrange(n)
         if s != d:
-            edges.append((s, d, rng.uniform(0.05, 3.0)))
+            edges.append((s, d, rng.uniform(0.05, high)))
     if parallel:
         edges.append(edges[0][:2] + (0.1,))
     return DirectedGraph(n, tuple(edges))
@@ -309,9 +351,38 @@ def test_exponential_length_that_overflows_is_named(seed):
     simulate_instances(base, "exponential", 4, rng_seed=seed - 1)  # seeds 0 and 2 draw no overflow
 
 
-def test_exponential_model_of_an_edgeless_graph():
-    inst = simulate_instances(DirectedGraph(3, ()), "exponential", 2, rng_seed=0)
+@pytest.mark.parametrize("model", ["exponential", "ic"])
+def test_random_model_of_an_edgeless_graph(model):
+    inst = simulate_instances(DirectedGraph(3, ()), model, 2, rng_seed=0)
     assert inst.instances == [[], []]
+    assert inst.caps == [0.0, 0.0]
+
+
+def with_certain_edges(base):
+    """base with every third edge's probability raised to 1."""
+    return DirectedGraph(base.n, tuple(
+        (s, d, 1.0) if k % 3 == 0 else (s, d, p) for k, (s, d, p) in enumerate(base.edges)
+    ))
+
+
+# SHA-256 of repr(simulate_instances(graph, "ic", count, seed).instances):
+# each instance takes one uniform draw per edge, in edge order, and keeps
+# the edges whose draw is below their probability, with weight 1
+IC_PINS = {
+    "n9-certain": (with_certain_edges(pin_graph(4, 9, 20, high=1.0)), 3, 1,
+                   "4cd84fbe7db5f17d71e8bf4c095a63d163e58d8fd78772d83c8e7c173996d367"),
+    "n30-parallel": (pin_graph(5, 30, 90, parallel=True, high=1.0), 4, 17,
+                     "f58848a8b0c0e0615bf7c122b928f5cf86a399c7df1dd3121b6d26b921567fd1"),
+    "n300": (pin_graph(6, 300, 900, high=1.0), 2, 2024,
+             "7d187dc3a072b2170cbbe9fd1525a736ef79df40df9632eae21e0b476c78f4b2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IC_PINS))
+def test_ic_draws_are_pinned(name):
+    base, count, seed, expected = IC_PINS[name]
+    inst = simulate_instances(base, "ic", count, seed)
+    assert hashlib.sha256(repr(inst.instances).encode()).hexdigest() == expected
 
 
 # -- pairwise utilities (toy-graph fixtures) -----------------------------------------
